@@ -10,7 +10,9 @@ Subcommands
 Configuration is a diff-able `key = value` INI file with one section per
 stage; every output embeds the SHA-256 of its inputs, identical configs
 reproduce outputs byte for byte, and mixed-provenance inputs are refused.
-Exit codes: 0 success, 2 configuration/validation, 3 I/O, 4 numerical.
+Exit codes: 0 success, 2 configuration/validation (including mismatched
+provenance and batch files that fail validation, such as non-finite
+values), 3 I/O, 4 numerical.
 """
 
 from __future__ import annotations
@@ -259,7 +261,10 @@ def _reconstruct_one(cfg: ExperimentConfig, beta: float, rep: int) -> str:
     path = _batch_path(cfg, rep)
     if not os.path.exists(path):
         raise ConfigError(f"missing batch file {path}; run `sample` first")
-    batch = read_batch(path)
+    try:
+        batch = read_batch(path)
+    except ValueError as exc:
+        raise ConfigError(f"invalid batch file: {exc}") from exc
     if not (math.isclose(batch.noise.eta, cfg.eta, rel_tol=0, abs_tol=0)
             and batch.state.alpha1 == cfg.alpha1 and batch.state.alpha2 == cfg.alpha2
             and batch.n == cfg.n):
@@ -313,6 +318,7 @@ def _load_replicate_grids(cfg: ExperimentConfig, beta: float):
         grid = read_grid(path)
         meta = grid.meta
         if not (meta.get("eta") == cfg.eta and meta.get("alpha1") == cfg.alpha1
+                and meta.get("alpha2") == cfg.alpha2
                 and meta.get("n") == cfg.n and meta.get("beta") == beta):
             raise ConfigError(f"provenance mismatch: {path} was built under different parameters")
         if batch_shas and meta.get("source_sha256") not in batch_shas:

@@ -11,7 +11,9 @@ frequency integral
 
 whose e^{gamma xi^2} factor undoes the Gaussian detection noise while the
 cutoff 1/h keeps it finite; r and h follow the bandwidth rule
-r = 1/h = sqrt(ln n / (beta + 2 gamma)).
+r = 1/h = sqrt(ln n / (beta + 2 gamma)).  `kernel` evaluates it in closed
+form through the Faddeeva function, and `KernelTable` tabulates it for the
+many scattered evaluations of the direct sum.
 
 Two evaluation routes are provided.  `reconstruct_exact` sums the kernel per
 sample and per node with compensated accumulation (the authoritative slow
@@ -34,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.signal import fftconvolve
+from scipy.special import erfcx, factorial, hyp1f1, wofz
 
 from .sampling import QuadratureBatch, _atomic_bytes
 from .states import CatState, NoiseModel, amplitude_across, amplitude_along
@@ -85,34 +88,60 @@ def optimal_bandwidth(n: int, beta: float, gamma: float) -> tuple[float, float]:
     return r, 1.0 / r
 
 
-def _kernel_quadrature(gamma: float, h: float, nodes_per_panel: int = 64):
-    """Gauss-Legendre nodes over [0, 1/h] with weights premultiplied by xi e^{gamma xi^2}.
+# Below this value of a = gamma/h^2 the closed form cancels terms of size
+# ~1/a against each other and `kernel` switches to a power series in a.
+_SERIES_LIMIT = 0.1
+_SERIES_TERMS = 8
 
-    Panels of width min(1, 1/(2 sqrt(gamma)/h)) resolve the exponential growth;
-    the integrand is otherwise smooth so 64 nodes per panel reach machine
-    accuracy for every offset t of practical size.
+
+def _cos_moments(omega: np.ndarray, n_max: int) -> np.ndarray:
+    """m_n(omega) = Int_0^1 s^n cos(omega s) ds for n = 0..n_max and omega >= 0.
+
+    Below omega = 4: the Taylor series sum_j (-1)^j omega^{2j} / ((2j)! (n + 2j + 1)),
+    cut after j = 20 (remainder < 4^42/42! ~ 1e-26).  Above: the upward
+    recurrence I_n = (e^{i omega} - n I_{n-1}) / (i omega) for
+    I_n = Int_0^1 s^n e^{i omega s} ds, which amplifies rounding by at most
+    n!/omega^n.
     """
-    cutoff = 1.0 / h
-    if gamma > 0.0:
-        width = min(1.0, 1.0 / (2.0 * math.sqrt(gamma) * cutoff))
-    else:
-        width = 1.0
-    n_panels = max(1, int(math.ceil(cutoff / width)))
-    edges = np.linspace(0.0, cutoff, n_panels + 1)
-    gl_x, gl_w = leggauss(nodes_per_panel)
-    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    nodes = (mid + half * gl_x[None, :]).ravel()
-    weights = (half * gl_w[None, :]).ravel()
-    return nodes, weights * nodes * np.exp(gamma * nodes * nodes)
+    out = np.empty((n_max + 1,) + omega.shape)
+    low = omega < 4.0
+    j = np.arange(21)
+    coef = (-1.0) ** j / (factorial(2 * j) * (np.arange(n_max + 1)[:, None] + 2 * j + 1))
+    out[:, low] = coef @ omega[low] ** (2 * j[:, None])
+    i_omega = 1j * omega[~low]
+    cis = np.exp(i_omega)
+    moment = (cis - 1.0) / i_omega
+    out[0][~low] = moment.real
+    for n in range(1, n_max + 1):
+        moment = (cis - n * moment) / i_omega
+        out[n][~low] = moment.real
+    return out
 
 
-def kernel(t, gamma: float, h: float, nodes_per_panel: int = 64):
+def kernel(t, gamma: float, h: float):
     """Deconvolution kernel K(t) = (1/2 pi) Int_0^{1/h} xi e^{gamma xi^2} cos(xi t) dxi.
 
-    Closed-form checkpoints: K(0) = (e^{gamma/h^2} - 1)/(4 pi gamma) for
-    gamma > 0 and K(t) = [(1/h) sin(t/h)/t + (cos(t/h) - 1)/t^2] / (2 pi)
-    at gamma = 0.  Even in t.  Rejects gamma/h^2 > 700 (float64 overflow).
+    Evaluated in closed form (Butucea, Guta & Artiles 2007).  With c = 1/h,
+    a = gamma c^2 and y = |t| / (2 sqrt(gamma)),
+
+        J = (i sqrt(pi) / (2 sqrt(gamma))) [erfcx(y) - e^{a + ic|t|} w(sqrt(gamma) c + iy)],
+        K(t) = (1/2 pi) Re[(e^{a + ic|t|} - 1 - i|t| J) / (2 gamma)],
+
+    where w is the Faddeeva function (`scipy.special.wofz`).  Both of its
+    arguments lie in the upper half-plane, so |w| <= 1 and nothing grows like
+    e^{t^2 / 4 gamma}.  The form cancels terms of size ~K(0)/a, which costs
+    about 2e-15/a * K(0) of accuracy, so below a* = 0.1, that is
+    gamma* = 0.1 h^2, the kernel is the series
+
+        K(t) = (c^2 / 2 pi) sum_{k=0}^{8} a^k / k! * m_{2k+1}(c|t|)
+
+    in the cosine moments m_n of `_cos_moments`.  Its truncation error is at
+    most 2 a^9 e^a / (9! * 20) * K(0) < 3.1e-16 K(0), and at a = 0 it is the
+    exact gamma = 0 form [(1/h) sin(t/h)/t + (cos(t/h) - 1)/t^2] / (2 pi).
+    Measured against quadrature over 1/h in {1, 3, 4.6, 6, 30} and |t| <= 40,
+    both branches stay within 2.5e-14 K(0), the closed form's worst case
+    being just above a*.  K(0) = (e^{gamma/h^2} - 1) / (4 pi gamma).  Even in
+    t.  Rejects gamma/h^2 > 700 (float64 overflow).
     """
     if h <= 0.0:
         raise ValueError("bandwidth h must be positive")
@@ -120,15 +149,19 @@ def kernel(t, gamma: float, h: float, nodes_per_panel: int = 64):
         raise ValueError("gamma must be >= 0")
     if gamma / (h * h) > _EXP_LIMIT:
         raise OverflowError(f"gamma/h^2 = {gamma / (h * h):.1f} exceeds the overflow threshold {_EXP_LIMIT:g}")
-    nodes, gweights = _kernel_quadrature(gamma, h, nodes_per_panel)
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.empty(t_arr.shape, dtype=np.float64)
-    flat = t_arr.ravel()
-    step = max(1, int(4_000_000 // max(nodes.size, 1)))
-    for lo in range(0, flat.size, step):
-        seg = flat[lo:lo + step]
-        out.ravel()[lo:lo + step] = np.cos(np.outer(seg, nodes)) @ gweights
-    out /= 2.0 * math.pi
+    c = 1.0 / h
+    a = gamma * c * c
+    t_abs = np.abs(np.atleast_1d(np.asarray(t, dtype=float)))
+    if a < _SERIES_LIMIT:
+        moments = _cos_moments(c * t_abs, 2 * _SERIES_TERMS + 1)
+        out = sum(a ** k / math.factorial(k) * moments[2 * k + 1] for k in range(_SERIES_TERMS + 1))
+        out = out * (c * c / (2.0 * math.pi))
+    else:
+        root = math.sqrt(gamma)
+        y = t_abs / (2.0 * root)
+        phase = np.exp(a + 1j * c * t_abs)
+        j = (0.5j * math.sqrt(math.pi) / root) * (erfcx(y) - phase * wofz(root * c + 1j * y))
+        out = ((phase - 1.0) - 1j * t_abs * j).real / (4.0 * math.pi * gamma)
     return out if np.ndim(t) else float(out[0])
 
 
@@ -138,20 +171,20 @@ class KernelTable:
     The step is sized from an analytic bound on |K''''| so the interpolation
     error stays below `tol` * K(0), then verified on random offsets (the table
     refuses to build otherwise).  Offsets beyond the tabulated span fall back
-    to direct kernel evaluation.
+    to direct kernel evaluation.  A lookup costs about an eighth of a
+    closed-form evaluation, which the ~1e8 scattered evaluations of a direct
+    reconstruction need.
     """
 
-    def __init__(self, gamma: float, h: float, t_max: float, tol: float = 1e-6,
-                 nodes_per_panel: int = 64):
+    def __init__(self, gamma: float, h: float, t_max: float, tol: float = 1e-6):
         self.gamma = float(gamma)
         self.h = float(h)
         self.t_max = float(t_max)
-        self.nodes_per_panel = nodes_per_panel
-        self.k0 = float(kernel(0.0, gamma, h, nodes_per_panel))
+        self.k0 = float(kernel(0.0, gamma, h))
 
-        nodes, gw = _kernel_quadrature(gamma, h, nodes_per_panel)
-        # |d^4 K / dt^4| <= (1/2pi) Int xi^4 * xi e^{gamma xi^2} dxi  (crude but safe)
-        m4 = float(np.abs(gw) @ nodes ** 4) / (2.0 * math.pi)
+        # |d^4 K / dt^4| <= (1/2pi) Int_0^c xi^5 e^{gamma xi^2} dxi = c^6 1F1(3; 4; gamma c^2) / (12 pi)
+        c = 1.0 / self.h
+        m4 = c ** 6 * float(hyp1f1(3.0, 4.0, self.gamma * c * c)) / (12.0 * math.pi)
         step = (384.0 / 5.0 * tol * abs(self.k0) / max(m4, 1e-300)) ** 0.25
         step = min(step, self.h / 4.0)
 
@@ -171,7 +204,7 @@ class KernelTable:
         self.step = 2.0 * span / (n_pts - 1)
         self.t0 = -span
         grid = self.t0 + self.step * np.arange(n_pts)
-        vals = kernel(grid, self.gamma, self.h, self.nodes_per_panel)
+        vals = kernel(grid, self.gamma, self.h)
         from scipy.interpolate import CubicSpline
 
         self._coeffs = CubicSpline(grid, vals).c  # (4, n_pts-1), not-a-knot ends
@@ -179,7 +212,7 @@ class KernelTable:
 
     def _max_check_error(self) -> float:
         probe = np.random.default_rng(1234).uniform(-self.t_max, self.t_max, 257)
-        return float(np.max(np.abs(self(probe) - kernel(probe, self.gamma, self.h, self.nodes_per_panel))))
+        return float(np.max(np.abs(self(probe) - kernel(probe, self.gamma, self.h))))
 
     def __call__(self, t):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
@@ -190,7 +223,7 @@ class KernelTable:
         out = ((c[0, idx] * tau + c[1, idx]) * tau + c[2, idx]) * tau + c[3, idx]
         outside = np.abs(t_arr) > self.t_max
         if np.any(outside):
-            out[outside] = kernel(t_arr[outside], self.gamma, self.h, self.nodes_per_panel)
+            out[outside] = kernel(t_arr[outside], self.gamma, self.h)
         return out if np.ndim(t) else float(out[0])
 
 
@@ -207,7 +240,6 @@ class ReconstructionParams:
     grid_extent: float | None = None
     phi_bins: int = 512
     table_points: int = 4096
-    nodes_per_panel: int = 64
 
     def __post_init__(self):
         if self.n < 1:
@@ -287,8 +319,7 @@ def _check_gamma(batch: QuadratureBatch, params: ReconstructionParams) -> float:
 
 def _default_table(batch: QuadratureBatch, params: ReconstructionParams, gamma: float) -> KernelTable:
     u_max = float(np.max(np.abs(batch.x))) / math.sqrt(batch.noise.eta) if batch.n else 0.0
-    return KernelTable(gamma, params.h, t_max=params.extent * math.sqrt(2.0) + u_max + 1.0,
-                       nodes_per_panel=params.nodes_per_panel)
+    return KernelTable(gamma, params.h, t_max=params.extent * math.sqrt(2.0) + u_max + 1.0)
 
 
 def estimate_at_points(batch: QuadratureBatch, params: ReconstructionParams, q, p,
@@ -310,7 +341,7 @@ def estimate_at_points(batch: QuadratureBatch, params: ReconstructionParams, q, 
     def evaluate(t):
         if table is not None:
             return table(t)
-        return kernel(t, gamma, params.h, params.nodes_per_panel)
+        return kernel(t, gamma, params.h)
 
     inv_sqrt_eta = 1.0 / math.sqrt(batch.noise.eta)
     u = batch.x * inv_sqrt_eta
@@ -372,11 +403,12 @@ def reconstruct_exact(batch: QuadratureBatch, params: ReconstructionParams,
 # fast path: linear binning + FFT correlation + cubic node interpolation
 # ---------------------------------------------------------------------------
 
-def _linear_bin_counts(batch: QuadratureBatch, params: ReconstructionParams,
-                       delta: float, n_u: int, u0: float):
-    """Spread samples bilinearly onto the (phi-bin, offset-bin) lattice.
+def _bin_shares(batch: QuadratureBatch, params: ReconstructionParams,
+                delta: float, n_u: int, u0: float):
+    """Yield (flat lattice index, weight) for each of the four bilinear shares of every sample.
 
-    Phase spreading respects the half-turn identity (phi + pi, u) ~ (phi, -u):
+    The lattice is (phi-bin, offset-bin), flattened row-major.  Phase
+    spreading respects the half-turn identity (phi + pi, u) ~ (phi, -u):
     samples near phi = 0 or pi share weight with the opposite edge bin under
     u -> -u, so no first-order error appears at the phase seam.
     """
@@ -389,7 +421,6 @@ def _linear_bin_counts(batch: QuadratureBatch, params: ReconstructionParams,
     w_hi = pos - j0
     j0 = j0.astype(np.int64)
 
-    counts = np.zeros(n_phi * n_u)
     for j_idx, w_phi in ((j0, 1.0 - w_hi), (j0 + 1, w_hi)):
         wrap_lo = j_idx < 0
         wrap_hi = j_idx >= n_phi
@@ -403,9 +434,19 @@ def _linear_bin_counts(batch: QuadratureBatch, params: ReconstructionParams,
         i0 = np.clip(i0, 0, n_u - 2)
 
         flat0 = j_eff * n_u + i0
-        counts += np.bincount(flat0, weights=w_phi * (1.0 - w_u_hi), minlength=n_phi * n_u)
-        counts += np.bincount(flat0 + 1, weights=w_phi * w_u_hi, minlength=n_phi * n_u)
-    return counts.reshape(n_phi, n_u)
+        yield flat0, w_phi * (1.0 - w_u_hi)
+        yield flat0 + 1, w_phi * w_u_hi
+
+
+def _linear_bin_counts(batch: QuadratureBatch, params: ReconstructionParams,
+                       delta: float, n_u: int, u0: float):
+    """Spread samples bilinearly onto the dense (phi-bin, offset-bin) lattice."""
+    size = params.phi_bins * n_u
+    counts = np.zeros(size)
+    for flat, weight in _bin_shares(batch, params, delta, n_u, u0):
+        counts += np.bincount(flat, weights=weight, minlength=size)
+        del flat, weight  # free this share before the generator builds the next
+    return counts.reshape(params.phi_bins, n_u)
 
 
 def _fast_field(batch, params, delta, s0, n_s, u0, n_u, kv):
@@ -421,25 +462,57 @@ def _interp_nodes(g_field, qs, ps, params, s0, delta):
     centers = (np.arange(params.phi_bins) + 0.5) * d_phi
     acc = np.zeros(qs.size)
     for k, phi_k in enumerate(centers):
-        s_nodes = qs * math.cos(phi_k) + ps * math.sin(phi_k)
-        acc += _cubic_interp_rows(g_field[k], s_nodes, s0, delta)
+        i1, w = _catmull_rom((qs * math.cos(phi_k) + ps * math.sin(phi_k) - s0) / delta)
+        acc += sum(w[m] * g_field[k, i1 + m - 1] for m in range(4))
     return acc
 
 
-def _cubic_interp_rows(field_row: np.ndarray, s: np.ndarray, s0: float, delta: float):
-    """Catmull-Rom interpolation of one tabulated row at offsets s."""
-    pos = (s - s0) / delta
+def _catmull_rom(pos: np.ndarray):
+    """Lattice index i1 = floor(pos) and the Catmull-Rom weights of rows i1 - 1 .. i1 + 2."""
     i1 = pos.astype(np.int64)
     tau = pos - i1
-    f0 = field_row[i1 - 1]
-    f1 = field_row[i1]
-    f2 = field_row[i1 + 1]
-    f3 = field_row[i1 + 2]
-    w0 = tau * ((2.0 - tau) * tau - 1.0) * 0.5
-    w1 = (tau * tau * (3.0 * tau - 5.0) + 2.0) * 0.5
-    w2 = tau * ((4.0 - 3.0 * tau) * tau + 1.0) * 0.5
-    w3 = tau * tau * (tau - 1.0) * 0.5
-    return w0 * f0 + w1 * f1 + w2 * f2 + w3 * f3
+    return i1, (tau * ((2.0 - tau) * tau - 1.0) * 0.5,
+                (tau * tau * (3.0 * tau - 5.0) + 2.0) * 0.5,
+                tau * ((4.0 - 3.0 * tau) * tau + 1.0) * 0.5,
+                tau * tau * (tau - 1.0) * 0.5)
+
+
+def _probe_sums(batch, params, lattice, qs, ps):
+    """`_interp_nodes(_fast_field(batch, ...), qs, ps, ...)` for a few nodes, without the FFT.
+
+    The field is linear in the lattice counts, G[k, i] = sum_j counts[k, j]
+    kv[i - j + n_u - 1], so each occupied cell (k, j), at most four per
+    sample, is summed directly against the on-grid kernel values with the
+    Catmull-Rom weights of its phase bin.
+    """
+    delta, s0, n_s, u0, n_u, kv = lattice
+    flat, weight = (np.concatenate(parts) for parts in zip(*_bin_shares(batch, params, delta, n_u, u0)))
+    cells, slot = np.unique(flat, return_inverse=True)
+    counts = np.bincount(slot, weights=weight)
+    k, j = np.divmod(cells, n_u)
+    phi_k = (k + 0.5) * (math.pi / params.phi_bins)
+    i1, w = _catmull_rom((qs[:, None] * np.cos(phi_k) + ps[:, None] * np.sin(phi_k) - s0) / delta)
+    base = i1 + (n_u - 2) - j  # kv index of G[k, i1 - 1]
+    return sum(w[m] * kv[base + m] for m in range(4)) @ counts
+
+
+def _lattice(batch: QuadratureBatch, params: ReconstructionParams, gamma: float):
+    """(delta, s0, n_s, u0, n_u, kv): node offsets s0 + i delta (i < n_s), sample
+    offsets u0 + j delta (j < n_u) and the kernel at every difference of the two."""
+    n_s = params.table_points
+    delta = 2.0 * params.r / (n_s - 9)
+    s0 = -delta * (n_s - 1) / 2.0
+
+    u = batch.x / math.sqrt(batch.noise.eta)
+    u_abs_max = float(np.max(np.abs(u)))
+    half_u = math.ceil((u_abs_max + 2.0 * delta) / delta)
+    n_u = 2 * half_u + 1
+    if (n_u - n_s) % 2:
+        n_u += 1
+    u0 = -delta * (n_u - 1) / 2.0
+
+    offsets = (s0 - u0) + np.arange(-(n_u - 1), n_s) * delta
+    return delta, s0, n_s, u0, n_u, kernel(offsets, gamma, params.h)
 
 
 def reconstruct_fast(batch: QuadratureBatch, params: ReconstructionParams,
@@ -469,20 +542,8 @@ def reconstruct_fast(batch: QuadratureBatch, params: ReconstructionParams,
             grid.meta["method"] = "fast"
             return grid
 
-    n_s = params.table_points
-    delta = 2.0 * params.r / (n_s - 9)
-    s0 = -delta * (n_s - 1) / 2.0
-
-    u = batch.x / math.sqrt(batch.noise.eta)
-    u_abs_max = float(np.max(np.abs(u)))
-    half_u = math.ceil((u_abs_max + 2.0 * delta) / delta)
-    n_u = 2 * half_u + 1
-    if (n_u - n_s) % 2:
-        n_u += 1
-    u0 = -delta * (n_u - 1) / 2.0
-
-    offsets = (s0 - u0) + np.arange(-(n_u - 1), n_s) * delta
-    kv = kernel(offsets, gamma, params.h, params.nodes_per_panel)
+    lattice = _lattice(batch, params, gamma)
+    delta, s0, n_s, u0, n_u, kv = lattice
     g_field = _fast_field(batch, params, delta, s0, n_s, u0, n_u, kv)
 
     ax = params.axis()
@@ -493,8 +554,8 @@ def reconstruct_fast(batch: QuadratureBatch, params: ReconstructionParams,
     values = np.zeros_like(Q)
     values[mask] = acc / batch.n
 
-    if self_check and not _fast_self_check(batch, params, (delta, s0, n_s, u0, n_u, kv),
-                                           qs, ps, acc / batch.n, np.max(np.abs(values))):
+    if self_check and not _fast_self_check(batch, params, lattice, qs, ps, acc / batch.n,
+                                           np.max(np.abs(values))):
         warnings.warn(
             "fast-path binning resolutions failed the subsample accuracy self-check; "
             "falling back to the exact path", RuntimeWarning)
@@ -518,7 +579,6 @@ def _fast_self_check(batch, params, lattice, qs, ps, fast_values, scale,
     """
     if scale == 0.0:
         return True
-    delta, s0, n_s, u0, n_u, kv = lattice
     rng = np.random.default_rng(618)
     probe = rng.choice(qs.size, size=min(n_probe, qs.size), replace=False)
     pq, pp = qs[probe], ps[probe]
@@ -531,8 +591,7 @@ def _fast_self_check(batch, params, lattice, qs, ps, fast_values, scale,
     sub = QuadratureBatch(batch.x[sub_idx], batch.phi[sub_idx], batch.state, batch.noise,
                           seed=batch.seed, replicate=batch.replicate)
     direct = estimate_at_points(sub, params, pq, pp)
-    g_sub = _fast_field(sub, params, delta, s0, n_s, u0, n_u, kv)
-    binned = _interp_nodes(g_sub, pq, pp, params, s0, delta) / n_sub
+    binned = _probe_sums(sub, params, lattice, pq, pp) / n_sub
     budget = tol * scale * math.sqrt(batch.n / n_sub)
     return bool(np.max(np.abs(binned - direct)) <= budget)
 
@@ -570,11 +629,12 @@ def estimator_mean_oracle(state: CatState, noise: NoiseModel, params: Reconstruc
 
     with s_phi = q cos(phi) + p sin(phi): the true Wigner function with its
     frequency content truncated to the disk of radius 1/h.  Independent of n
-    and of eta.  Points must lie inside the truncation disk of `params`.
+    and of eta.  Points must lie inside the truncation disk of `params`; q and
+    p broadcast against each other, and the result takes their shape.
     """
-    scalar = np.ndim(q) == 0 and np.ndim(p) == 0
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    p = np.atleast_1d(np.asarray(p, dtype=float))
+    shape = np.broadcast_shapes(np.shape(q), np.shape(p))
+    q = np.broadcast_to(np.asarray(q, dtype=float), shape).ravel()
+    p = np.broadcast_to(np.asarray(p, dtype=float), shape).ravel()
     if np.any(q * q + p * p > params.r ** 2 * (1.0 + 1e-12)):
         raise ValueError("oracle points must lie inside the truncation disk")
 
@@ -596,7 +656,7 @@ def estimator_mean_oracle(state: CatState, noise: NoiseModel, params: Reconstruc
         f_xi = _density_fourier(state, phi, xi) * xi * xi_w
         acc += w * (np.cos(np.outer(s, xi)) @ f_xi)
     acc /= 2.0 * math.pi ** 2
-    return float(acc[0]) if scalar else acc
+    return float(acc[0]) if shape == () else acc.reshape(shape)
 
 
 def mean_grid(grids: list[WignerGrid]) -> WignerGrid:

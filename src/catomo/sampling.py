@@ -69,6 +69,9 @@ class QuadratureBatch:
         self.phi = np.asarray(self.phi, dtype=np.float64)
         if self.x.shape != self.phi.shape or self.x.ndim != 1:
             raise ValueError("x and phi must be 1-D arrays of equal length")
+        for name, values in (("x", self.x), ("phi", self.phi)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} holds non-finite values (NaN or inf)")
         if self.x.size and (self.phi.min() < 0.0 or self.phi.max() > np.pi):
             raise ValueError("phases must lie in [0, pi]")
 
@@ -224,15 +227,18 @@ def read_batch(path: str) -> QuadratureBatch:
     if payload.size != 2 * n:
         raise ValueError(f"{path}: payload holds {payload.size // 2} pairs, header says {n}")
     pairs = payload.reshape(n, 2)
-    return QuadratureBatch(
-        x=pairs[:, 0].copy(),
-        phi=pairs[:, 1].copy(),
-        state=CatState(header["alpha1"], header["alpha2"]),
-        noise=NoiseModel(header["eta"]),
-        seed=int(header["seed"]),
-        replicate=int(header["replicate"]),
-        source_sha256=header.get("source_sha256"),
-    )
+    try:
+        return QuadratureBatch(
+            x=pairs[:, 0].copy(),
+            phi=pairs[:, 1].copy(),
+            state=CatState(header["alpha1"], header["alpha2"]),
+            noise=NoiseModel(header["eta"]),
+            seed=int(header["seed"]),
+            replicate=int(header["replicate"]),
+            source_sha256=header.get("source_sha256"),
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def batch_to_csv(batch: QuadratureBatch, path: str) -> None:

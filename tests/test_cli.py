@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from catomo import read_batch, read_grid
+from catomo.sampling import BATCH_MAGIC
 from catomo.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -130,6 +131,21 @@ class TestReconstruct:
         _, path = tiny_config(tmp_path)
         assert main(["reconstruct", "--config", path]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_non_finite_batch_refused(self, tmp_path, capsys, column):
+        cfg, path = tiny_config(tmp_path)
+        main(["sample", "--config", path])
+        bpath = os.path.join(cfg.output_dir, "batches", "batch_r01.qb")
+        blob = bytearray(read_bytes(bpath))
+        start = len(BATCH_MAGIC) + 4 + int.from_bytes(blob[len(BATCH_MAGIC):len(BATCH_MAGIC) + 4], "little")
+        offset = start + 8 * (2 * 5 + column)  # pair 5, x or phi
+        blob[offset:offset + 8] = np.array([np.nan], dtype="<f8").tobytes()
+        open(bpath, "wb").write(bytes(blob))
+        capsys.readouterr()
+        assert main(["reconstruct", "--config", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert bpath in err and "non-finite" in err
+
     def test_exact_path_selector(self, tmp_path):
         cfg, path = tiny_config(tmp_path, n=500, grid_size=21)
         main(["sample", "--config", path])
@@ -182,6 +198,16 @@ class TestAnalyze:
         grid.meta["source_sha256"] = "0" * 64
         from catomo import write_grid
         write_grid(grid, os.path.join(gdir, "grid_r01.wg"))
+        assert main(["analyze", "--config", path]) == EXIT_CONFIG
+
+
+    def test_grid_with_other_alpha2_refused(self, pipeline):
+        cfg, path = pipeline
+        gpath = os.path.join(cfg.output_dir, "grids", "beta_0.1", "grid_r00.wg")
+        grid = read_grid(gpath)
+        grid.meta["alpha2"] = 0.25
+        from catomo import write_grid
+        write_grid(grid, gpath)
         assert main(["analyze", "--config", path]) == EXIT_CONFIG
 
 

@@ -29,6 +29,7 @@ from catomo import (
     wigner_true,
     write_grid,
 )
+from catomo import estimator as est
 
 GAMMA_045 = 11.0 / 36.0
 H_REF = 1.0 / 4.8297
@@ -115,6 +116,19 @@ class TestKernel:
             ours = kernel(t, gamma, 1.0 / inv_h)
             ref = kernel_quad_oracle(t, gamma, 1.0 / inv_h)
             assert ours == pytest.approx(ref, rel=1e-8, abs=1e-10)
+
+    @pytest.mark.parametrize("inv_h", [1.0, 3.0, 4.6, 6.0])
+    def test_error_curve_against_quadrature(self, inv_h):
+        # both sides of the series/closed-form switch at gamma* = a* h^2
+        gamma_star = est._SERIES_LIMIT / inv_h**2
+        t = np.linspace(-40.0, 40.0, 81)
+        for gamma in [0.0, 1e-8, 1e-6, 0.999 * gamma_star, gamma_star, 1e-2, GAMMA_045, 0.35]:
+            k0 = kernel(0.0, gamma, 1.0 / inv_h)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # quad reports roundoff at this tolerance
+                ref = np.array([kernel_quad_oracle(tv, gamma, 1.0 / inv_h) for tv in t])
+            err = np.max(np.abs(kernel(t, gamma, 1.0 / inv_h) - ref))
+            assert err <= 1e-12 * k0, f"gamma={gamma:.3g}: error {err / k0:.2e} K(0)"
 
     def test_overflow_guard(self):
         with pytest.raises(OverflowError):
@@ -248,6 +262,21 @@ class TestReconstructFast:
         exact = reconstruct_exact(batch, params)
         np.testing.assert_array_equal(grid.values, exact.values)
 
+    def test_probe_sums_match_fft_field(self, cat, noise):
+        batch = generate_batch(cat, noise, 2048, seed=79)
+        params = small_params(2048, grid_size=21)
+        lattice = est._lattice(batch, params, noise.gamma)
+        delta, s0, n_s, u0, n_u, kv = lattice
+        ax = params.axis()
+        qq, pp = np.meshgrid(ax, ax, indexing="ij")
+        inside = qq**2 + pp**2 <= params.r**2
+        pick = np.random.default_rng(80).choice(np.count_nonzero(inside), 24, replace=False)
+        qs, ps = qq[inside][pick], pp[inside][pick]
+        field = est._fast_field(batch, params, delta, s0, n_s, u0, n_u, kv)
+        ref = est._interp_nodes(field, qs, ps, params, s0, delta)
+        ours = est._probe_sums(batch, params, lattice, qs, ps)
+        assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_self_check_can_be_disabled(self, cat, noise):
         batch = generate_batch(cat, noise, 1000, seed=78)
         params = small_params(1000, grid_size=21)
@@ -307,6 +336,15 @@ class TestMeanOracle:
             field = estimator_mean_oracle(cat, NoiseModel(1.0), params, qq.ravel(), pp.ravel())
             norms.append(np.linalg.norm(field - truth.ravel()))
         assert norms[0] > norms[1] > norms[2]
+
+    def test_meshgrid_window_matches_flat_call(self, cat, noise):
+        params = ReconstructionParams.for_experiment(10_000, 0.1, noise, grid_size=41)
+        ax = np.linspace(-0.4, 0.4, 9)
+        qq, pp = np.meshgrid(3.0 + ax, ax, indexing="ij")
+        window = estimator_mean_oracle(cat, noise, params, qq, pp)
+        flat = estimator_mean_oracle(cat, noise, params, qq.ravel(), pp.ravel())
+        assert window.shape == (9, 9)
+        np.testing.assert_array_equal(window, flat.reshape(9, 9))
 
     def test_rejects_point_outside_disk(self, cat, noise):
         params = ReconstructionParams(n=100, r=2.0, h=0.5, grid_size=21)

@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from catomo import (
     CatState,
     NoiseModel,
+    QuadratureBatch,
     add_detection_noise,
     batch_to_csv,
     generate_batch,
@@ -202,3 +203,11 @@ class TestBatchIO:
         open(path, "wb").write(blob[:-16])
         with pytest.raises(ValueError):
             read_batch(path)
+
+    @pytest.mark.parametrize("column", ["x", "phi"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_values(self, cat, noise, column, bad):
+        values = {"x": np.zeros(4), "phi": np.full(4, 0.5)}
+        values[column][2] = bad
+        with pytest.raises(ValueError, match=f"{column} holds non-finite values"):
+            QuadratureBatch(values["x"], values["phi"], cat, noise, seed=0)
