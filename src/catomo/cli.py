@@ -11,8 +11,9 @@ Configuration is a diff-able `key = value` INI file with one section per
 stage; every output embeds the SHA-256 of its inputs, identical configs
 reproduce outputs byte for byte, and mixed-provenance inputs are refused.
 Exit codes: 0 success, 2 configuration/validation (including mismatched
-provenance and batch files that fail validation, such as non-finite
-values), 3 I/O, 4 numerical.
+provenance and batch or grid files that fail validation, such as truncated
+files, headers without a required key or non-finite values), 3 I/O,
+4 numerical.
 """
 
 from __future__ import annotations
@@ -290,13 +291,20 @@ def cmd_reconstruct(cfg: ExperimentConfig) -> int:
                 paths = list(pool.map(_reconstruct_one, [cfg] * cfg.replicates, [beta] * cfg.replicates, reps))
         else:
             paths = [_reconstruct_one(cfg, beta, rep) for rep in reps]
-        grids = [read_grid(p) for p in paths]
+        grids = [_read_grid_file(p) for p in paths]
         avg = mean_grid(grids)
         avg_path = os.path.join(_grid_dir(cfg, beta), "grid_avg.wg")
         write_grid(avg, avg_path)
         for path in paths + [avg_path]:
             print(f"wrote {path}")
     return EXIT_OK
+
+
+def _read_grid_file(path: str):
+    try:
+        return read_grid(path)
+    except ValueError as exc:
+        raise ConfigError(f"invalid grid file: {exc}") from exc
 
 
 def _load_replicate_grids(cfg: ExperimentConfig, beta: float):
@@ -315,7 +323,7 @@ def _load_replicate_grids(cfg: ExperimentConfig, beta: float):
             batch_shas.add(file_sha(bpath))
     grids = []
     for path in paths:
-        grid = read_grid(path)
+        grid = _read_grid_file(path)
         meta = grid.meta
         if not (meta.get("eta") == cfg.eta and meta.get("alpha1") == cfg.alpha1
                 and meta.get("alpha2") == cfg.alpha2

@@ -214,15 +214,38 @@ def write_batch(batch: QuadratureBatch, path: str) -> None:
     _atomic_bytes(path, blob)
 
 
+def _read_framed(path: str, magic: bytes, kind: str, required: tuple[str, ...]):
+    """Header dict and float64 payload of a `magic + length + JSON header + payload` file.
+
+    Checks the magic, `schema == 1` and the `required` header keys; every
+    failure is a ValueError whose message starts with the path.
+    """
+    with open(path, "rb") as fh:
+        if fh.read(len(magic)) != magic:
+            raise ValueError(f"{path}: not a {kind} file")
+        hlen = int.from_bytes(fh.read(4), "little")
+        raw = fh.read(hlen)
+        payload = fh.read()
+    try:
+        header = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: unreadable header ({exc})") from exc
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: header is not a JSON object")
+    if header.get("schema") != 1:
+        raise ValueError(f"{path}: header schema is {header.get('schema')!r}, expected 1")
+    missing = [key for key in required if key not in header]
+    if missing:
+        raise ValueError(f"{path}: header lacks the required key {missing[0]!r}")
+    if len(payload) % 8:
+        raise ValueError(f"{path}: payload of {len(payload)} bytes is not a whole number of float64 values")
+    return header, np.frombuffer(payload, dtype="<f8")
+
+
 def read_batch(path: str) -> QuadratureBatch:
     """Read a batch file written by `write_batch`."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(BATCH_MAGIC))
-        if magic != BATCH_MAGIC:
-            raise ValueError(f"{path}: not a quadrature batch file")
-        hlen = int.from_bytes(fh.read(4), "little")
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        payload = np.frombuffer(fh.read(), dtype="<f8")
+    header, payload = _read_framed(path, BATCH_MAGIC, "quadrature batch",
+                                   ("alpha1", "alpha2", "eta", "n", "seed", "replicate"))
     n = int(header["n"])
     if payload.size != 2 * n:
         raise ValueError(f"{path}: payload holds {payload.size // 2} pairs, header says {n}")

@@ -17,6 +17,7 @@ from catomo.cli import (
     main,
     save_config,
 )
+from test_sampling import rewrite_header
 
 TINY = dict(n=2000, replicates=2, seed=11, betas=(0.1,), grid_size=41, workers=1)
 
@@ -146,12 +147,23 @@ class TestReconstruct:
         err = capsys.readouterr().err
         assert bpath in err and "non-finite" in err
 
+    def test_batch_header_without_key_refused(self, tmp_path, capsys):
+        cfg, path = tiny_config(tmp_path)
+        main(["sample", "--config", path])
+        bpath = os.path.join(cfg.output_dir, "batches", "batch_r00.qb")
+        rewrite_header(bpath, BATCH_MAGIC, lambda header: header.pop("alpha1"))
+        capsys.readouterr()
+        assert main(["reconstruct", "--config", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert bpath in err and "'alpha1'" in err
+
     def test_exact_path_selector(self, tmp_path):
         cfg, path = tiny_config(tmp_path, n=500, grid_size=21)
         main(["sample", "--config", path])
         assert main(["reconstruct", "--config", path, "--exact"]) == 0
         grid = read_grid(os.path.join(cfg.output_dir, "grids", "beta_0.1", "grid_r00.wg"))
         assert grid.meta["method"] == "exact"
+        assert grid.meta["route"] == "direct"
 
 
 class TestAnalyze:
@@ -200,6 +212,15 @@ class TestAnalyze:
         write_grid(grid, os.path.join(gdir, "grid_r01.wg"))
         assert main(["analyze", "--config", path]) == EXIT_CONFIG
 
+    def test_truncated_grid_refused(self, pipeline, capsys):
+        cfg, path = pipeline
+        gpath = os.path.join(cfg.output_dir, "grids", "beta_0.1", "grid_r01.wg")
+        blob = read_bytes(gpath)
+        open(gpath, "wb").write(blob[:-8])
+        capsys.readouterr()
+        assert main(["analyze", "--config", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert gpath in err and "size mismatch" in err
 
     def test_grid_with_other_alpha2_refused(self, pipeline):
         cfg, path = pipeline

@@ -1,6 +1,7 @@
 """Kernel, bandwidth rule, reconstruction paths, and the deterministic mean oracle."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -30,6 +31,7 @@ from catomo import (
     write_grid,
 )
 from catomo import estimator as est
+from test_sampling import rewrite_header
 
 GAMMA_045 = 11.0 / 36.0
 H_REF = 1.0 / 4.8297
@@ -148,6 +150,35 @@ class TestKernelTable:
         mixed = table(np.array([0.5, 9.0]))
         assert mixed[1] == kernel(9.0, GAMMA_045, H_REF)
 
+    def test_two_dimensional_mixed_offsets(self):
+        table = KernelTable(GAMMA_045, H_REF, t_max=5.0)
+        t = np.random.default_rng(6).uniform(-9.0, 9.0, (37, 64))
+        got = table(t)
+        assert got.shape == t.shape
+        inside = np.abs(t) <= 5.0
+        assert inside.any() and (~inside).any()
+        assert np.max(np.abs(got[inside] - kernel(t[inside], GAMMA_045, H_REF))) <= 1e-6 * table.k0
+        np.testing.assert_array_equal(got[~inside], kernel(t[~inside], GAMMA_045, H_REF))
+
+
+class TestEstimateAtPoints:
+    def test_node_blocks_do_not_change_values(self, cat, noise):
+        batch = generate_batch(cat, noise, 1000, seed=23)
+        params = small_params(1000, grid_size=21)
+        table = est._default_table(batch, params, noise.gamma)
+        n_nodes = 3 * est._NODE_BLOCK + 17
+        rng = np.random.default_rng(24)
+        radius = params.r * np.sqrt(rng.uniform(0.0, 1.0, n_nodes))
+        angle = rng.uniform(0.0, 2.0 * np.pi, n_nodes)
+        q, p = radius * np.cos(angle), radius * np.sin(angle)
+        full = estimate_at_points(batch, params, q, p, table=table)
+        for k in (1, est._NODE_BLOCK - 1, est._NODE_BLOCK + 5, 2 * est._NODE_BLOCK + 100):
+            np.testing.assert_array_equal(estimate_at_points(batch, params, q[:k], p[:k], table=table),
+                                          full[:k])
+        tail = slice(est._NODE_BLOCK + 3, None)
+        np.testing.assert_array_equal(estimate_at_points(batch, params, q[tail], p[tail], table=table),
+                                      full[tail])
+
 
 def small_params(n, beta=0.1, eta=0.45, grid_size=41, **kw):
     return ReconstructionParams.for_experiment(n, beta, NoiseModel(eta), grid_size=grid_size, **kw)
@@ -233,6 +264,7 @@ class TestReconstructFast:
         params = ReconstructionParams.for_experiment(6000, 0.05, nm, grid_size=41)
         assert params.phi_bins > 512
         fast = reconstruct_fast(batch, params, force_binned=True)
+        assert fast.meta["route"] == "binned"
         exact = reconstruct_exact(batch, params)
         scale = np.max(np.abs(exact.values))
         assert np.max(np.abs(fast.values - exact.values)) <= 1e-3 * scale
@@ -244,6 +276,7 @@ class TestReconstructFast:
         exact = reconstruct_exact(batch, params)
         np.testing.assert_array_equal(fast.values, exact.values)
         assert fast.meta["method"] == "fast"
+        assert fast.meta["route"] == exact.meta["route"] == "direct"
 
     def test_degenerate_batch(self, cat, noise):
         batch = QuadratureBatch(np.full(64, 0.7), np.full(64, 1.1), cat, noise, seed=0)
@@ -261,6 +294,7 @@ class TestReconstructFast:
             grid = reconstruct_fast(batch, params, force_binned=True)
         exact = reconstruct_exact(batch, params)
         np.testing.assert_array_equal(grid.values, exact.values)
+        assert grid.meta["route"] == "fallback"
 
     def test_probe_sums_match_fft_field(self, cat, noise):
         batch = generate_batch(cat, noise, 2048, seed=79)
@@ -376,6 +410,7 @@ class TestGridOps:
         np.testing.assert_array_equal(avg.values,
                                       np.mean([g.values for g in grids], axis=0))
         assert avg.meta["kind"] == "average"
+        assert avg.meta["routes"] == ["direct"] * 3 and "route" not in avg.meta
 
     def test_grid_io_round_trip(self, cat, noise, tmp_path):
         batch = generate_batch(cat, noise, 300, seed=13)
@@ -389,6 +424,23 @@ class TestGridOps:
         assert back.extent == grid.extent and back.r == grid.r
         assert back.meta["source_sha256"] == "cd" * 32
         assert back.meta["method"] == "fast"
+
+    @pytest.mark.parametrize("key", ["grid_size", "extent", "r"])
+    def test_rejects_header_without_required_key(self, cat, noise, tmp_path, key):
+        path = str(tmp_path / "grid.wg")
+        write_grid(reconstruct_exact(generate_batch(cat, noise, 50, seed=15), small_params(50, grid_size=11)),
+                   path)
+        rewrite_header(path, est.GRID_MAGIC, lambda header: header.pop(key))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: header lacks the required key '{key}'")):
+            read_grid(path)
+
+    def test_rejects_other_schema(self, cat, noise, tmp_path):
+        path = str(tmp_path / "grid.wg")
+        write_grid(reconstruct_exact(generate_batch(cat, noise, 50, seed=15), small_params(50, grid_size=11)),
+                   path)
+        rewrite_header(path, est.GRID_MAGIC, lambda header: header.update(schema=2))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: header schema is 2, expected 1")):
+            read_grid(path)
 
     def test_grid_csv(self, cat, noise, tmp_path):
         batch = generate_batch(cat, noise, 100, seed=14)

@@ -1,4 +1,4 @@
-"""Property tests of the closed-form deconvolution kernel on random (gamma, h, t)."""
+"""Property tests of the deconvolution kernel and its table on random (gamma, h, t)."""
 
 import math
 import warnings
@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from catomo import kernel
+from catomo import KernelTable, kernel
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -43,3 +43,15 @@ def test_array_matches_scalar_calls(gamma, inv_h, t):
     arr = kernel(np.array(t), gamma, 1.0 / inv_h)
     assert arr.shape == (len(t),)
     assert all(arr[i] == kernel(tv, gamma, 1.0 / inv_h) for i, tv in enumerate(t))
+
+
+@PROPERTY
+@given(gamma=gammas, inv_h=inv_hs, t_max=st.floats(1.0, 20.0),
+       t=st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=16))
+def test_table_matches_kernel(gamma, inv_h, t_max, t):
+    table = KernelTable(gamma, 1.0 / inv_h, t_max=t_max)
+    t = np.array(t)
+    got, ref = table(t), kernel(t, gamma, 1.0 / inv_h)
+    inside = np.abs(t) <= t_max
+    assert np.all(np.abs(got[inside] - ref[inside]) <= 1e-6 * table.k0)
+    np.testing.assert_array_equal(got[~inside], ref[~inside])

@@ -1,6 +1,8 @@
 """Sampler determinism, distributional fidelity, and batch persistence."""
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from catomo import (
     sample_phase,
     write_batch,
 )
-from catomo.sampling import _envelope_const, _stream
+from catomo.sampling import BATCH_MAGIC, _envelope_const, _stream
 
 
 def chi2_pvalue(samples, density, lo, hi, bins=100):
@@ -164,6 +166,17 @@ class TestGenerateBatch:
             assert p > 0.01, f"stratum {k}: p={p}"
 
 
+def rewrite_header(path, magic, edit):
+    """Rewrite the JSON header of a batch or grid file after `edit(header)`."""
+    blob = open(path, "rb").read()
+    hlen = int.from_bytes(blob[len(magic):len(magic) + 4], "little")
+    header = json.loads(blob[len(magic) + 4:len(magic) + 4 + hlen])
+    edit(header)
+    hbytes = json.dumps(header).encode("utf-8")
+    payload = blob[len(magic) + 4 + hlen:]
+    open(path, "wb").write(magic + len(hbytes).to_bytes(4, "little") + hbytes + payload)
+
+
 class TestBatchIO:
     def test_round_trip(self, cat, noise, tmp_path):
         b = generate_batch(cat, noise, 1000, seed=5, replicate=2)
@@ -202,6 +215,30 @@ class TestBatchIO:
         blob = open(path, "rb").read()
         open(path, "wb").write(blob[:-16])
         with pytest.raises(ValueError):
+            read_batch(path)
+
+    @pytest.mark.parametrize("key", ["alpha1", "eta", "n", "seed"])
+    def test_rejects_header_without_required_key(self, cat, noise, tmp_path, key):
+        path = str(tmp_path / "batch.qb")
+        write_batch(generate_batch(cat, noise, 50, seed=5), path)
+        rewrite_header(path, BATCH_MAGIC, lambda header: header.pop(key))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: header lacks the required key '{key}'")):
+            read_batch(path)
+
+    @pytest.mark.parametrize("schema", [2, None])
+    def test_rejects_other_schema(self, cat, noise, tmp_path, schema):
+        path = str(tmp_path / "batch.qb")
+        write_batch(generate_batch(cat, noise, 50, seed=5), path)
+        rewrite_header(path, BATCH_MAGIC, lambda header: header.update(schema=schema))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: header schema is {schema}, expected 1")):
+            read_batch(path)
+
+    def test_rejects_partial_value(self, cat, noise, tmp_path):
+        path = str(tmp_path / "batch.qb")
+        write_batch(generate_batch(cat, noise, 50, seed=5), path)
+        blob = open(path, "rb").read()
+        open(path, "wb").write(blob[:-3])
+        with pytest.raises(ValueError, match=re.escape(path) + ": payload of .* not a whole number"):
             read_batch(path)
 
     @pytest.mark.parametrize("column", ["x", "phi"])
