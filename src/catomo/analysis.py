@@ -156,21 +156,14 @@ def _delta2(beta: float, state: CatState) -> float:
     a2 = state.abs_alpha_sq
     grow = 4.0 * beta * a2 / s
     if grow > _EXP_LIMIT:
-        raise OverflowError("Delta_2 growth exponent overflows float64")
+        raise OverflowError("Delta_2/Delta_3 growth exponent overflows float64")
     inner = 1.0 + math.exp(grow) * (1.0 + 2.0 * math.sqrt(math.pi) * math.sqrt(a2) / math.sqrt(s)
                                     - math.exp(-4.0 * a2 / s))
     return math.sqrt(3.0 * inner / (4.0 * math.pi ** 3 * s))
 
 
 def _delta3(beta: float, state: CatState) -> float:
-    s = 1.0 - 4.0 * beta
-    a2 = state.abs_alpha_sq
-    grow = 16.0 * beta * a2 / s
-    if grow > _EXP_LIMIT:
-        raise OverflowError("Delta_3 growth exponent overflows float64")
-    inner = 1.0 + math.exp(grow) * (1.0 + 2.0 * math.sqrt(math.pi) * math.sqrt(a2) / math.sqrt(s)
-                                    - math.exp(-4.0 * a2 / s))
-    return math.sqrt(3.0 * inner / (4.0 * math.pi ** 3 * s))
+    return _delta2(4.0 * beta, state)
 
 
 def delta_terms(n: int, beta: float, eta: float, state: CatState) -> tuple[float, float, float]:

@@ -27,6 +27,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -57,8 +58,6 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
 
-DEFAULT_ALPHA1 = 3.0 / math.sqrt(2.0)
-
 PRESETS = {
     "desk": {"n": 500_000, "replicates": 5, "grid_size": 101},
     "paper": {"n": 16_000_000, "replicates": 10, "grid_size": 201},
@@ -71,7 +70,7 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    alpha1: float = DEFAULT_ALPHA1
+    alpha1: float = 3.0 / math.sqrt(2.0)  # |alpha|^2 = 4.5
     alpha2: float = 0.0
     eta: float = 0.45
     n: int = 16_000_000
@@ -177,9 +176,7 @@ def load_config(path: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
-    def get(section, key, cast, default):
-        if not parser.has_option(section, key):
-            return default
+    def get(section, key, cast):
         raw = parser.get(section, key)
         try:
             return cast(raw)
@@ -191,19 +188,17 @@ def load_config(path: str) -> ExperimentConfig:
     def parse_betas(raw: str) -> tuple[float, ...]:
         return tuple(float(tok) for tok in raw.replace(",", " ").split())
 
-    cfg = ExperimentConfig(
-        alpha1=get("state", "alpha1", float, DEFAULT_ALPHA1),
-        alpha2=get("state", "alpha2", float, 0.0),
-        eta=get("noise", "eta", float, 0.45),
-        n=get("sampling", "n", int, 16_000_000),
-        replicates=get("sampling", "replicates", int, 10),
-        seed=get("sampling", "seed", int, 7),
-        betas=get("reconstruction", "betas", parse_betas, (0.05, 0.1)),
-        grid_size=get("reconstruction", "grid_size", int, 201),
-        path=get("reconstruction", "path", str, "fast"),
-        output_dir=get("run", "output_dir", str, "catomo-out"),
-        workers=get("run", "workers", int, 1),
-    )
+    casts = {
+        "state": {"alpha1": float, "alpha2": float},
+        "noise": {"eta": float},
+        "sampling": {"n": int, "replicates": int, "seed": int},
+        "reconstruction": {"betas": parse_betas, "grid_size": int, "path": str},
+        "run": {"output_dir": str, "workers": int},
+    }
+    # a key the file leaves out keeps its ExperimentConfig default
+    cfg = ExperimentConfig(**{key: get(section, key, cast)
+                              for section, keys in casts.items() for key, cast in keys.items()
+                              if parser.has_option(section, key)})
     return _validate(cfg, source=path)
 
 
@@ -236,7 +231,16 @@ def _analysis_dir(cfg: ExperimentConfig, beta: float) -> str:
     return os.path.join(cfg.output_dir, "analysis", f"beta_{beta:g}")
 
 
-def _sample_one(cfg: ExperimentConfig, rep: int, source: str) -> str:
+def _map_replicates(fn, cfg: ExperimentConfig) -> list:
+    """[fn(rep) for each replicate], across `cfg.workers` processes when there are several."""
+    reps = range(cfg.replicates)
+    if cfg.workers > 1:
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            return list(pool.map(fn, reps))
+    return [fn(rep) for rep in reps]
+
+
+def _sample_one(cfg: ExperimentConfig, source: str, rep: int) -> str:
     batch = generate_batch(cfg.state, cfg.noise, cfg.n, cfg.seed, replicate=rep)
     batch.source_sha256 = source
     path = _batch_path(cfg, rep)
@@ -246,19 +250,13 @@ def _sample_one(cfg: ExperimentConfig, rep: int, source: str) -> str:
 
 def cmd_sample(cfg: ExperimentConfig) -> int:
     os.makedirs(os.path.join(cfg.output_dir, "batches"), exist_ok=True)
-    source = config_sha(cfg)
-    reps = range(cfg.replicates)
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            paths = list(pool.map(_sample_one, [cfg] * cfg.replicates, reps, [source] * cfg.replicates))
-    else:
-        paths = [_sample_one(cfg, rep, source) for rep in reps]
-    for path in paths:
+    for path in _map_replicates(partial(_sample_one, cfg, config_sha(cfg)), cfg):
         print(f"wrote {path}")
     return EXIT_OK
 
 
-def _reconstruct_one(cfg: ExperimentConfig, beta: float, rep: int) -> str:
+def _reconstruct_one(cfg: ExperimentConfig, rep: int) -> list[str]:
+    """Every beta's grid of one replicate, built from one read of its batch."""
     path = _batch_path(cfg, rep)
     if not os.path.exists(path):
         raise ConfigError(f"missing batch file {path}; run `sample` first")
@@ -275,27 +273,24 @@ def _reconstruct_one(cfg: ExperimentConfig, beta: float, rep: int) -> str:
             f"(alpha=({cfg.alpha1}, {cfg.alpha2}), eta={cfg.eta}, n={cfg.n})"
         )
     batch.source_sha256 = file_sha(path)
-    params = ReconstructionParams.for_experiment(cfg.n, beta, cfg.noise, grid_size=cfg.grid_size)
-    grid = reconstruct_fast(batch, params) if cfg.path == "fast" else reconstruct_exact(batch, params)
-    out = os.path.join(_grid_dir(cfg, beta), f"grid_r{batch.replicate:02d}.wg")
-    write_grid(grid, out)
-    return out
+    outs = []
+    for beta in cfg.betas:
+        params = ReconstructionParams.for_experiment(cfg.n, beta, cfg.noise, grid_size=cfg.grid_size)
+        grid = reconstruct_fast(batch, params) if cfg.path == "fast" else reconstruct_exact(batch, params)
+        outs.append(os.path.join(_grid_dir(cfg, beta), f"grid_r{batch.replicate:02d}.wg"))
+        write_grid(grid, outs[-1])
+    return outs
 
 
 def cmd_reconstruct(cfg: ExperimentConfig) -> int:
     for beta in cfg.betas:
         os.makedirs(_grid_dir(cfg, beta), exist_ok=True)
-        reps = range(cfg.replicates)
-        if cfg.workers > 1:
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-                paths = list(pool.map(_reconstruct_one, [cfg] * cfg.replicates, [beta] * cfg.replicates, reps))
-        else:
-            paths = [_reconstruct_one(cfg, beta, rep) for rep in reps]
-        grids = [_read_grid_file(p) for p in paths]
-        avg = mean_grid(grids)
+    per_replicate = _map_replicates(partial(_reconstruct_one, cfg), cfg)
+    for beta, paths in zip(cfg.betas, zip(*per_replicate)):
+        avg = mean_grid([_read_grid_file(p) for p in paths])
         avg_path = os.path.join(_grid_dir(cfg, beta), "grid_avg.wg")
         write_grid(avg, avg_path)
-        for path in paths + [avg_path]:
+        for path in paths + (avg_path,):
             print(f"wrote {path}")
     return EXIT_OK
 
@@ -307,7 +302,7 @@ def _read_grid_file(path: str):
         raise ConfigError(f"invalid grid file: {exc}") from exc
 
 
-def _load_replicate_grids(cfg: ExperimentConfig, beta: float):
+def _load_replicate_grids(cfg: ExperimentConfig, beta: float, batch_shas: set[str]):
     gdir = _grid_dir(cfg, beta)
     paths = [os.path.join(gdir, f"grid_r{rep:02d}.wg") for rep in range(cfg.replicates)]
     missing = [p for p in paths if not os.path.exists(p)]
@@ -316,11 +311,6 @@ def _load_replicate_grids(cfg: ExperimentConfig, beta: float):
             f"found {cfg.replicates - len(missing)} grids for beta={beta:g} but the config "
             f"declares {cfg.replicates} replicates (first missing: {missing[0]})"
         )
-    batch_shas = set()
-    for rep in range(cfg.replicates):
-        bpath = _batch_path(cfg, rep)
-        if os.path.exists(bpath):
-            batch_shas.add(file_sha(bpath))
     grids = []
     for path in paths:
         grid = _read_grid_file(path)
@@ -335,8 +325,8 @@ def _load_replicate_grids(cfg: ExperimentConfig, beta: float):
     return grids
 
 
-def _analyze_beta(cfg: ExperimentConfig, beta: float) -> dict:
-    grids = _load_replicate_grids(cfg, beta)
+def _analyze_beta(cfg: ExperimentConfig, beta: float, batch_shas: set[str]) -> dict:
+    grids = _load_replicate_grids(cfg, beta, batch_shas)
     state = cfg.state
     errors = [l2_error(grid, state) for _, grid in grids]
     tv, tt, tb = delta_terms(cfg.n, beta, cfg.eta, state)
@@ -382,8 +372,11 @@ def _format_table(rows) -> str:
 
 def cmd_analyze(cfg: ExperimentConfig) -> int:
     rows = []
+    # each batch is hashed once; every beta's replicate grids must descend from one
+    batch_paths = (_batch_path(cfg, rep) for rep in range(cfg.replicates))
+    batch_shas = {file_sha(p) for p in batch_paths if os.path.exists(p)}
     for beta in cfg.betas:
-        result = _analyze_beta(cfg, beta)
+        result = _analyze_beta(cfg, beta, batch_shas)
         report, stats = result["report"], result["witness"]
         rows.append({"beta": beta, "delta_numeric": report["delta_numeric"],
                      "delta_bound": report["delta_bound"]})

@@ -20,25 +20,25 @@ sample and per node with compensated accumulation (the authoritative slow
 path).  `reconstruct_fast` linearly bins samples on a (phase x offset)
 lattice, turns each phase bin into a 1-D FFT correlation against an on-grid
 kernel table, and maps grid nodes through cubic interpolation; a subsample
-self-check falls back to the exact path if the configured resolutions are
-ever insufficient.  A deterministic mean-value oracle (the exact expectation
+self-check falls back to the exact path if the lattice resolutions are ever
+insufficient.  A deterministic mean-value oracle (the exact expectation
 of the estimator, a 2-D quadrature over phase and frequency) supports bias
 tests without Monte Carlo.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.signal import fftconvolve
 from scipy.special import erfcx, factorial, hyp1f1, wofz
 
-from .sampling import QuadratureBatch, _atomic_bytes, _read_framed
+from .sampling import QuadratureBatch, _atomic_bytes, _read_framed, _write_framed
 from .states import CatState, NoiseModel, amplitude_across, amplitude_along
 
 __all__ = [
@@ -165,11 +165,14 @@ def kernel(t, gamma: float, h: float):
     return out if np.ndim(t) else float(out[0])
 
 
+_TABLE_TOL = 1e-6
+
+
 class KernelTable:
     """Uniform-grid cubic-spline lookup for the kernel at fixed (gamma, h).
 
     The step is sized from an analytic bound on |K''''| so the interpolation
-    error stays below `tol` * K(0), then verified on random offsets (the table
+    error stays below 1e-6 * K(0), then verified on random offsets (the table
     refuses to build otherwise).  Offsets beyond the tabulated span fall back
     to direct kernel evaluation.  A lookup is four 1-D gathers of coefficient
     rows pre-scaled by step^(3-k) and a Horner evaluation in the fractional
@@ -178,7 +181,7 @@ class KernelTable:
     which the ~1e8 scattered evaluations of a direct reconstruction need.
     """
 
-    def __init__(self, gamma: float, h: float, t_max: float, tol: float = 1e-6):
+    def __init__(self, gamma: float, h: float, t_max: float):
         self.gamma = float(gamma)
         self.h = float(h)
         self.t_max = float(t_max)
@@ -187,12 +190,12 @@ class KernelTable:
         # |d^4 K / dt^4| <= (1/2pi) Int_0^c xi^5 e^{gamma xi^2} dxi = c^6 1F1(3; 4; gamma c^2) / (12 pi)
         c = 1.0 / self.h
         m4 = c ** 6 * float(hyp1f1(3.0, 4.0, self.gamma * c * c)) / (12.0 * math.pi)
-        step = (384.0 / 5.0 * tol * abs(self.k0) / max(m4, 1e-300)) ** 0.25
+        step = (384.0 / 5.0 * _TABLE_TOL * abs(self.k0) / max(m4, 1e-300)) ** 0.25
         step = min(step, self.h / 4.0)
 
         for _ in range(4):
             self._build(step)
-            if self._max_check_error() <= tol * abs(self.k0):
+            if self._max_check_error() <= _TABLE_TOL * abs(self.k0):
                 break
             step *= 0.5
         else:
@@ -238,21 +241,15 @@ class KernelTable:
 
 @dataclass(frozen=True)
 class ReconstructionParams:
-    """Estimator configuration: bandwidth pair, grid geometry, fast-path resolutions."""
+    """Estimator configuration: bandwidth pair and grid size; the grid spans [-r, r]."""
 
-    n: int
     r: float
     h: float
     beta: float | None = None
     gamma: float | None = None
     grid_size: int = 201
-    grid_extent: float | None = None
-    phi_bins: int = 512
-    table_points: int = 4096
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
         if self.r <= 0.0 or self.h <= 0.0:
             raise ValueError("r and h must be positive")
         if self.beta is not None and not (0.0 < self.beta < 0.25):
@@ -261,24 +258,15 @@ class ReconstructionParams:
             raise ValueError("grid_size must be an odd integer >= 3")
 
     @classmethod
-    def for_experiment(cls, n: int, beta: float, noise: NoiseModel, **kwargs) -> "ReconstructionParams":
-        """Parameters with (r, h) from the optimal bandwidth rule.
-
-        Fast-path binning errors grow like (r/h * step)^2, so unless the
-        caller pins them, the phase and offset resolutions are scaled up with
-        r/h beyond the baseline regime they were validated in (capped at 4x
-        to bound the memory of the binned lattice; past that the fast path's
-        self-check falls back to the exact path).
-        """
+    def for_experiment(cls, n: int, beta: float, noise: NoiseModel,
+                       grid_size: int = 201) -> "ReconstructionParams":
+        """Parameters with (r, h) from the optimal bandwidth rule."""
         r, h = optimal_bandwidth(n, beta, noise.gamma)
-        sharp = max(1, min(4, math.ceil(r / (24.0 * h))))
-        kwargs.setdefault("phi_bins", 512 * sharp)
-        kwargs.setdefault("table_points", 4096 * sharp)
-        return cls(n=n, r=r, h=h, beta=beta, gamma=noise.gamma, **kwargs)
+        return cls(r=r, h=h, beta=beta, gamma=noise.gamma, grid_size=grid_size)
 
     @property
     def extent(self) -> float:
-        return self.r if self.grid_extent is None else self.grid_extent
+        return self.r
 
     def axis(self) -> np.ndarray:
         return np.linspace(-self.extent, self.extent, self.grid_size)
@@ -313,8 +301,7 @@ class WignerGrid:
         return np.linspace(-self.extent, self.extent, self.grid_size)
 
     def inside_disk(self) -> np.ndarray:
-        ax = self.axis()
-        return ax[:, None] ** 2 + ax[None, :] ** 2 <= self.r * self.r
+        return _disk_nodes(self.axis(), self.r)[0]
 
 
 def _check_gamma(batch: QuadratureBatch, params: ReconstructionParams) -> float:
@@ -406,14 +393,19 @@ def _grid_meta(batch: QuadratureBatch, params: ReconstructionParams, method: str
     }
 
 
+def _disk_nodes(ax: np.ndarray, r: float):
+    """Mask of the nodes of the square grid on `ax` inside the disk of radius r, and their (q, p)."""
+    Q, P = np.meshgrid(ax, ax, indexing="ij")
+    mask = Q * Q + P * P <= r * r
+    return mask, Q[mask], P[mask]
+
+
 def reconstruct_exact(batch: QuadratureBatch, params: ReconstructionParams,
                       table: KernelTable | None = None) -> WignerGrid:
     """Authoritative slow path: direct kernel sum at every inside-disk node."""
-    ax = params.axis()
-    Q, P = np.meshgrid(ax, ax, indexing="ij")
-    mask = Q * Q + P * P <= params.r * params.r
-    values = np.zeros_like(Q)
-    values[mask] = estimate_at_points(batch, params, Q[mask], P[mask], table=table)
+    mask, qs, ps = _disk_nodes(params.axis(), params.r)
+    values = np.zeros(mask.shape)
+    values[mask] = estimate_at_points(batch, params, qs, ps, table=table)
     return WignerGrid(values, extent=params.extent, r=params.r,
                       meta=_grid_meta(batch, params, "exact", "direct"))
 
@@ -422,8 +414,50 @@ def reconstruct_exact(batch: QuadratureBatch, params: ReconstructionParams,
 # fast path: linear binning + FFT correlation + cubic node interpolation
 # ---------------------------------------------------------------------------
 
-def _bin_shares(batch: QuadratureBatch, params: ReconstructionParams,
-                delta: float, n_u: int, u0: float):
+class _Lattice(NamedTuple):
+    """Binned-route lattice: phi_bins phase bins, node offsets s0 + i delta (i < n_s),
+    sample offsets u0 + j delta (j < n_u) and the kernel kv at every difference of the two."""
+
+    phi_bins: int
+    delta: float
+    s0: float
+    n_s: int
+    u0: float
+    n_u: int
+    kv: np.ndarray
+
+
+def _resolution(r: float, h: float) -> tuple[int, int]:
+    """Phase bins and node offsets of the binned lattice for radius r and cutoff 1/h.
+
+    Binning errors grow like (r/h * step)^2, so both resolutions scale with
+    s = ceil(r / (24 h)) beyond the 512 phase bins and 4096 node offsets they
+    were validated at.  s is capped at 4 to bound the lattice's memory; past
+    that the self-check falls back to the exact path.
+    """
+    sharp = max(1, min(4, math.ceil(r / (24.0 * h))))
+    return 512 * sharp, 4096 * sharp
+
+
+def _lattice(batch: QuadratureBatch, params: ReconstructionParams, gamma: float) -> _Lattice:
+    """The lattice at `_resolution(r, h)` that covers the grid and every sample offset."""
+    phi_bins, n_s = _resolution(params.r, params.h)
+    delta = 2.0 * params.r / (n_s - 9)
+    s0 = -delta * (n_s - 1) / 2.0
+
+    u = batch.x / math.sqrt(batch.noise.eta)
+    u_abs_max = float(np.max(np.abs(u)))
+    half_u = math.ceil((u_abs_max + 2.0 * delta) / delta)
+    n_u = 2 * half_u + 1
+    if (n_u - n_s) % 2:
+        n_u += 1
+    u0 = -delta * (n_u - 1) / 2.0
+
+    offsets = (s0 - u0) + np.arange(-(n_u - 1), n_s) * delta
+    return _Lattice(phi_bins, delta, s0, n_s, u0, n_u, kernel(offsets, gamma, params.h))
+
+
+def _bin_shares(batch: QuadratureBatch, lat: _Lattice):
     """Yield (flat lattice index, weight) for each of the four bilinear shares of every sample.
 
     The lattice is (phi-bin, offset-bin), flattened row-major.  Phase
@@ -431,7 +465,7 @@ def _bin_shares(batch: QuadratureBatch, params: ReconstructionParams,
     samples near phi = 0 or pi share weight with the opposite edge bin under
     u -> -u, so no first-order error appears at the phase seam.
     """
-    n_phi = params.phi_bins
+    n_phi = lat.phi_bins
     d_phi = math.pi / n_phi
     u = batch.x / math.sqrt(batch.noise.eta)
 
@@ -446,42 +480,41 @@ def _bin_shares(batch: QuadratureBatch, params: ReconstructionParams,
         j_eff = np.where(wrap_lo, n_phi - 1, np.where(wrap_hi, 0, j_idx))
         u_eff = np.where(wrap_lo | wrap_hi, -u, u)
 
-        upos = (u_eff - u0) / delta
+        upos = (u_eff - lat.u0) / lat.delta
         i0 = np.floor(upos)
         w_u_hi = upos - i0
         i0 = i0.astype(np.int64)
-        i0 = np.clip(i0, 0, n_u - 2)
+        i0 = np.clip(i0, 0, lat.n_u - 2)
 
-        flat0 = j_eff * n_u + i0
+        flat0 = j_eff * lat.n_u + i0
         yield flat0, w_phi * (1.0 - w_u_hi)
         yield flat0 + 1, w_phi * w_u_hi
 
 
-def _linear_bin_counts(batch: QuadratureBatch, params: ReconstructionParams,
-                       delta: float, n_u: int, u0: float):
+def _linear_bin_counts(batch: QuadratureBatch, lat: _Lattice):
     """Spread samples bilinearly onto the dense (phi-bin, offset-bin) lattice."""
-    size = params.phi_bins * n_u
+    size = lat.phi_bins * lat.n_u
     counts = np.zeros(size)
-    for flat, weight in _bin_shares(batch, params, delta, n_u, u0):
+    for flat, weight in _bin_shares(batch, lat):
         counts += np.bincount(flat, weights=weight, minlength=size)
         del flat, weight  # free this share before the generator builds the next
-    return counts.reshape(params.phi_bins, n_u)
+    return counts.reshape(lat.phi_bins, lat.n_u)
 
 
-def _fast_field(batch, params, delta, s0, n_s, u0, n_u, kv):
+def _fast_field(batch: QuadratureBatch, lat: _Lattice):
     """Per-phase-bin kernel response G[k, i] = sum_j counts[k, j] K(s_i - u_j)."""
-    counts = _linear_bin_counts(batch, params, delta, n_u, u0)
-    g_full = fftconvolve(counts, kv[None, :], mode="full", axes=1)
-    return g_full[:, n_u - 1:n_u - 1 + n_s]
+    counts = _linear_bin_counts(batch, lat)
+    g_full = fftconvolve(counts, lat.kv[None, :], mode="full", axes=1)
+    return g_full[:, lat.n_u - 1:lat.n_u - 1 + lat.n_s]
 
 
-def _interp_nodes(g_field, qs, ps, params, s0, delta):
+def _interp_nodes(g_field, qs, ps, lat: _Lattice):
     """Accumulate the per-phase-bin responses at node offsets s = q cos + p sin."""
-    d_phi = math.pi / params.phi_bins
-    centers = (np.arange(params.phi_bins) + 0.5) * d_phi
+    d_phi = math.pi / lat.phi_bins
+    centers = (np.arange(lat.phi_bins) + 0.5) * d_phi
     acc = np.zeros(qs.size)
     for k, phi_k in enumerate(centers):
-        i1, w = _catmull_rom((qs * math.cos(phi_k) + ps * math.sin(phi_k) - s0) / delta)
+        i1, w = _catmull_rom((qs * math.cos(phi_k) + ps * math.sin(phi_k) - lat.s0) / lat.delta)
         acc += sum(w[m] * g_field[k, i1 + m - 1] for m in range(4))
     return acc
 
@@ -496,48 +529,28 @@ def _catmull_rom(pos: np.ndarray):
                 tau * tau * (tau - 1.0) * 0.5)
 
 
-def _probe_sums(batch, params, lattice, qs, ps):
-    """`_interp_nodes(_fast_field(batch, ...), qs, ps, ...)` for a few nodes, without the FFT.
+def _probe_sums(batch: QuadratureBatch, lat: _Lattice, qs, ps):
+    """`_interp_nodes(_fast_field(batch, lat), qs, ps, lat)` for a few nodes, without the FFT.
 
     The field is linear in the lattice counts, G[k, i] = sum_j counts[k, j]
     kv[i - j + n_u - 1], so each occupied cell (k, j), at most four per
     sample, is summed directly against the on-grid kernel values with the
     Catmull-Rom weights of its phase bin.
     """
-    delta, s0, n_s, u0, n_u, kv = lattice
-    flat, weight = (np.concatenate(parts) for parts in zip(*_bin_shares(batch, params, delta, n_u, u0)))
+    flat, weight = (np.concatenate(parts) for parts in zip(*_bin_shares(batch, lat)))
     cells, slot = np.unique(flat, return_inverse=True)
     counts = np.bincount(slot, weights=weight)
-    k, j = np.divmod(cells, n_u)
-    phi_k = (k + 0.5) * (math.pi / params.phi_bins)
-    i1, w = _catmull_rom((qs[:, None] * np.cos(phi_k) + ps[:, None] * np.sin(phi_k) - s0) / delta)
-    base = i1 + (n_u - 2) - j  # kv index of G[k, i1 - 1]
-    return sum(w[m] * kv[base + m] for m in range(4)) @ counts
-
-
-def _lattice(batch: QuadratureBatch, params: ReconstructionParams, gamma: float):
-    """(delta, s0, n_s, u0, n_u, kv): node offsets s0 + i delta (i < n_s), sample
-    offsets u0 + j delta (j < n_u) and the kernel at every difference of the two."""
-    n_s = params.table_points
-    delta = 2.0 * params.r / (n_s - 9)
-    s0 = -delta * (n_s - 1) / 2.0
-
-    u = batch.x / math.sqrt(batch.noise.eta)
-    u_abs_max = float(np.max(np.abs(u)))
-    half_u = math.ceil((u_abs_max + 2.0 * delta) / delta)
-    n_u = 2 * half_u + 1
-    if (n_u - n_s) % 2:
-        n_u += 1
-    u0 = -delta * (n_u - 1) / 2.0
-
-    offsets = (s0 - u0) + np.arange(-(n_u - 1), n_s) * delta
-    return delta, s0, n_s, u0, n_u, kernel(offsets, gamma, params.h)
+    k, j = np.divmod(cells, lat.n_u)
+    phi_k = (k + 0.5) * (math.pi / lat.phi_bins)
+    i1, w = _catmull_rom((qs[:, None] * np.cos(phi_k) + ps[:, None] * np.sin(phi_k) - lat.s0) / lat.delta)
+    base = i1 + (lat.n_u - 2) - j  # kv index of G[k, i1 - 1]
+    return sum(w[m] * lat.kv[base + m] for m in range(4)) @ counts
 
 
 def reconstruct_fast(batch: QuadratureBatch, params: ReconstructionParams,
                      self_check: bool = True, force_binned: bool = False) -> WignerGrid:
     """Accelerated estimator: identical contract to `reconstruct_exact` within
-    a nodewise tolerance of 1e-3 * max|grid| at the configured resolutions.
+    a nodewise tolerance of 1e-3 * max|grid| at the lattice resolutions.
 
     Large workloads run the binned route: samples are spread linearly onto a
     (phase x offset) lattice, each phase bin becomes one FFT correlation
@@ -554,28 +567,18 @@ def reconstruct_fast(batch: QuadratureBatch, params: ReconstructionParams,
         raise ValueError("cannot reconstruct from an empty batch")
     gamma = _check_gamma(batch, params)
 
-    if not force_binned:
-        ax = params.axis()
-        n_inside = int(np.sum(ax[:, None] ** 2 + ax[None, :] ** 2 <= params.r * params.r))
-        if batch.n * n_inside <= 40_000_000:
-            grid = reconstruct_exact(batch, params)
-            grid.meta["method"] = "fast"
-            return grid
+    mask, qs, ps = _disk_nodes(params.axis(), params.r)
+    if not force_binned and batch.n * qs.size <= 40_000_000:
+        grid = reconstruct_exact(batch, params)
+        grid.meta["method"] = "fast"
+        return grid
 
-    lattice = _lattice(batch, params, gamma)
-    delta, s0, n_s, u0, n_u, kv = lattice
-    g_field = _fast_field(batch, params, delta, s0, n_s, u0, n_u, kv)
+    lat = _lattice(batch, params, gamma)
+    fast_values = _interp_nodes(_fast_field(batch, lat), qs, ps, lat) / batch.n
+    values = np.zeros(mask.shape)
+    values[mask] = fast_values
 
-    ax = params.axis()
-    Q, P = np.meshgrid(ax, ax, indexing="ij")
-    mask = Q * Q + P * P <= params.r * params.r
-    qs, ps = Q[mask], P[mask]
-    acc = _interp_nodes(g_field, qs, ps, params, s0, delta)
-    values = np.zeros_like(Q)
-    values[mask] = acc / batch.n
-
-    if self_check and not _fast_self_check(batch, params, lattice, qs, ps, acc / batch.n,
-                                           np.max(np.abs(values))):
+    if self_check and not _fast_self_check(batch, params, lat, qs, ps, fast_values):
         warnings.warn(
             "fast-path binning resolutions failed the subsample accuracy self-check; "
             "falling back to the exact path", RuntimeWarning)
@@ -587,33 +590,39 @@ def reconstruct_fast(batch: QuadratureBatch, params: ReconstructionParams,
                       meta=_grid_meta(batch, params, "fast", "binned"))
 
 
-def _fast_self_check(batch, params, lattice, qs, ps, fast_values, scale,
-                     tol: float = 1e-3, n_sub: int = 2048, n_probe: int = 24) -> bool:
+# Self-check tolerance relative to max|grid|, subsample size and probe-node count.
+_CHECK_TOL = 1e-3
+_CHECK_SAMPLES = 2048
+_CHECK_PROBES = 24
+
+
+def _fast_self_check(batch, params, lat: _Lattice, qs, ps, fast_values) -> bool:
     """Compare the binned evaluation against the direct kernel sum at probe nodes.
 
     Small batches are checked in full against the already-computed fast values
-    with the contract tolerance.  Large batches are checked on a subsample
-    with the tolerance widened by sqrt(n / n_sub): per-sample binning errors
+    with the contract tolerance.  Large batches are checked on a subsample of
+    2048 with the tolerance widened by sqrt(n / 2048): per-sample binning errors
     are oscillatory, so their full-batch average is no larger than the
     subsample average, while systematic components sit far below tolerance by
     construction.
     """
+    scale = np.max(np.abs(fast_values))  # max|grid|, as the grid is zero outside the disk
     if scale == 0.0:
         return True
     rng = np.random.default_rng(618)
-    probe = rng.choice(qs.size, size=min(n_probe, qs.size), replace=False)
+    probe = rng.choice(qs.size, size=min(_CHECK_PROBES, qs.size), replace=False)
     pq, pp = qs[probe], ps[probe]
 
-    if batch.n <= 8 * n_sub:
+    if batch.n <= 8 * _CHECK_SAMPLES:
         direct = estimate_at_points(batch, params, pq, pp)
-        return bool(np.max(np.abs(fast_values[probe] - direct)) <= tol * scale)
+        return bool(np.max(np.abs(fast_values[probe] - direct)) <= _CHECK_TOL * scale)
 
-    sub_idx = rng.choice(batch.n, size=n_sub, replace=False)
+    sub_idx = rng.choice(batch.n, size=_CHECK_SAMPLES, replace=False)
     sub = QuadratureBatch(batch.x[sub_idx], batch.phi[sub_idx], batch.state, batch.noise,
                           seed=batch.seed, replicate=batch.replicate)
     direct = estimate_at_points(sub, params, pq, pp)
-    binned = _probe_sums(sub, params, lattice, pq, pp) / n_sub
-    budget = tol * scale * math.sqrt(batch.n / n_sub)
+    binned = _probe_sums(sub, lat, pq, pp) / _CHECK_SAMPLES
+    budget = _CHECK_TOL * scale * math.sqrt(batch.n / _CHECK_SAMPLES)
     return bool(np.max(np.abs(binned - direct)) <= budget)
 
 
@@ -642,8 +651,7 @@ def _density_fourier(state: CatState, phi: float, xi: np.ndarray) -> np.ndarray:
     return out / (2.0 * (1.0 + state.overlap))
 
 
-def estimator_mean_oracle(state: CatState, noise: NoiseModel, params: ReconstructionParams,
-                          q, p, phi_nodes: int = 256):
+def estimator_mean_oracle(state: CatState, noise: NoiseModel, params: ReconstructionParams, q, p):
     """Exact expectation of the (untruncated-disk) estimator at points (q, p).
 
     E[W](q, p) = (1/2 pi^2) Int_0^pi dphi Int_0^{1/h} xi cos(xi s_phi) F[p(., phi)](xi) dxi
@@ -667,7 +675,7 @@ def estimator_mean_oracle(state: CatState, noise: NoiseModel, params: Reconstruc
     xi = (0.5 * (edges[1:] + edges[:-1])[:, None] + 0.5 * (edges[1:] - edges[:-1])[:, None] * gl_x).ravel()
     xi_w = (0.5 * (edges[1:] - edges[:-1])[:, None] * gl_w).ravel()
 
-    ph_x, ph_w = leggauss(phi_nodes)
+    ph_x, ph_w = leggauss(256)
     phis = 0.5 * math.pi * (ph_x + 1.0)
     phi_w = 0.5 * math.pi * ph_w
 
@@ -709,10 +717,8 @@ def mean_grid(grids: list[WignerGrid]) -> WignerGrid:
 def write_grid(grid: WignerGrid, path: str) -> None:
     """JSON header + row-major little-endian float64 payload, written atomically."""
     header = dict(grid.meta)
-    header.update({"schema": 1, "grid_size": grid.grid_size, "extent": grid.extent, "r": grid.r})
-    hbytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    blob = GRID_MAGIC + len(hbytes).to_bytes(4, "little") + hbytes + grid.values.astype("<f8").tobytes()
-    _atomic_bytes(path, blob)
+    header.update({"grid_size": grid.grid_size, "extent": grid.extent, "r": grid.r})
+    _write_framed(path, GRID_MAGIC, header, grid.values)
 
 
 def read_grid(path: str) -> WignerGrid:

@@ -50,6 +50,7 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 CHUNK_SIZE = 1 << 20
 
 BATCH_MAGIC = b"CATQB1\n"
+_MAX_ROUNDS = 10_000  # rejection rounds before `sample_ideal_quadrature` gives up
 
 
 @dataclass
@@ -109,7 +110,7 @@ def _envelope_const(state: CatState, phi):
     return 3.0 * np.maximum(1.0, suppress) / (2.0 * (1.0 + state.overlap))
 
 
-def sample_ideal_quadrature(state: CatState, phi, rng: np.random.Generator, max_rounds: int = 10_000):
+def sample_ideal_quadrature(state: CatState, phi, rng: np.random.Generator):
     """Noise-free quadrature value(s) distributed as quadrature_density(., phi).
 
     Rejection sampling; the proposal envelope is valid by construction, so the
@@ -123,7 +124,7 @@ def sample_ideal_quadrature(state: CatState, phi, rng: np.random.Generator, max_
 
     out = np.empty(phi_arr.shape, dtype=np.float64)
     active = np.arange(phi_arr.size)
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         if active.size == 0:
             break
         k = active.size
@@ -138,7 +139,7 @@ def sample_ideal_quadrature(state: CatState, phi, rng: np.random.Generator, max_
         active = active[~accept]
     if active.size:
         raise RuntimeError(
-            f"rejection sampler exceeded {max_rounds} rounds; proposal envelope is broken"
+            f"rejection sampler exceeded {_MAX_ROUNDS} rounds; proposal envelope is broken"
         )
     return out if np.ndim(phi) else float(out[0])
 
@@ -186,7 +187,6 @@ def generate_batch(
 
 def _batch_header(batch: QuadratureBatch) -> dict:
     return {
-        "schema": 1,
         "alpha1": batch.state.alpha1,
         "alpha2": batch.state.alpha2,
         "eta": batch.noise.eta,
@@ -206,12 +206,16 @@ def _atomic_bytes(path: str, payload: bytes) -> None:
     os.replace(tmp, path)
 
 
+def _write_framed(path: str, magic: bytes, header: dict, values: np.ndarray) -> None:
+    """Write `magic + length + JSON header + little-endian float64 payload` atomically;
+    the header gains `schema: 1`, the version `_read_framed` accepts."""
+    hbytes = json.dumps({**header, "schema": 1}, sort_keys=True).encode("utf-8")
+    _atomic_bytes(path, magic + len(hbytes).to_bytes(4, "little") + hbytes + values.astype("<f8").tobytes())
+
+
 def write_batch(batch: QuadratureBatch, path: str) -> None:
     """Write header + interleaved little-endian float64 (x, phi) pairs atomically."""
-    header = json.dumps(_batch_header(batch), sort_keys=True).encode("utf-8")
-    payload = np.column_stack([batch.x, batch.phi]).astype("<f8").tobytes()
-    blob = BATCH_MAGIC + len(header).to_bytes(4, "little") + header + payload
-    _atomic_bytes(path, blob)
+    _write_framed(path, BATCH_MAGIC, _batch_header(batch), np.column_stack([batch.x, batch.phi]))
 
 
 def _read_framed(path: str, magic: bytes, kind: str, required: tuple[str, ...]):

@@ -41,6 +41,11 @@ class TestConfig:
         cfg, path = tiny_config(tmp_path, betas=(0.05, 0.1), eta=0.63)
         assert load_config(path) == cfg
 
+    def test_missing_keys_take_the_dataclass_defaults(self, tmp_path):
+        path = tmp_path / "bare.ini"
+        path.write_text("[state]\n")
+        assert load_config(str(path)) == ExperimentConfig()
+
     def test_invalid_eta_names_field(self, tmp_path):
         _, path = tiny_config(tmp_path)
         text = open(path).read().replace("eta = 0.45", "eta = 1.2")
@@ -308,3 +313,17 @@ class TestWorkers:
         main(["sample", "--config", path2])
         parallel = read_bytes(os.path.join(cfg2.output_dir, "batches", "batch_r00.qb"))
         assert serial == parallel
+
+    def test_parallel_reconstruct_matches_serial(self, tmp_path):
+        grids = {}
+        for workers in (1, 2):
+            run_dir = tmp_path / f"w{workers}"
+            run_dir.mkdir()
+            cfg, path = tiny_config(run_dir, betas=(0.05, 0.1), workers=workers)
+            assert main(["sample", "--config", path]) == 0
+            assert main(["reconstruct", "--config", path]) == 0
+            gdir = os.path.join(cfg.output_dir, "grids")
+            grids[workers] = {os.path.join(beta, name): read_bytes(os.path.join(gdir, beta, name))
+                              for beta in os.listdir(gdir) for name in os.listdir(os.path.join(gdir, beta))}
+        assert len(grids[1]) == 6
+        assert grids[1] == grids[2]

@@ -180,14 +180,14 @@ class TestEstimateAtPoints:
                                       full[tail])
 
 
-def small_params(n, beta=0.1, eta=0.45, grid_size=41, **kw):
-    return ReconstructionParams.for_experiment(n, beta, NoiseModel(eta), grid_size=grid_size, **kw)
+def small_params(n, beta=0.1, eta=0.45, grid_size=41):
+    return ReconstructionParams.for_experiment(n, beta, NoiseModel(eta), grid_size=grid_size)
 
 
 class TestReconstructExact:
     def test_single_sample_is_kernel_translate(self, cat, noise):
         batch = QuadratureBatch(np.array([0.0]), np.array([0.0]), cat, noise, seed=0)
-        params = ReconstructionParams(n=1, r=3.0, h=0.25, gamma=noise.gamma, grid_size=21)
+        params = ReconstructionParams(r=3.0, h=0.25, gamma=noise.gamma, grid_size=21)
         grid = reconstruct_exact(batch, params)
         ax = grid.axis()
         inside = grid.inside_disk()
@@ -262,7 +262,7 @@ class TestReconstructFast:
         nm = NoiseModel(0.95)
         batch = generate_batch(CatState(2.0, 0.3), nm, 6000, seed=314)
         params = ReconstructionParams.for_experiment(6000, 0.05, nm, grid_size=41)
-        assert params.phi_bins > 512
+        assert est._lattice(batch, params, nm.gamma).phi_bins > 512
         fast = reconstruct_fast(batch, params, force_binned=True)
         assert fast.meta["route"] == "binned"
         exact = reconstruct_exact(batch, params)
@@ -286,10 +286,10 @@ class TestReconstructFast:
         scale = np.max(np.abs(exact.values))
         assert np.max(np.abs(fast.values - exact.values)) <= 1e-3 * scale
 
-    def test_insufficient_resolution_falls_back(self, cat, noise):
+    def test_insufficient_resolution_falls_back(self, cat, noise, monkeypatch):
         batch = generate_batch(cat, noise, 4000, seed=77)
-        params = ReconstructionParams.for_experiment(4000, 0.1, noise, grid_size=21,
-                                                     phi_bins=8, table_points=128)
+        params = ReconstructionParams.for_experiment(4000, 0.1, noise, grid_size=21)
+        monkeypatch.setattr(est, "_resolution", lambda r, h: (8, 128))
         with pytest.warns(RuntimeWarning, match="falling back"):
             grid = reconstruct_fast(batch, params, force_binned=True)
         exact = reconstruct_exact(batch, params)
@@ -299,16 +299,14 @@ class TestReconstructFast:
     def test_probe_sums_match_fft_field(self, cat, noise):
         batch = generate_batch(cat, noise, 2048, seed=79)
         params = small_params(2048, grid_size=21)
-        lattice = est._lattice(batch, params, noise.gamma)
-        delta, s0, n_s, u0, n_u, kv = lattice
+        lat = est._lattice(batch, params, noise.gamma)
         ax = params.axis()
         qq, pp = np.meshgrid(ax, ax, indexing="ij")
         inside = qq**2 + pp**2 <= params.r**2
         pick = np.random.default_rng(80).choice(np.count_nonzero(inside), 24, replace=False)
         qs, ps = qq[inside][pick], pp[inside][pick]
-        field = est._fast_field(batch, params, delta, s0, n_s, u0, n_u, kv)
-        ref = est._interp_nodes(field, qs, ps, params, s0, delta)
-        ours = est._probe_sums(batch, params, lattice, qs, ps)
+        ref = est._interp_nodes(est._fast_field(batch, lat), qs, ps, lat)
+        ours = est._probe_sums(batch, lat, qs, ps)
         assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_self_check_can_be_disabled(self, cat, noise):
@@ -322,7 +320,7 @@ class TestReconstructFast:
 class TestMeanOracle:
     def test_high_cutoff_recovers_wigner(self, cat):
         # eta = 1 and 1/h = 40: the truncation bias is far below 1e-4
-        params = ReconstructionParams(n=100, r=6.0, h=1.0 / 40.0, grid_size=21)
+        params = ReconstructionParams(r=6.0, h=1.0 / 40.0, grid_size=21)
         pts_q = np.array([0.0, 1.0, 3.0, -2.0, 0.5])
         pts_p = np.array([0.0, 0.5, 0.0, 1.0, -1.5])
         oracle = estimator_mean_oracle(cat, NoiseModel(1.0), params, pts_q, pts_p)
@@ -332,7 +330,7 @@ class TestMeanOracle:
     def test_fourier_truncation_identity(self, cat, noise):
         # independent route: inverse transform of the hard-truncated closed-form
         # Wigner spectrum over the frequency disk |w| <= 1/h
-        params = ReconstructionParams(n=100, r=3.5, h=1.0 / 3.0, grid_size=21)
+        params = ReconstructionParams(r=3.5, h=1.0 / 3.0, grid_size=21)
         cutoff = 1.0 / params.h
         rx, rw = leggauss(160)
         rho = 0.5 * cutoff * (rx + 1.0)
@@ -352,7 +350,7 @@ class TestMeanOracle:
 
     def test_radially_symmetric_for_vacuum(self, noise):
         state = CatState(0.0)
-        params = ReconstructionParams(n=100, r=3.0, h=1.0 / 2.5, grid_size=21)
+        params = ReconstructionParams(r=3.0, h=1.0 / 2.5, grid_size=21)
         radius = 1.3
         angles = np.linspace(0.0, 2 * math.pi, 17)
         vals = estimator_mean_oracle(state, noise, params,
@@ -366,7 +364,7 @@ class TestMeanOracle:
         truth = wigner_true(cat, qq, pp)
         norms = []
         for inv_h in (1.5, 2.5, 3.5):
-            params = ReconstructionParams(n=100, r=4.0, h=1.0 / inv_h, grid_size=21)
+            params = ReconstructionParams(r=4.0, h=1.0 / inv_h, grid_size=21)
             field = estimator_mean_oracle(cat, NoiseModel(1.0), params, qq.ravel(), pp.ravel())
             norms.append(np.linalg.norm(field - truth.ravel()))
         assert norms[0] > norms[1] > norms[2]
@@ -381,7 +379,7 @@ class TestMeanOracle:
         np.testing.assert_array_equal(window, flat.reshape(9, 9))
 
     def test_rejects_point_outside_disk(self, cat, noise):
-        params = ReconstructionParams(n=100, r=2.0, h=0.5, grid_size=21)
+        params = ReconstructionParams(r=2.0, h=0.5, grid_size=21)
         with pytest.raises(ValueError):
             estimator_mean_oracle(cat, noise, params, 3.0, 0.0)
 
