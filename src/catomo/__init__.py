@@ -58,6 +58,7 @@ from .analysis import (
     sweep_beta,
     sweep_terms_csv,
     witness_mean_from_grid,
+    witness_mean_oracle,
     witness_stats,
 )
 

@@ -28,12 +28,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .estimator import WignerGrid, optimal_bandwidth, gamma_of, _EXP_LIMIT
+from .estimator import ReconstructionParams, WignerGrid, optimal_bandwidth, gamma_of, _EXP_LIMIT
 from .states import (
     CatState,
     WITNESS_PAIRING,
     incoherent_witness_mean,
     pure_witness_mean,
+    wigner_fourier,
     wigner_true,
     witness_phase_fn,
 )
@@ -48,6 +49,7 @@ __all__ = [
     "sweep_beta",
     "sweep_terms_csv",
     "witness_mean_from_grid",
+    "witness_mean_oracle",
     "witness_stats",
 ]
 
@@ -64,17 +66,6 @@ class ErrorReport:
     params: dict = field(default_factory=dict)
     m: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "delta_numeric": self.delta_numeric,
-            "delta_bound": self.delta_bound,
-            "term_variance": self.term_variance,
-            "term_tail": self.term_tail,
-            "term_bias": self.term_bias,
-            "params": self.params,
-            "m": self.m,
-        }
-
 
 @dataclass
 class WitnessStats:
@@ -87,22 +78,14 @@ class WitnessStats:
     pure_ref: float
     separated: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "means": list(self.means),
-            "av": self.av,
-            "sd": self.sd,
-            "incoherent_ref": self.incoherent_ref,
-            "pure_ref": self.pure_ref,
-            "separated": self.separated,
-        }
-
 
 def _check_grid_state(grid: WignerGrid, state: CatState) -> None:
-    a1 = grid.meta.get("alpha1")
-    a2 = grid.meta.get("alpha2")
-    if a1 is not None and not (math.isclose(a1, state.alpha1, abs_tol=1e-12)
-                               and math.isclose(a2, state.alpha2, abs_tol=1e-12)):
+    for key in ("alpha1", "alpha2"):
+        if key not in grid.meta:
+            raise ValueError(f"grid meta lacks {key!r}, so its state cannot be checked")
+    a1, a2 = grid.meta["alpha1"], grid.meta["alpha2"]
+    if not (math.isclose(a1, state.alpha1, abs_tol=1e-12)
+            and math.isclose(a2, state.alpha2, abs_tol=1e-12)):
         raise ValueError(
             f"grid was reconstructed for alpha=({a1}, {a2}) but analysis targets "
             f"alpha=({state.alpha1}, {state.alpha2})"
@@ -229,6 +212,30 @@ def witness_mean_from_grid(grid: WignerGrid, state: CatState) -> float:
     qq, pp = np.meshgrid(ax, ax, indexing="ij")
     overlap = np.sum(witness_phase_fn(state, qq, pp) * grid.values) * grid.cell ** 2
     return float(WITNESS_PAIRING * overlap)
+
+
+def witness_mean_oracle(state: CatState, params: ReconstructionParams) -> float:
+    """Expected witness mean of the estimator: the witness paired with `estimator_mean_oracle`.
+
+    E[W] is W with its spectrum cut to |w| <= c = 1/h, so by Parseval it is
+    (2 sqrt(pi) / 4 pi^2) Int_{|w| <= c} F[O] F[W] dw, where
+    F[O](w) = sqrt(pi) [e^{-|w - w0|^2/4} + e^{-|w + w0|^2/4}] / (2 (1 + e^{-2|alpha|^2}))
+    and w0 = 2 sqrt2 (alpha2, alpha1).  A polar rule evaluates it: 96
+    Gauss-Legendre radii up to min(c, |w0| + 16), past which F[O] < e^{-64},
+    times 512 periodic trapezoid angles.  Like the oracle it ignores the disk
+    truncation at r, where O < e^{-r^2}.
+    """
+    w01, w02 = 2.0 * math.sqrt(2.0) * state.alpha2, 2.0 * math.sqrt(2.0) * state.alpha1
+    rho_hi = min(1.0 / params.h, math.hypot(w01, w02) + 16.0)
+    gx, gw = leggauss(96)
+    rho = 0.5 * rho_hi * (gx + 1.0)
+    rho_w = 0.5 * rho_hi * gw * rho
+    theta = np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)
+    w1, w2 = rho[:, None] * np.cos(theta), rho[:, None] * np.sin(theta)
+    shifted = np.exp(-((w1 - w01) ** 2 + (w2 - w02) ** 2) / 4.0) + np.exp(-((w1 + w01) ** 2 + (w2 + w02) ** 2) / 4.0)
+    total = rho_w @ (shifted * wigner_fourier(state, w1, w2)).sum(axis=1) * (2.0 * math.pi / theta.size)
+    f_o_norm = math.sqrt(math.pi) / (2.0 * (1.0 + state.overlap))  # F[O] = f_o_norm * shifted
+    return float(WITNESS_PAIRING * f_o_norm * total / (4.0 * math.pi ** 2))
 
 
 def witness_stats(means, state: CatState) -> WitnessStats:

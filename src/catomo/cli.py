@@ -8,8 +8,9 @@ Subcommands
     table1      two-row bound/numeric comparison table
 
 Configuration is a diff-able `key = value` INI file with one section per
-stage; every output embeds the SHA-256 of its inputs, identical configs
-reproduce outputs byte for byte, and mixed-provenance inputs are refused.
+stage; an unknown section or key is refused with its `file:line`.  Every
+output embeds the SHA-256 of its inputs, identical configs reproduce outputs
+byte for byte, and mixed-provenance inputs are refused.
 Exit codes: 0 success, 2 configuration/validation (including mismatched
 provenance and batch or grid files that fail validation, such as truncated
 files, headers without a required key or non-finite values), 3 I/O,
@@ -26,7 +27,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -116,10 +117,8 @@ def _validate(cfg: ExperimentConfig, source: str | None = None) -> ExperimentCon
     return cfg
 
 
-def _line_of(path: str | None, section: str, key: str) -> str:
-    """Best-effort line locator for config diagnostics."""
-    if not path or not os.path.exists(path):
-        return "no file"
+def _line_of(path: str, section: str, key: str | None = None) -> str:
+    """Best-effort `file:line` of a config key, or of the section header when key is None."""
     current = None
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -127,8 +126,10 @@ def _line_of(path: str | None, section: str, key: str) -> str:
                 line = raw.strip()
                 if line.startswith("[") and line.endswith("]"):
                     current = line[1:-1].strip().lower()
-                elif "=" in line and current == section.lower():
-                    if line.split("=", 1)[0].strip().lower() == key.lower():
+                    if key is None and current == section.lower():
+                        return f"{path}:{lineno}"
+                elif key and current == section.lower():
+                    if line.split("=", 1)[0].split(":", 1)[0].strip().lower() == key.lower():
                         return f"{path}:{lineno}"
     except OSError:
         pass
@@ -169,37 +170,38 @@ def save_config(cfg: ExperimentConfig, path: str) -> None:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser()
+    """Parse an INI config; a key the file leaves out keeps its ExperimentConfig default."""
+    # no default section, so a [DEFAULT] header is an unknown section like any other
+    parser = configparser.ConfigParser(default_section="")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
-    def get(section, key, cast):
-        raw = parser.get(section, key)
-        try:
-            return cast(raw)
-        except ValueError as exc:
-            raise ConfigError(
-                f"{section}.{key} ({_line_of(path, section, key)}): cannot parse {raw!r}"
-            ) from exc
-
-    def parse_betas(raw: str) -> tuple[float, ...]:
-        return tuple(float(tok) for tok in raw.replace(",", " ").split())
-
     casts = {
         "state": {"alpha1": float, "alpha2": float},
         "noise": {"eta": float},
         "sampling": {"n": int, "replicates": int, "seed": int},
-        "reconstruction": {"betas": parse_betas, "grid_size": int, "path": str},
+        "reconstruction": {"betas": lambda raw: tuple(float(tok) for tok in raw.replace(",", " ").split()),
+                           "grid_size": int, "path": str},
         "run": {"output_dir": str, "workers": int},
     }
-    # a key the file leaves out keeps its ExperimentConfig default
-    cfg = ExperimentConfig(**{key: get(section, key, cast)
-                              for section, keys in casts.items() for key, cast in keys.items()
-                              if parser.has_option(section, key)})
-    return _validate(cfg, source=path)
+    values = {}
+    for section in parser.sections():
+        if section not in casts:
+            raise ConfigError(f"[{section}] ({_line_of(path, section)}): unknown section, "
+                              f"expected one of {', '.join(casts)}")
+        for key, raw in parser.items(section):
+            if key not in casts[section]:
+                raise ConfigError(f"{section}.{key} ({_line_of(path, section, key)}): unknown key, "
+                                  f"expected one of {', '.join(casts[section])}")
+            try:
+                values[key] = casts[section][key](raw)
+            except ValueError as exc:
+                raise ConfigError(f"{section}.{key} ({_line_of(path, section, key)}): "
+                                  f"cannot parse {raw!r}") from exc
+    return _validate(ExperimentConfig(**values), source=path)
 
 
 def config_sha(cfg: ExperimentConfig) -> str:
@@ -346,7 +348,7 @@ def _analyze_beta(cfg: ExperimentConfig, beta: float, batch_shas: set[str]) -> d
             "grid_size": cfg.grid_size, "path": cfg.path, "seed": cfg.seed,
         },
     )
-    report = core.as_dict()
+    report = asdict(core)
     report.update({
         "per_replicate_errors": errors,
         "config_sha256": config_sha(cfg),
@@ -357,7 +359,7 @@ def _analyze_beta(cfg: ExperimentConfig, beta: float, batch_shas: set[str]) -> d
     _atomic_bytes(os.path.join(adir, "error_report.json"),
                   json.dumps(report, sort_keys=True, indent=2).encode("utf-8"))
     _atomic_bytes(os.path.join(adir, "witness_stats.json"),
-                  json.dumps(stats.as_dict(), sort_keys=True, indent=2).encode("utf-8"))
+                  json.dumps(asdict(stats), sort_keys=True, indent=2).encode("utf-8"))
     return {"beta": beta, "report": report, "witness": stats}
 
 

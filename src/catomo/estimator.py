@@ -22,8 +22,8 @@ lattice, turns each phase bin into a 1-D FFT correlation against an on-grid
 kernel table, and maps grid nodes through cubic interpolation; a subsample
 self-check falls back to the exact path if the lattice resolutions are ever
 insufficient.  A deterministic mean-value oracle (the exact expectation
-of the estimator, a 2-D quadrature over phase and frequency) supports bias
-tests without Monte Carlo.
+of the estimator, one radial Bessel integral per point) supports bias tests
+without Monte Carlo.
 """
 
 from __future__ import annotations
@@ -36,10 +36,10 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.signal import fftconvolve
-from scipy.special import erfcx, factorial, hyp1f1, wofz
+from scipy.special import erfcx, factorial, hyp1f1, ive, j0, wofz
 
 from .sampling import QuadratureBatch, _atomic_bytes, _read_framed, _write_framed
-from .states import CatState, NoiseModel, amplitude_across, amplitude_along
+from .states import CatState, NoiseModel
 
 __all__ = [
     "gamma_of",
@@ -630,36 +630,23 @@ def _fast_self_check(batch, params, lat: _Lattice, qs, ps, fast_values) -> bool:
 # deterministic mean oracle
 # ---------------------------------------------------------------------------
 
-def _density_fourier(state: CatState, phi: float, xi: np.ndarray) -> np.ndarray:
-    """Fourier transform of the ideal quadrature density at phase phi.
+def estimator_mean_oracle(state: CatState, params: ReconstructionParams, q, p):
+    """Exact expectation of the (untruncated-disk) estimator at points x = (q, p).
 
-    F[p(., phi)](xi) = [ 2 cos(sqrt2 a(phi) xi) e^{-xi^2/4}
-                         + e^{-2 a(-phi)^2} (e^{-(xi - 2 sqrt2 b(-phi))^2/4}
-                                            + e^{-(xi + 2 sqrt2 b(-phi))^2/4}) ]
-                       / (2 (1 + e^{-2|alpha|^2}))
+    E[W] is W with its spectrum cut to |w| <= c = 1/h (Butucea, Guta & Artiles
+    2007), independent of n and eta.  F[W] is three Gaussians, so the angular
+    integral is a Bessel function.  With a = (alpha1, alpha2),
+    w0 = 2 sqrt2 (alpha2, alpha1), kappa = e^{-2|alpha|^2} and
+    v = |w0|^2/4 - |x|^2 + i w0.x,
 
-    Real and even.  Through the noise identity F[p] = e^{gamma xi^2}
-    F[p_eta](xi / sqrt(eta)), this is exactly the factor that survives inside
-    the estimator's expectation, independent of eta.
-    """
-    a = float(amplitude_along(state, phi))
-    a_neg = float(amplitude_along(state, -phi))
-    b_neg = float(amplitude_across(state, -phi))
-    c = 2.0 * math.sqrt(2.0) * b_neg
-    out = 2.0 * np.cos(math.sqrt(2.0) * a * xi) * np.exp(-xi * xi / 4.0)
-    out += math.exp(-2.0 * a_neg * a_neg) * (np.exp(-((xi - c) ** 2) / 4.0) + np.exp(-((xi + c) ** 2) / 4.0))
-    return out / (2.0 * (1.0 + state.overlap))
+        E[W](x) = Int_0^c rho e^{-rho^2/4} [e^{-|w0|^2/4} 2 Re I0(rho sqrt(v))
+                  + J0(rho |x + sqrt2 a|) + J0(rho |x - sqrt2 a|)] d rho / (4 pi (1 + kappa)).
 
-
-def estimator_mean_oracle(state: CatState, noise: NoiseModel, params: ReconstructionParams, q, p):
-    """Exact expectation of the (untruncated-disk) estimator at points (q, p).
-
-    E[W](q, p) = (1/2 pi^2) Int_0^pi dphi Int_0^{1/h} xi cos(xi s_phi) F[p(., phi)](xi) dxi
-
-    with s_phi = q cos(phi) + p sin(phi): the true Wigner function with its
-    frequency content truncated to the disk of radius 1/h.  Independent of n
-    and of eta.  Points must lie inside the truncation disk of `params`; q and
-    p broadcast against each other, and the result takes their shape.
+    Gauss-Legendre panels (32 nodes per 0.5) run to min(c, |w0| + 16), past
+    which the integrand is below e^{-64}.  I0 comes from `ive`, scaled by
+    e^{-|Re z|} <= e^{-rho |w0| / 2}, which the Gaussians absorb, so no |alpha|
+    or c overflows.  Points must lie inside the disk of radius r; q and p
+    broadcast against each other, and the result takes their shape.
     """
     shape = np.broadcast_shapes(np.shape(q), np.shape(p))
     q = np.broadcast_to(np.asarray(q, dtype=float), shape).ravel()
@@ -667,25 +654,26 @@ def estimator_mean_oracle(state: CatState, noise: NoiseModel, params: Reconstruc
     if np.any(q * q + p * p > params.r ** 2 * (1.0 + 1e-12)):
         raise ValueError("oracle points must lie inside the truncation disk")
 
-    cutoff = 1.0 / params.h
-    xi_hi = min(cutoff, 2.0 * math.sqrt(2.0 * state.abs_alpha_sq) + 16.0)
-    n_panels = max(4, int(math.ceil(xi_hi / 0.5)))
-    edges = np.linspace(0.0, xi_hi, n_panels + 1)
+    m1, m2 = math.sqrt(2.0) * state.alpha1, math.sqrt(2.0) * state.alpha2  # sqrt2 a; w0 = 2 (m2, m1)
+    v0 = 2.0 * state.abs_alpha_sq  # |w0|^2 / 4
+    rho_hi = min(1.0 / params.h, 2.0 * math.sqrt(v0) + 16.0)
+    n_panels = max(4, int(math.ceil(rho_hi / 0.5)))
+    edges = np.linspace(0.0, rho_hi, n_panels + 1)
     gl_x, gl_w = leggauss(32)
-    xi = (0.5 * (edges[1:] + edges[:-1])[:, None] + 0.5 * (edges[1:] - edges[:-1])[:, None] * gl_x).ravel()
-    xi_w = (0.5 * (edges[1:] - edges[:-1])[:, None] * gl_w).ravel()
+    rho = (0.5 * (edges[1:] + edges[:-1])[:, None] + 0.5 * (edges[1:] - edges[:-1])[:, None] * gl_x).ravel()
+    rho_w = (0.5 * (edges[1:] - edges[:-1])[:, None] * gl_w).ravel()
+    rho_w *= rho / (4.0 * math.pi * (1.0 + state.overlap))
+    damp = np.exp(-rho * rho / 4.0)
 
-    ph_x, ph_w = leggauss(256)
-    phis = 0.5 * math.pi * (ph_x + 1.0)
-    phi_w = 0.5 * math.pi * ph_w
-
-    acc = np.zeros(q.shape)
-    for phi, w in zip(phis, phi_w):
-        s = q * math.cos(phi) + p * math.sin(phi)
-        f_xi = _density_fourier(state, phi, xi) * xi * xi_w
-        acc += w * (np.cos(np.outer(s, xi)) @ f_xi)
-    acc /= 2.0 * math.pi ** 2
-    return float(acc[0]) if shape == () else acc.reshape(shape)
+    out = np.empty(q.size)
+    block = 1024  # nodes per block, bounding the (nodes x radii) temporaries
+    for lo in range(0, q.size, block):
+        qb, pb = q[lo:lo + block, None], p[lo:lo + block, None]
+        z = rho * np.sqrt(v0 - qb * qb - pb * pb + 2j * (m2 * qb + m1 * pb))
+        ridge = 2.0 * ive(0, z).real * np.exp(np.abs(z.real) - rho * rho / 4.0 - v0)
+        lobes = j0(rho * np.hypot(qb + m1, pb + m2)) + j0(rho * np.hypot(qb - m1, pb - m2))
+        out[lo:lo + qb.size] = (ridge + lobes * damp) @ rho_w
+    return float(out[0]) if shape == () else out.reshape(shape)
 
 
 def mean_grid(grids: list[WignerGrid]) -> WignerGrid:

@@ -21,7 +21,6 @@ from catomo import (
     KernelTable,
     NoiseModel,
     ReconstructionParams,
-    WignerGrid,
     estimate_at_points,
     estimator_mean_oracle,
     generate_batch,
@@ -36,6 +35,7 @@ from catomo import (
     reconstruct_exact,
     reconstruct_fast,
     witness_mean_from_grid,
+    witness_mean_oracle,
     witness_stats,
     write_batch,
 )
@@ -245,7 +245,7 @@ def test_c06_estimator_bias_oracle():
     params = ReconstructionParams.for_experiment(n, 0.1, NOISE45, grid_size=201)
     pq = np.array([0.0, 3.0, -3.0, 0.0, 0.0, 1.5, 2.0, 0.0, -1.0, 2.5])
     pp = np.array([0.0, 0.0, 0.0, 0.556, 1.111, 1.5, 0.0, 2.5, -1.0, 1.0])
-    oracle = estimator_mean_oracle(CAT, NOISE45, params, pq, pp)
+    oracle = estimator_mean_oracle(CAT, params, pq, pp)
     table = KernelTable(NOISE45.gamma, params.h, t_max=params.r + 14.0)
     estimates = np.empty((reps, pq.size))
     for rep in range(reps):
@@ -360,23 +360,9 @@ def _oracle_peak_offset(params, ax, lobe_q):
     for centre in (lobe_q, -lobe_q):
         i = window + np.argmin(np.abs(ax - centre))
         qq, pp = (a.ravel() for a in np.meshgrid(ax[i], ax[j], indexing="ij"))
-        k = np.argmax(estimator_mean_oracle(CAT, NOISE45, params, qq, pp))
+        k = np.argmax(estimator_mean_oracle(CAT, params, qq, pp))
         worst = max(worst, abs(qq[k] - centre), abs(pp[k]))
     return worst
-
-
-def _witness_ceiling(grid, params):
-    """Expected witness mean of the estimator on the nodes of `grid`.
-
-    Pairs the witness with `estimator_mean_oracle` over the nodes within
-    radius 4 of the origin, beyond which the witness function is below e^-16.
-    """
-    ax = grid.axis()
-    qq, pp = np.meshgrid(ax, ax, indexing="ij")
-    inside = qq * qq + pp * pp <= 16.0
-    expected = np.zeros_like(qq)
-    expected[inside] = estimator_mean_oracle(CAT, NOISE45, params, qq[inside], pp[inside])
-    return witness_mean_from_grid(WignerGrid(expected, grid.extent, grid.r, dict(grid.meta)), CAT)
 
 
 def _witness_consistent(av, se, ceiling):
@@ -389,7 +375,7 @@ def test_c09_interference_below_half_efficiency(headline_grids):
     grids, params = headline_grids
     means = [witness_mean_from_grid(g, CAT) for g in grids]
     stats = witness_stats(means, CAT)
-    ceiling = _witness_ceiling(grids[0], params)
+    ceiling = witness_mean_oracle(CAT, params)
     se = stats.sd / math.sqrt(len(means))
     consistent = _witness_consistent(stats.av, se, ceiling)
     ok = stats.separated and consistent

@@ -12,6 +12,7 @@ from catomo import (
     WignerGrid,
     delta_terms,
     error_upper_bound,
+    estimator_mean_oracle,
     generate_batch,
     l2_error,
     mean_square_error,
@@ -19,6 +20,7 @@ from catomo import (
     sweep_beta,
     wigner_true,
     witness_mean_from_grid,
+    witness_mean_oracle,
     witness_stats,
 )
 
@@ -57,6 +59,14 @@ class TestL2Error:
         grid = analytic_grid(cat)
         with pytest.raises(ValueError):
             l2_error(grid, CatState(1.0))
+
+    @pytest.mark.parametrize("key", ["alpha1", "alpha2"])
+    @pytest.mark.parametrize("measure", [l2_error, witness_mean_from_grid])
+    def test_grid_without_state_rejected(self, cat, key, measure):
+        grid = analytic_grid(cat)
+        del grid.meta[key]
+        with pytest.raises(ValueError, match=key):
+            measure(grid, cat)
 
 
 class TestMeanSquareError:
@@ -133,6 +143,27 @@ class TestWitnessFromGrid:
                           meta={"alpha1": cat.alpha1, "alpha2": cat.alpha2})
         expected = cat.overlap / (1.0 + cat.overlap)
         assert witness_mean_from_grid(grid, cat) == pytest.approx(expected, abs=1e-6)
+
+
+class TestWitnessMeanOracle:
+    def test_equals_node_sum_of_mean_oracle(self, cat):
+        # the witness paired with `estimator_mean_oracle` on a grid fine enough
+        # for the midpoint rule to be spectrally accurate
+        params = ReconstructionParams(r=5.0, h=1.0 / 3.0, grid_size=101)
+        ax = params.axis()
+        qq, pp = np.meshgrid(ax, ax, indexing="ij")
+        inside = qq * qq + pp * pp <= params.r ** 2
+        expected = np.zeros_like(qq)
+        expected[inside] = estimator_mean_oracle(cat, params, qq[inside], pp[inside])
+        grid = WignerGrid(expected, params.extent, params.r,
+                          {"alpha1": cat.alpha1, "alpha2": cat.alpha2})
+        assert witness_mean_oracle(cat, params) == pytest.approx(
+            witness_mean_from_grid(grid, cat), abs=1e-9)
+
+    def test_high_cutoff_gives_pure_mean(self, cat):
+        # past |w0| + 16 the cutoff keeps all of the witness spectrum
+        params = ReconstructionParams(r=6.0, h=1.0 / 30.0)
+        assert witness_mean_oracle(cat, params) == pytest.approx(0.5, abs=1e-12)
 
 
 class TestWitnessStats:

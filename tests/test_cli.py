@@ -61,6 +61,21 @@ class TestConfig:
         open(path, "w").write(text)
         assert main(["sample", "--config", path]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("edit, named", [
+        (("replicates = 2", "replicats = 3"), "sampling.replicats"),
+        (("replicates = 2", "replicats: 3"), "sampling.replicats"),
+        (("[run]", "[runn]"), "[runn]"),
+        (("[state]", "[DEFAULT]\nn = 5\n\n[state]"), "[DEFAULT]"),
+    ])
+    def test_unknown_key_or_section_refused(self, tmp_path, capsys, edit, named):
+        _, path = tiny_config(tmp_path)
+        text = open(path).read()
+        lineno = text[:text.index(edit[0])].count("\n") + 1
+        open(path, "w").write(text.replace(edit[0], edit[1]))
+        assert main(["sample", "--config", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert named in err and f"{path}:{lineno}" in err
+
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["sample", "--config", str(tmp_path / "nope.ini")]) == EXIT_IO
 

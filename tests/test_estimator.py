@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
+from scipy.special import i0
 
 from catomo import (
     CatState,
@@ -50,6 +51,27 @@ def kernel_quad_oracle(t, gamma, h):
     val, err = quad(lambda xi: xi * math.exp(gamma * xi * xi) * math.cos(xi * t),
                     0.0, 1.0 / h, limit=500, epsabs=1e-12, epsrel=1e-12)
     return val / (2.0 * math.pi)
+
+
+def fourier_truncation_reference(state, cutoff, q, p, n_rho=16, n_theta=256):
+    """Inverse transform of `wigner_fourier` cut to |w| <= cutoff, at points (q, p).
+
+    A 2-D polar rule, independent of the oracle's Bessel form: n_rho
+    Gauss-Legendre radii on each unit-width panel of [0, cutoff] times
+    n_theta periodic trapezoid angles.
+    """
+    n_panels = math.ceil(cutoff)
+    edges = np.linspace(0.0, cutoff, n_panels + 1)
+    gx, gw = leggauss(n_rho)
+    half = 0.5 * np.diff(edges)[:, None]
+    rho = (0.5 * (edges[1:] + edges[:-1])[:, None] + half * gx).ravel()
+    rho_w = (half * gw).ravel() * rho * (2.0 * math.pi / n_theta) / (4.0 * math.pi ** 2)
+    theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
+    w1 = rho[:, None] * np.cos(theta)
+    w2 = rho[:, None] * np.sin(theta)
+    weighted = wigner_fourier(state, w1, w2) * rho_w[:, None]
+    return np.array([np.sum(weighted * np.cos(w1 * qv + w2 * pv))
+                     for qv, pv in zip(np.ravel(q), np.ravel(p))])
 
 
 class TestGamma:
@@ -319,41 +341,44 @@ class TestReconstructFast:
 
 class TestMeanOracle:
     def test_high_cutoff_recovers_wigner(self, cat):
-        # eta = 1 and 1/h = 40: the truncation bias is far below 1e-4
+        # at 1/h = 40 the truncation bias is far below 1e-4
         params = ReconstructionParams(r=6.0, h=1.0 / 40.0, grid_size=21)
         pts_q = np.array([0.0, 1.0, 3.0, -2.0, 0.5])
         pts_p = np.array([0.0, 0.5, 0.0, 1.0, -1.5])
-        oracle = estimator_mean_oracle(cat, NoiseModel(1.0), params, pts_q, pts_p)
+        oracle = estimator_mean_oracle(cat, params, pts_q, pts_p)
         truth = wigner_true(cat, pts_q, pts_p)
         np.testing.assert_allclose(oracle, truth, atol=1e-4)
 
-    def test_fourier_truncation_identity(self, cat, noise):
+    def test_fourier_truncation_identity(self, cat):
         # independent route: inverse transform of the hard-truncated closed-form
         # Wigner spectrum over the frequency disk |w| <= 1/h
         params = ReconstructionParams(r=3.5, h=1.0 / 3.0, grid_size=21)
-        cutoff = 1.0 / params.h
-        rx, rw = leggauss(160)
-        rho = 0.5 * cutoff * (rx + 1.0)
-        rho_w = 0.5 * cutoff * rw
-        tx, tw = leggauss(256)
-        theta = math.pi * (tx + 1.0)
-        theta_w = math.pi * tw
-        w1 = rho[:, None] * np.cos(theta)[None, :]
-        w2 = rho[:, None] * np.sin(theta)[None, :]
-        spectrum = wigner_fourier(cat, w1, w2)
-        pts = [(0.0, 0.0), (1.0, 0.5), (2.5, 0.0), (0.0, 1.5), (-1.0, -1.0), (3.0, 1.0)]
-        for q, p in pts:
-            phase = np.cos(w1 * q + w2 * p)
-            ref = rho_w @ ((spectrum * phase) @ theta_w * rho) / (4.0 * math.pi**2)
-            ours = estimator_mean_oracle(cat, noise, params, q, p)
-            assert ours == pytest.approx(ref, abs=1e-8)
+        q = np.array([0.0, 1.0, 2.5, 0.0, -1.0, 3.0])
+        p = np.array([0.0, 0.5, 0.0, 1.5, -1.0, 1.0])
+        ref = fourier_truncation_reference(cat, 1.0 / params.h, q, p)
+        ours = estimator_mean_oracle(cat, params, q, p)
+        assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    def test_radially_symmetric_for_vacuum(self, noise):
+    def test_large_amplitude_does_not_overflow(self):
+        # At the origin the ridge term is I0(rho |w0| / 2); up to the cutoff
+        # 48 that reaches 774, where an unscaled i0 is inf.
+        state = CatState(9.0, 7.0)
+        params = ReconstructionParams(r=17.0, h=1.0 / 48.0, grid_size=21)
+        w0 = 2.0 * math.sqrt(2.0) * math.hypot(9.0, 7.0)
+        assert np.isinf(i0(48.0 * w0 / 2.0))
+        q = np.array([0.0, 1.0, 0.3, -2.0, 0.05])
+        p = np.array([0.0, -0.5, 2.0, -1.5, 0.1])
+        ours = estimator_mean_oracle(state, params, q, p)
+        ref = fourier_truncation_reference(state, 48.0, q, p, n_rho=32, n_theta=1024)
+        assert np.all(np.isfinite(ours))
+        assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_radially_symmetric_for_vacuum(self):
         state = CatState(0.0)
         params = ReconstructionParams(r=3.0, h=1.0 / 2.5, grid_size=21)
         radius = 1.3
         angles = np.linspace(0.0, 2 * math.pi, 17)
-        vals = estimator_mean_oracle(state, noise, params,
+        vals = estimator_mean_oracle(state, params,
                                      radius * np.cos(angles), radius * np.sin(angles))
         assert np.max(np.abs(vals - vals[0])) < 1e-6
 
@@ -365,7 +390,7 @@ class TestMeanOracle:
         norms = []
         for inv_h in (1.5, 2.5, 3.5):
             params = ReconstructionParams(r=4.0, h=1.0 / inv_h, grid_size=21)
-            field = estimator_mean_oracle(cat, NoiseModel(1.0), params, qq.ravel(), pp.ravel())
+            field = estimator_mean_oracle(cat, params, qq.ravel(), pp.ravel())
             norms.append(np.linalg.norm(field - truth.ravel()))
         assert norms[0] > norms[1] > norms[2]
 
@@ -373,15 +398,15 @@ class TestMeanOracle:
         params = ReconstructionParams.for_experiment(10_000, 0.1, noise, grid_size=41)
         ax = np.linspace(-0.4, 0.4, 9)
         qq, pp = np.meshgrid(3.0 + ax, ax, indexing="ij")
-        window = estimator_mean_oracle(cat, noise, params, qq, pp)
-        flat = estimator_mean_oracle(cat, noise, params, qq.ravel(), pp.ravel())
+        window = estimator_mean_oracle(cat, params, qq, pp)
+        flat = estimator_mean_oracle(cat, params, qq.ravel(), pp.ravel())
         assert window.shape == (9, 9)
         np.testing.assert_array_equal(window, flat.reshape(9, 9))
 
-    def test_rejects_point_outside_disk(self, cat, noise):
+    def test_rejects_point_outside_disk(self, cat):
         params = ReconstructionParams(r=2.0, h=0.5, grid_size=21)
         with pytest.raises(ValueError):
-            estimator_mean_oracle(cat, noise, params, 3.0, 0.0)
+            estimator_mean_oracle(cat, params, 3.0, 0.0)
 
     def test_unbiasedness_at_probe_nodes(self, cat, noise):
         # Monte Carlo mean of the estimator against the deterministic oracle
@@ -389,7 +414,7 @@ class TestMeanOracle:
         params = ReconstructionParams.for_experiment(n, 0.1, noise, grid_size=21)
         pq = np.array([0.0, 3.0, 0.0, 1.5, -2.0])
         pp = np.array([0.0, 0.0, 0.5, 1.5, 1.0])
-        oracle = estimator_mean_oracle(cat, noise, params, pq, pp)
+        oracle = estimator_mean_oracle(cat, params, pq, pp)
         estimates = np.empty((reps, pq.size))
         for rep in range(reps):
             batch = generate_batch(cat, noise, n, seed=5150, replicate=rep)

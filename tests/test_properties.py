@@ -1,4 +1,5 @@
-"""Property tests of the deconvolution kernel and its table on random (gamma, h, t)."""
+"""Property tests: the kernel and its table on random (gamma, h, t), the mean
+oracle on random states and cutoffs, and the batch and grid file round trips."""
 
 import math
 import warnings
@@ -6,13 +7,27 @@ import warnings
 import numpy as np
 import pytest
 
-from catomo import KernelTable, kernel
+from catomo import (
+    CatState,
+    KernelTable,
+    NoiseModel,
+    QuadratureBatch,
+    ReconstructionParams,
+    WignerGrid,
+    estimator_mean_oracle,
+    kernel,
+    read_batch,
+    read_grid,
+    write_batch,
+    write_grid,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from test_estimator import kernel_quad_oracle  # noqa: E402
+from test_estimator import fourier_truncation_reference, kernel_quad_oracle  # noqa: E402
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 gammas = st.floats(0.0, 0.35)
@@ -55,3 +70,81 @@ def test_table_matches_kernel(gamma, inv_h, t_max, t):
     inside = np.abs(t) <= t_max
     assert np.all(np.abs(got[inside] - ref[inside]) <= 1e-6 * table.k0)
     np.testing.assert_array_equal(got[~inside], ref[~inside])
+
+
+@PROPERTY
+@given(alpha1=st.floats(-2.0, 2.0), alpha2=st.floats(-2.0, 2.0), inv_h=st.floats(1.0, 15.0),
+       r=st.floats(0.5, 5.0),
+       nodes=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 2.0 * math.pi)), max_size=6))
+def test_mean_oracle_matches_fourier_reference(alpha1, alpha2, inv_h, r, nodes):
+    state = CatState(alpha1, alpha2)
+    radius = r * np.sqrt([0.0] + [u for u, _ in nodes])
+    angle = np.array([0.0] + [t for _, t in nodes])
+    q, p = radius * np.cos(angle), radius * np.sin(angle)
+    ref = fourier_truncation_reference(state, inv_h, q, p)
+    finer = fourier_truncation_reference(state, inv_h, q, p, n_rho=32, n_theta=512)
+    scale = np.max(np.abs(finer))
+    assert np.max(np.abs(ref - finer)) < 1e-13 * scale
+    ours = estimator_mean_oracle(state, ReconstructionParams(r=r, h=1.0 / inv_h), q, p)
+    assert np.max(np.abs(ours - finer)) <= 1e-12 * scale
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+batches = st.integers(0, 40).flatmap(lambda n: st.builds(
+    QuadratureBatch,
+    x=hnp.arrays(np.float64, n, elements=finite),
+    phi=hnp.arrays(np.float64, n, elements=st.floats(0.0, math.pi)),
+    state=st.builds(CatState, finite, finite),
+    noise=st.builds(NoiseModel, st.floats(0.0, 1.0, exclude_min=True)),
+    seed=st.integers(0, 2 ** 63), replicate=st.integers(0, 99),
+    source_sha256=st.none() | st.text("0123456789abcdef", min_size=64, max_size=64)))
+grids = st.integers(1, 12).flatmap(lambda size: st.builds(
+    WignerGrid,
+    values=hnp.arrays(np.float64, (size, size), elements=finite),
+    extent=st.floats(0.0, 1e3, exclude_min=True), r=st.floats(0.0, 1e3, exclude_min=True),
+    meta=st.fixed_dictionaries({"alpha1": finite, "alpha2": finite,
+                                "route": st.sampled_from(["direct", "binned"])})))
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("files")
+
+
+@PROPERTY
+@given(batch=batches)
+def test_batch_round_trip(workdir, batch):
+    path = str(workdir / "batch.qb")
+    write_batch(batch, path)
+    back = read_batch(path)
+    assert back.x.tobytes() == batch.x.tobytes() and back.phi.tobytes() == batch.phi.tobytes()
+    assert (back.state, back.noise, back.seed, back.replicate, back.source_sha256) == \
+        (batch.state, batch.noise, batch.seed, batch.replicate, batch.source_sha256)
+
+
+@PROPERTY
+@given(grid=grids)
+def test_grid_round_trip(workdir, grid):
+    path = str(workdir / "grid.wg")
+    write_grid(grid, path)
+    back = read_grid(path)
+    assert back.values.tobytes() == grid.values.tobytes()
+    assert (back.extent, back.r, back.meta) == (grid.extent, grid.r, grid.meta)
+
+
+@PROPERTY
+@given(data=st.data(), kind=st.sampled_from(["batch", "grid"]))
+def test_truncated_file_names_itself(workdir, data, kind):
+    whole, cut = str(workdir / f"whole.{kind}"), str(workdir / f"cut.{kind}")
+    if kind == "batch":
+        write, read, item = write_batch, read_batch, data.draw(batches)
+    else:
+        write, read, item = write_grid, read_grid, data.draw(grids)
+    write(item, whole)
+    with open(whole, "rb") as fh:
+        raw = fh.read()
+    with open(cut, "wb") as fh:
+        fh.write(raw[:-data.draw(st.integers(1, len(raw)))])
+    with pytest.raises(ValueError) as err:
+        read(cut)
+    assert str(err.value).startswith(cut)
