@@ -38,7 +38,6 @@ from .estimator import (
     WignerGrid,
     estimate_at_points,
     estimator_mean_oracle,
-    gamma_of,
     grid_to_csv,
     kernel,
     mean_grid,

@@ -28,9 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .estimator import ReconstructionParams, WignerGrid, optimal_bandwidth, gamma_of, _EXP_LIMIT
+from .estimator import ReconstructionParams, WignerGrid, optimal_bandwidth, _EXP_LIMIT
 from .states import (
     CatState,
+    NoiseModel,
     WITNESS_PAIRING,
     incoherent_witness_mean,
     pure_witness_mean,
@@ -158,7 +159,7 @@ def delta_terms(n: int, beta: float, eta: float, state: CatState) -> tuple[float
     """
     if not (0.0 < eta < 1.0):
         raise ValueError(f"delta_terms requires eta in (0, 1), got {eta}")
-    gamma = gamma_of(eta)
+    gamma = NoiseModel(eta).gamma
     r, h = optimal_bandwidth(n, beta, gamma)
     grow = 2.0 * gamma / (h * h)
     if grow > _EXP_LIMIT:

@@ -51,7 +51,7 @@ from .estimator import (
     reconstruct_fast,
     write_grid,
 )
-from .sampling import _atomic_bytes, generate_batch, read_batch, write_batch
+from .sampling import _atomic_bytes, _batch_header, generate_batch, read_batch, write_batch
 from .states import CatState, NoiseModel
 
 EXIT_OK = 0
@@ -92,28 +92,47 @@ class ExperimentConfig:
         return NoiseModel(self.eta)
 
 
-def _validate(cfg: ExperimentConfig, source: str | None = None) -> ExperimentConfig:
-    def bad(section, key, msg):
-        loc = f" ({_line_of(source, section, key)})" if source else ""
-        raise ConfigError(f"{section}.{key}{loc}: {msg}")
+# The config file's layout: section -> keys, in file order.  Each key is an
+# ExperimentConfig field and takes that field's type.  The last section says
+# only where and how to run, so config_sha leaves it out.
+_SCHEMA = {
+    "state": ("alpha1", "alpha2"),
+    "noise": ("eta",),
+    "sampling": ("n", "replicates", "seed"),
+    "reconstruction": ("betas", "grid_size", "path"),
+    "run": ("output_dir", "workers"),
+}
+_SECTION = {key: section for section, keys in _SCHEMA.items() for key in keys}
+_DEFAULTS = asdict(ExperimentConfig())
 
-    if not (math.isfinite(cfg.alpha1) and math.isfinite(cfg.alpha2)):
-        bad("state", "alpha1", "amplitude must be finite")
+
+def _validate(cfg: ExperimentConfig, source: str | None = None) -> ExperimentConfig:
+    def bad(key, msg):
+        loc = f" ({_line_of(source, _SECTION[key], key)})" if source else ""
+        raise ConfigError(f"{_SECTION[key]}.{key}{loc}: {msg}")
+
+    for key in ("alpha1", "alpha2"):
+        if not math.isfinite(getattr(cfg, key)):
+            bad(key, "amplitude must be finite")
     if not (0.0 < cfg.eta <= 1.0):
-        bad("noise", "eta", f"efficiency must lie in (0, 1], got {cfg.eta}")
+        bad("eta", f"efficiency must lie in (0, 1], got {cfg.eta}")
     if cfg.n < 1:
-        bad("sampling", "n", "need at least one sample")
+        bad("n", "need at least one sample")
     if cfg.replicates < 1:
-        bad("sampling", "replicates", "need at least one replicate")
+        bad("replicates", "need at least one replicate")
+    if cfg.seed < 0:
+        bad("seed", f"seed must be a non-negative integer, got {cfg.seed}")
+    if not cfg.betas:
+        bad("betas", "need at least one beta")
     for beta in cfg.betas:
         if not (0.0 < beta < 0.25):
-            bad("reconstruction", "betas", f"beta must lie in (0, 1/4), got {beta}")
+            bad("betas", f"beta must lie in (0, 1/4), got {beta}")
     if cfg.grid_size < 3 or cfg.grid_size % 2 == 0:
-        bad("reconstruction", "grid_size", "grid size must be an odd integer >= 3")
+        bad("grid_size", "grid size must be an odd integer >= 3")
     if cfg.path not in ("fast", "exact"):
-        bad("reconstruction", "path", f"path must be 'fast' or 'exact', got {cfg.path!r}")
+        bad("path", f"path must be 'fast' or 'exact', got {cfg.path!r}")
     if cfg.workers < 1:
-        bad("run", "workers", "workers must be >= 1")
+        bad("workers", "workers must be >= 1")
     return cfg
 
 
@@ -136,33 +155,31 @@ def _line_of(path: str, section: str, key: str | None = None) -> str:
     return path
 
 
-def _physics_text(cfg: ExperimentConfig) -> str:
-    """The sections that determine results (the [run] section does not)."""
-    return (
-        "[state]\n"
-        f"alpha1 = {cfg.alpha1!r}\n"
-        f"alpha2 = {cfg.alpha2!r}\n"
-        "\n[noise]\n"
-        f"eta = {cfg.eta!r}\n"
-        "\n[sampling]\n"
-        f"n = {cfg.n}\n"
-        f"replicates = {cfg.replicates}\n"
-        f"seed = {cfg.seed}\n"
-        "\n[reconstruction]\n"
-        f"betas = {', '.join(repr(b) for b in cfg.betas)}\n"
-        f"grid_size = {cfg.grid_size}\n"
-        f"path = {cfg.path}\n"
-    )
+def _format(key: str, value) -> str:
+    """A config value as the file writes it: floats by repr, so they read back exactly."""
+    if isinstance(_DEFAULTS[key], tuple):
+        return ", ".join(repr(v) for v in value)
+    return repr(value) if isinstance(_DEFAULTS[key], float) else str(value)
+
+
+def _parse(key: str, raw: str):
+    """The inverse of `_format`: the value of `key` in the type of its ExperimentConfig
+    default, which must be float, int, str or a tuple of floats."""
+    if isinstance(_DEFAULTS[key], tuple):
+        return tuple(float(tok) for tok in raw.replace(",", " ").split())
+    return type(_DEFAULTS[key])(raw)
+
+
+def _sections_text(cfg: ExperimentConfig, sections) -> str:
+    """The `[section]` blocks of `sections`, one `key = value` line per key, blank-line separated."""
+    return "\n".join(f"[{section}]\n" + "".join(f"{key} = {_format(key, getattr(cfg, key))}\n"
+                                                for key in _SCHEMA[section])
+                     for section in sections)
 
 
 def config_text(cfg: ExperimentConfig) -> str:
     """Canonical serialized form (round-trips through load_config losslessly)."""
-    return (
-        _physics_text(cfg)
-        + "\n[run]\n"
-        f"output_dir = {cfg.output_dir}\n"
-        f"workers = {cfg.workers}\n"
-    )
+    return _sections_text(cfg, _SCHEMA)
 
 
 def save_config(cfg: ExperimentConfig, path: str) -> None:
@@ -171,33 +188,26 @@ def save_config(cfg: ExperimentConfig, path: str) -> None:
 
 def load_config(path: str) -> ExperimentConfig:
     """Parse an INI config; a key the file leaves out keeps its ExperimentConfig default."""
-    # no default section, so a [DEFAULT] header is an unknown section like any other
-    parser = configparser.ConfigParser(default_section="")
+    # no default section, so a [DEFAULT] header is an unknown section like any
+    # other; no interpolation, so a value holding '%' reads back as written
+    parser = configparser.ConfigParser(default_section="", interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
-    casts = {
-        "state": {"alpha1": float, "alpha2": float},
-        "noise": {"eta": float},
-        "sampling": {"n": int, "replicates": int, "seed": int},
-        "reconstruction": {"betas": lambda raw: tuple(float(tok) for tok in raw.replace(",", " ").split()),
-                           "grid_size": int, "path": str},
-        "run": {"output_dir": str, "workers": int},
-    }
     values = {}
     for section in parser.sections():
-        if section not in casts:
+        if section not in _SCHEMA:
             raise ConfigError(f"[{section}] ({_line_of(path, section)}): unknown section, "
-                              f"expected one of {', '.join(casts)}")
+                              f"expected one of {', '.join(_SCHEMA)}")
         for key, raw in parser.items(section):
-            if key not in casts[section]:
+            if key not in _SCHEMA[section]:
                 raise ConfigError(f"{section}.{key} ({_line_of(path, section, key)}): unknown key, "
-                                  f"expected one of {', '.join(casts[section])}")
+                                  f"expected one of {', '.join(_SCHEMA[section])}")
             try:
-                values[key] = casts[section][key](raw)
+                values[key] = _parse(key, raw)
             except ValueError as exc:
                 raise ConfigError(f"{section}.{key} ({_line_of(path, section, key)}): "
                                   f"cannot parse {raw!r}") from exc
@@ -206,7 +216,7 @@ def load_config(path: str) -> ExperimentConfig:
 
 def config_sha(cfg: ExperimentConfig) -> str:
     """Provenance hash over the result-determining configuration."""
-    return hashlib.sha256(_physics_text(cfg).encode("utf-8")).hexdigest()
+    return hashlib.sha256(_sections_text(cfg, list(_SCHEMA)[:-1]).encode("utf-8")).hexdigest()
 
 
 def file_sha(path: str) -> str:
@@ -257,6 +267,18 @@ def cmd_sample(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
+# The values a batch or grid must share with the config that reads it.
+_PROVENANCE = ("alpha1", "alpha2", "eta", "n")
+
+
+def _check_provenance(path: str, header: dict, cfg: ExperimentConfig, **extra) -> None:
+    """Refuse a file whose header disagrees with the config on `_PROVENANCE` or on `extra`."""
+    declared = {**{key: getattr(cfg, key) for key in _PROVENANCE}, **extra}
+    held = {key: header.get(key) for key in declared}
+    if held != declared:
+        raise ConfigError(f"provenance mismatch: {path} holds {held} but the config declares {declared}")
+
+
 def _reconstruct_one(cfg: ExperimentConfig, rep: int) -> list[str]:
     """Every beta's grid of one replicate, built from one read of its batch."""
     path = _batch_path(cfg, rep)
@@ -266,14 +288,7 @@ def _reconstruct_one(cfg: ExperimentConfig, rep: int) -> list[str]:
         batch = read_batch(path)
     except ValueError as exc:
         raise ConfigError(f"invalid batch file: {exc}") from exc
-    if not (math.isclose(batch.noise.eta, cfg.eta, rel_tol=0, abs_tol=0)
-            and batch.state.alpha1 == cfg.alpha1 and batch.state.alpha2 == cfg.alpha2
-            and batch.n == cfg.n):
-        raise ConfigError(
-            f"provenance mismatch: {path} holds (alpha=({batch.state.alpha1}, {batch.state.alpha2}), "
-            f"eta={batch.noise.eta}, n={batch.n}) but the config declares "
-            f"(alpha=({cfg.alpha1}, {cfg.alpha2}), eta={cfg.eta}, n={cfg.n})"
-        )
+    _check_provenance(path, _batch_header(batch), cfg)
     batch.source_sha256 = file_sha(path)
     outs = []
     for beta in cfg.betas:
@@ -316,12 +331,8 @@ def _load_replicate_grids(cfg: ExperimentConfig, beta: float, batch_shas: set[st
     grids = []
     for path in paths:
         grid = _read_grid_file(path)
-        meta = grid.meta
-        if not (meta.get("eta") == cfg.eta and meta.get("alpha1") == cfg.alpha1
-                and meta.get("alpha2") == cfg.alpha2
-                and meta.get("n") == cfg.n and meta.get("beta") == beta):
-            raise ConfigError(f"provenance mismatch: {path} was built under different parameters")
-        if batch_shas and meta.get("source_sha256") not in batch_shas:
+        _check_provenance(path, grid.meta, cfg, beta=beta)
+        if batch_shas and grid.meta.get("source_sha256") not in batch_shas:
             raise ConfigError(f"provenance mismatch: {path} does not descend from the current batches")
         grids.append((path, grid))
     return grids
@@ -460,16 +471,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_config(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    if args.preset:
-        cfg = replace(cfg, **PRESETS[args.preset])
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.workers is not None:
-        cfg = replace(cfg, workers=args.workers)
-    if args.output_dir is not None:
-        cfg = replace(cfg, output_dir=args.output_dir)
-    if args.path is not None:
-        cfg = replace(cfg, path=args.path)
+    # command-line flags share their names with the config keys they override
+    flags = {key: value for key, value in vars(args).items() if key in _SECTION and value is not None}
+    cfg = replace(cfg, **PRESETS.get(args.preset, {}), **flags)
     return _validate(cfg, source=args.config)
 
 

@@ -151,14 +151,6 @@ def add_detection_noise(x, noise: NoiseModel, rng: np.random.Generator):
     return np.sqrt(noise.eta) * x + np.sqrt((1.0 - noise.eta) / 2.0) * y
 
 
-def _generate_chunk(state, noise, size, seed, replicate, chunk):
-    rng = _stream(seed, replicate, chunk)
-    phi = sample_phase(rng, size)
-    x0 = sample_ideal_quadrature(state, phi, rng)
-    x = add_detection_noise(x0, noise, rng)
-    return x, phi
-
-
 def generate_batch(
     state: CatState,
     noise: NoiseModel,
@@ -169,16 +161,13 @@ def generate_batch(
     """Generate n i.i.d. (x, phi) pairs; bit-identical for identical arguments."""
     if n < 1:
         raise ValueError("batch size n must be >= 1")
-    xs, phis = [], []
+    x, phi = np.empty(n), np.empty(n)
     for chunk, start in enumerate(range(0, n, CHUNK_SIZE)):
-        size = min(CHUNK_SIZE, n - start)
-        x, phi = _generate_chunk(state, noise, size, seed, replicate, chunk)
-        xs.append(x)
-        phis.append(phi)
-    return QuadratureBatch(
-        x=np.concatenate(xs), phi=np.concatenate(phis),
-        state=state, noise=noise, seed=seed, replicate=replicate,
-    )
+        part = slice(start, min(start + CHUNK_SIZE, n))
+        rng = _stream(seed, replicate, chunk)
+        phi[part] = sample_phase(rng, part.stop - start)
+        x[part] = add_detection_noise(sample_ideal_quadrature(state, phi[part], rng), noise, rng)
+    return QuadratureBatch(x=x, phi=phi, state=state, noise=noise, seed=seed, replicate=replicate)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "CatState",
@@ -207,6 +206,8 @@ def radon_oracle(state: CatState, x: float, phi: float, tol: float = 1e-10) -> f
     Raises RuntimeError if the quadrature cannot certify the requested
     tolerance (the achieved error estimate is included in the message).
     """
+    from scipy.integrate import quad
+
     _check_phase(phi)
     x = float(x)
     phi = float(phi)

@@ -39,6 +39,7 @@ from catomo import (
     witness_stats,
     write_batch,
 )
+from catomo import estimator as est
 from catomo.cli import ExperimentConfig, main, save_config
 from conftest import report
 
@@ -213,10 +214,11 @@ def test_c04_sampler_fidelity():
     _verdict(4, "sampler fidelity", ok, "; ".join(details), elapsed)
 
 
-def test_c05_fast_path_equivalence():
+def test_c05_fast_path_equivalence(monkeypatch):
     # odd trials force the binned route so both internal paths of
     # reconstruct_fast face the tolerance (even trials exercise the public
     # routing behavior, where small workloads reuse the direct evaluation)
+    direct_limit = est._DIRECT_LIMIT
     t0 = time.perf_counter()
     rng = np.random.default_rng(55)
     worst_ratio = 0.0
@@ -228,7 +230,8 @@ def test_c05_fast_path_equivalence():
         beta = rng.uniform(0.03, 0.2)
         batch = generate_batch(state, nm, n, seed=7000 + trial)
         params = ReconstructionParams.for_experiment(n, beta, nm, grid_size=41)
-        fast = reconstruct_fast(batch, params, force_binned=bool(trial % 2))
+        monkeypatch.setattr(est, "_DIRECT_LIMIT", 0 if trial % 2 else direct_limit)
+        fast = reconstruct_fast(batch, params)
         exact = reconstruct_exact(batch, params)
         scale = np.max(np.abs(exact.values))
         dev = np.max(np.abs(fast.values - exact.values))

@@ -31,6 +31,15 @@ def tiny_config(tmp_path, **overrides):
     return cfg, path
 
 
+def edit_config(tmp_path, old, new):
+    """A tiny config with `old` replaced by `new`, and the line number of `old`."""
+    _, path = tiny_config(tmp_path)
+    text = open(path).read()
+    lineno = text[:text.index(old)].count("\n") + 1
+    open(path, "w").write(text.replace(old, new))
+    return path, lineno
+
+
 def read_bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
@@ -68,13 +77,28 @@ class TestConfig:
         (("[state]", "[DEFAULT]\nn = 5\n\n[state]"), "[DEFAULT]"),
     ])
     def test_unknown_key_or_section_refused(self, tmp_path, capsys, edit, named):
-        _, path = tiny_config(tmp_path)
-        text = open(path).read()
-        lineno = text[:text.index(edit[0])].count("\n") + 1
-        open(path, "w").write(text.replace(edit[0], edit[1]))
+        path, lineno = edit_config(tmp_path, *edit)
         assert main(["sample", "--config", path]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert named in err and f"{path}:{lineno}" in err
+
+    @pytest.mark.parametrize("command, edit, named", [
+        ("sample", ("alpha2 = 0.0", "alpha2 = nan"), "state.alpha2"),
+        ("sample", ("seed = 11", "seed = -3"), "sampling.seed"),
+        ("reconstruct", ("betas = 0.1", "betas ="), "reconstruction.betas"),
+        ("analyze", ("betas = 0.1", "betas ="), "reconstruction.betas"),
+    ])
+    def test_invalid_value_names_its_line(self, tmp_path, capsys, command, edit, named):
+        path, lineno = edit_config(tmp_path, *edit)
+        assert main([command, "--config", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert named in err and f"{path}:{lineno}" in err
+
+    def test_config_sha_golden(self):
+        # provenance hashes in batch and report headers must not move; [run] is not hashed
+        golden = "c50de798817b1c3eaeb9e29a2723447e61784aeecc1d8420e03f8e7ced9d2908"
+        assert config_sha(ExperimentConfig()) == golden
+        assert config_sha(ExperimentConfig(output_dir="elsewhere", workers=3)) == golden
 
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["sample", "--config", str(tmp_path / "nope.ini")]) == EXIT_IO

@@ -1,7 +1,10 @@
 """Kernel, bandwidth rule, reconstruction paths, and the deterministic mean oracle."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -18,7 +21,6 @@ from catomo import (
     ReconstructionParams,
     estimate_at_points,
     estimator_mean_oracle,
-    gamma_of,
     generate_batch,
     grid_to_csv,
     kernel,
@@ -74,16 +76,24 @@ def fourier_truncation_reference(state, cutoff, q, p, n_rho=16, n_theta=256):
                      for qv, pv in zip(np.ravel(q), np.ravel(p))])
 
 
+def test_import_leaves_signal_and_integrate_unloaded():
+    src = os.path.dirname(os.path.dirname(est.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, catomo; print(sorted({'scipy.signal', 'scipy.integrate'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 class TestGamma:
     def test_values(self):
-        assert gamma_of(1.0) == 0.0
-        assert gamma_of(0.5) == 0.25
-        assert gamma_of(0.45) == pytest.approx(GAMMA_045, rel=1e-15)
+        assert NoiseModel(1.0).gamma == 0.0
+        assert NoiseModel(0.5).gamma == 0.25
+        assert NoiseModel(0.45).gamma == pytest.approx(GAMMA_045, rel=1e-15)
 
     @pytest.mark.parametrize("eta", [0.0, -0.2, 1.0001])
     def test_domain(self, eta):
         with pytest.raises(ValueError):
-            gamma_of(eta)
+            NoiseModel(eta).gamma
 
 
 class TestOptimalBandwidth:
@@ -225,12 +235,11 @@ class TestReconstructExact:
         params = small_params(2000, grid_size=21)
         table = KernelTable(noise.gamma, params.h,
                             t_max=params.r * 2.0 + np.max(np.abs(merged.x)) / math.sqrt(noise.eta))
-        ga = reconstruct_exact(a, params, table=table)
-        gb = reconstruct_exact(b, params, table=table)
-        gm = reconstruct_exact(merged, params, table=table)
-        combined = (700 * ga.values + 1300 * gb.values) / 2000.0
-        scale = np.max(np.abs(gm.values))
-        np.testing.assert_allclose(gm.values, combined, atol=1e-12 * scale)
+        _, qs, ps = est._disk_nodes(params.axis(), params.r)
+        va, vb, vm = (estimate_at_points(part, params, qs, ps, table=table) for part in (a, b, merged))
+        combined = (700 * va + 1300 * vb) / 2000.0
+        scale = np.max(np.abs(vm))
+        np.testing.assert_allclose(vm, combined, atol=1e-12 * scale)
 
     def test_permutation_invariance(self, cat, noise):
         batch = generate_batch(cat, noise, 2000, seed=31)
@@ -264,7 +273,8 @@ class TestReconstructExact:
 
 
 class TestReconstructFast:
-    def test_binned_route_matches_exact_random_batches(self, noise):
+    def test_binned_route_matches_exact_random_batches(self, noise, monkeypatch):
+        monkeypatch.setattr(est, "_DIRECT_LIMIT", 0)
         rng = np.random.default_rng(99)
         for trial in range(10):
             n = int(rng.integers(1000, 10_001))
@@ -272,20 +282,21 @@ class TestReconstructFast:
             beta = rng.uniform(0.03, 0.2)
             batch = generate_batch(state, noise, n, seed=1000 + trial)
             params = ReconstructionParams.for_experiment(n, beta, noise, grid_size=41)
-            fast = reconstruct_fast(batch, params, force_binned=True)
+            fast = reconstruct_fast(batch, params)
             exact = reconstruct_exact(batch, params)
             scale = np.max(np.abs(exact.values))
             dev = np.max(np.abs(fast.values - exact.values))
             assert dev <= 1e-3 * scale, f"trial {trial}: dev {dev:.3e} vs scale {scale:.3e}"
 
-    def test_binned_route_high_cutoff(self):
+    def test_binned_route_high_cutoff(self, monkeypatch):
         # eta = 0.95 with small beta pushes the cutoff past 9; the resolutions
         # scale up with r/h to hold the tolerance
+        monkeypatch.setattr(est, "_DIRECT_LIMIT", 0)
         nm = NoiseModel(0.95)
         batch = generate_batch(CatState(2.0, 0.3), nm, 6000, seed=314)
         params = ReconstructionParams.for_experiment(6000, 0.05, nm, grid_size=41)
         assert est._lattice(batch, params, nm.gamma).phi_bins > 512
-        fast = reconstruct_fast(batch, params, force_binned=True)
+        fast = reconstruct_fast(batch, params)
         assert fast.meta["route"] == "binned"
         exact = reconstruct_exact(batch, params)
         scale = np.max(np.abs(exact.values))
@@ -300,10 +311,11 @@ class TestReconstructFast:
         assert fast.meta["method"] == "fast"
         assert fast.meta["route"] == exact.meta["route"] == "direct"
 
-    def test_degenerate_batch(self, cat, noise):
+    def test_degenerate_batch(self, cat, noise, monkeypatch):
+        monkeypatch.setattr(est, "_DIRECT_LIMIT", 0)
         batch = QuadratureBatch(np.full(64, 0.7), np.full(64, 1.1), cat, noise, seed=0)
         params = small_params(64, grid_size=21)
-        fast = reconstruct_fast(batch, params, force_binned=True)
+        fast = reconstruct_fast(batch, params)
         exact = reconstruct_exact(batch, params)
         scale = np.max(np.abs(exact.values))
         assert np.max(np.abs(fast.values - exact.values)) <= 1e-3 * scale
@@ -312,8 +324,9 @@ class TestReconstructFast:
         batch = generate_batch(cat, noise, 4000, seed=77)
         params = ReconstructionParams.for_experiment(4000, 0.1, noise, grid_size=21)
         monkeypatch.setattr(est, "_resolution", lambda r, h: (8, 128))
+        monkeypatch.setattr(est, "_DIRECT_LIMIT", 0)
         with pytest.warns(RuntimeWarning, match="falling back"):
-            grid = reconstruct_fast(batch, params, force_binned=True)
+            grid = reconstruct_fast(batch, params)
         exact = reconstruct_exact(batch, params)
         np.testing.assert_array_equal(grid.values, exact.values)
         assert grid.meta["route"] == "fallback"
@@ -331,12 +344,13 @@ class TestReconstructFast:
         ours = est._probe_sums(batch, lat, qs, ps)
         assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    def test_self_check_can_be_disabled(self, cat, noise):
+    def test_self_check_can_be_disabled(self, cat, noise, monkeypatch):
+        monkeypatch.setattr(est, "_DIRECT_LIMIT", 0)
         batch = generate_batch(cat, noise, 1000, seed=78)
         params = small_params(1000, grid_size=21)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            reconstruct_fast(batch, params, self_check=False, force_binned=True)
+            reconstruct_fast(batch, params, self_check=False)
 
 
 class TestMeanOracle:

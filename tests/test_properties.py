@@ -1,5 +1,5 @@
 """Property tests: the kernel and its table on random (gamma, h, t), the mean
-oracle on random states and cutoffs, and the batch and grid file round trips."""
+oracle on random states and cutoffs, and the batch, grid and config file round trips."""
 
 import math
 import warnings
@@ -21,6 +21,7 @@ from catomo import (
     write_batch,
     write_grid,
 )
+from catomo.cli import ExperimentConfig, load_config, save_config
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -148,3 +149,20 @@ def test_truncated_file_names_itself(workdir, data, kind):
     with pytest.raises(ValueError) as err:
         read(cut)
     assert str(err.value).startswith(cut)
+
+
+configs = st.builds(
+    ExperimentConfig,
+    alpha1=finite, alpha2=finite, eta=st.floats(0.0, 1.0, exclude_min=True),
+    n=st.integers(1, 10 ** 9), replicates=st.integers(1, 100), seed=st.integers(0, 2 ** 63),
+    betas=st.lists(st.floats(0.0, 0.25, exclude_min=True, exclude_max=True), min_size=1, max_size=4).map(tuple),
+    grid_size=st.integers(1, 500).map(lambda k: 2 * k + 1), path=st.sampled_from(["fast", "exact"]),
+    output_dir=st.text("abcXYZ019_-./%", min_size=1, max_size=16), workers=st.integers(1, 64))
+
+
+@PROPERTY
+@given(cfg=configs)
+def test_config_round_trip(workdir, cfg):
+    path = str(workdir / "exp.ini")
+    save_config(cfg, path)
+    assert repr(load_config(path)) == repr(cfg)  # every field, the sign of a zero included
