@@ -106,10 +106,10 @@ _SECTION = {key: section for section, keys in _SCHEMA.items() for key in keys}
 _DEFAULTS = asdict(ExperimentConfig())
 
 
-def _validate(cfg: ExperimentConfig, source: str | None = None) -> ExperimentConfig:
+def _validate(cfg: ExperimentConfig, where) -> ExperimentConfig:
+    """`cfg` if every value is in range, else a ConfigError naming the key and `where(key)`."""
     def bad(key, msg):
-        loc = f" ({_line_of(source, _SECTION[key], key)})" if source else ""
-        raise ConfigError(f"{_SECTION[key]}.{key}{loc}: {msg}")
+        raise ConfigError(f"{_SECTION[key]}.{key} ({where(key)}): {msg}")
 
     for key in ("alpha1", "alpha2"):
         if not math.isfinite(getattr(cfg, key)):
@@ -211,7 +211,7 @@ def load_config(path: str) -> ExperimentConfig:
             except ValueError as exc:
                 raise ConfigError(f"{section}.{key} ({_line_of(path, section, key)}): "
                                   f"cannot parse {raw!r}") from exc
-    return _validate(ExperimentConfig(**values), source=path)
+    return _validate(ExperimentConfig(**values), lambda key: _line_of(path, _SECTION[key], key))
 
 
 def config_sha(cfg: ExperimentConfig) -> str:
@@ -474,7 +474,8 @@ def _resolve_config(args) -> ExperimentConfig:
     # command-line flags share their names with the config keys they override
     flags = {key: value for key, value in vars(args).items() if key in _SECTION and value is not None}
     cfg = replace(cfg, **PRESETS.get(args.preset, {}), **flags)
-    return _validate(cfg, source=args.config)
+    # the file and the presets are valid, so only a flag can be out of range
+    return _validate(cfg, lambda key: f"--{key.replace('_', '-')}")
 
 
 def main(argv=None) -> int:

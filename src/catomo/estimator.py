@@ -436,8 +436,8 @@ def _lattice(batch: QuadratureBatch, params: ReconstructionParams, gamma: float)
     delta = 2.0 * params.r / (n_s - 9)
     s0 = -delta * (n_s - 1) / 2.0
 
-    u = batch.x / math.sqrt(batch.noise.eta)
-    u_abs_max = float(np.max(np.abs(u)))
+    # max|x| / sqrt(eta) is max|u|, as dividing by sqrt(eta) is monotone
+    u_abs_max = max(batch.x.max(), -batch.x.min()) / math.sqrt(batch.noise.eta)
     half_u = math.ceil((u_abs_max + 2.0 * delta) / delta)
     n_u = 2 * half_u + 1
     if (n_u - n_s) % 2:
@@ -448,56 +448,44 @@ def _lattice(batch: QuadratureBatch, params: ReconstructionParams, gamma: float)
     return _Lattice(phi_bins, delta, s0, n_s, u0, n_u, kernel(offsets, gamma, params.h))
 
 
-def _bin_shares(batch: QuadratureBatch, lat: _Lattice):
-    """Yield (flat lattice index, weight) for each of the four bilinear shares of every sample.
+# Samples per binning pass; binning memory is the lattice plus one chunk, whatever n is.
+_BIN_CHUNK = 1 << 19
+
+
+def _shares(batch: QuadratureBatch, lat: _Lattice, part=slice(None)):
+    """Flat lattice indices and weights of the four bilinear shares of each sample in `part`.
 
     The lattice is (phi-bin, offset-bin), flattened row-major.  Phase
-    spreading respects the half-turn identity (phi + pi, u) ~ (phi, -u):
-    samples near phi = 0 or pi share weight with the opposite edge bin under
-    u -> -u, so no first-order error appears at the phase seam.
+    spreading respects the half-turn identity (phi + pi, u) ~ (phi, -u): a
+    share in row -1 or phi_bins re-enters at the opposite edge row with its
+    offset column mirrored, i -> n_u - 1 - i (exact, as the offset lattice is
+    symmetric about 0), so no first-order error appears at the phase seam.
     """
-    n_phi = lat.phi_bins
-    d_phi = math.pi / n_phi
-    u = batch.x / math.sqrt(batch.noise.eta)
-
-    pos = batch.phi / d_phi - 0.5
-    j0 = np.floor(pos)
-    w_hi = pos - j0
-    j0 = j0.astype(np.int64)
-
-    for j_idx, w_phi in ((j0, 1.0 - w_hi), (j0 + 1, w_hi)):
-        wrap_lo = j_idx < 0
-        wrap_hi = j_idx >= n_phi
-        j_eff = np.where(wrap_lo, n_phi - 1, np.where(wrap_hi, 0, j_idx))
-        u_eff = np.where(wrap_lo | wrap_hi, -u, u)
-
-        upos = (u_eff - lat.u0) / lat.delta
-        i0 = np.floor(upos)
-        w_u_hi = upos - i0
-        i0 = i0.astype(np.int64)
-        i0 = np.clip(i0, 0, lat.n_u - 2)
-
-        flat0 = j_eff * lat.n_u + i0
-        yield flat0, w_phi * (1.0 - w_u_hi)
-        yield flat0 + 1, w_phi * w_u_hi
-
-
-def _linear_bin_counts(batch: QuadratureBatch, lat: _Lattice):
-    """Spread samples bilinearly onto the dense (phi-bin, offset-bin) lattice."""
-    size = lat.phi_bins * lat.n_u
-    counts = np.zeros(size)
-    for flat, weight in _bin_shares(batch, lat):
-        counts += np.bincount(flat, weights=weight, minlength=size)
-        del flat, weight  # free this share before the generator builds the next
-    return counts.reshape(lat.phi_bins, lat.n_u)
+    n_u, size = lat.n_u, lat.phi_bins * lat.n_u
+    pos = batch.phi[part] / (math.pi / lat.phi_bins) - 0.5
+    upos = (batch.x[part] / math.sqrt(batch.noise.eta) - lat.u0) / lat.delta
+    row, col = np.floor(pos), np.floor(upos)
+    w_phi, w_u = pos - row, upos - col  # weights of row + 1 and col + 1
+    base = (row * n_u + np.clip(col, 0, n_u - 2)).astype(np.int64)
+    flat = np.column_stack([base, base + 1, base + n_u, base + (n_u + 1)])
+    low, high = np.flatnonzero(row < 0), np.flatnonzero(row == lat.phi_bins - 1)
+    flat[low, :2] = (size - 1 - n_u) - flat[low, :2]
+    flat[high, 2:] = (size - 1 + n_u) - flat[high, 2:]
+    w_phi_lo, w_u_lo = 1.0 - w_phi, 1.0 - w_u
+    weight = np.column_stack([w_phi_lo * w_u_lo, w_phi_lo * w_u, w_phi * w_u_lo, w_phi * w_u])
+    return flat.ravel(), weight.ravel()
 
 
 def _fast_field(batch: QuadratureBatch, lat: _Lattice):
     """Per-phase-bin kernel response G[k, i] = sum_j counts[k, j] K(s_i - u_j)."""
+    cells = lat.phi_bins * lat.n_u
+    counts = np.zeros(cells)
+    for lo in range(0, batch.n, _BIN_CHUNK):
+        counts += np.bincount(*_shares(batch, lat, slice(lo, lo + _BIN_CHUNK)), minlength=cells)
     # a circular correlation of length >= n_u + n_s - 1 leaves the n_s wanted
     # entries of the full one unaliased
     size = fft.next_fast_len(lat.n_u + lat.n_s - 1, True)
-    spectrum = fft.rfft(_linear_bin_counts(batch, lat), size, axis=1) * fft.rfft(lat.kv, size)
+    spectrum = fft.rfft(counts.reshape(lat.phi_bins, lat.n_u), size, axis=1) * fft.rfft(lat.kv, size)
     return fft.irfft(spectrum, size, axis=1)[:, lat.n_u - 1:lat.n_u - 1 + lat.n_s]
 
 
@@ -530,7 +518,7 @@ def _probe_sums(batch: QuadratureBatch, lat: _Lattice, qs, ps):
     sample, is summed directly against the on-grid kernel values with the
     Catmull-Rom weights of its phase bin.
     """
-    flat, weight = (np.concatenate(parts) for parts in zip(*_bin_shares(batch, lat)))
+    flat, weight = _shares(batch, lat)
     cells, slot = np.unique(flat, return_inverse=True)
     counts = np.bincount(slot, weights=weight)
     k, j = np.divmod(cells, lat.n_u)
@@ -541,11 +529,11 @@ def _probe_sums(batch: QuadratureBatch, lat: _Lattice, qs, ps):
 
 
 # n * inside-disk nodes at and below which `reconstruct_fast` runs the direct
-# sum, roughly where the table-backed sum stops being cheaper than building
-# the lattice.  Medians on a 2-core Xeon, direct against binned: n = 4000 on a
-# 101^2 grid (n * nodes = 3.1e7) 0.59 against 0.45 s; n = 600 on a 9^2 grid
-# 11 ms against 0.30 s.
-_DIRECT_LIMIT = 40_000_000
+# sum.  The binned route costs ~0.2 s plus ~20 us per node for interpolation,
+# so the crossover grows with the grid: medians of five on a 2-core Xeon put it
+# near 1.3e7 on a 41^2 grid, 1.7e7 on 61^2, 2.2e7 on 101^2 and 5e7 on 201^2
+# (n = 800 on 201^2: 0.50 s direct, 0.85 s binned); 2e7 splits 61^2 and 101^2.
+_DIRECT_LIMIT = 20_000_000
 
 
 def reconstruct_fast(batch: QuadratureBatch, params: ReconstructionParams,

@@ -186,10 +186,11 @@ def _batch_header(batch: QuadratureBatch) -> dict:
     }
 
 
-def _atomic_bytes(path: str, payload: bytes) -> None:
+def _atomic_bytes(path: str, *parts) -> None:
+    """Write the bytes-like `parts` in order to a synced temp file, then rename it to `path`."""
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
-        fh.write(payload)
+        fh.writelines(parts)
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
@@ -199,7 +200,7 @@ def _write_framed(path: str, magic: bytes, header: dict, values: np.ndarray) -> 
     """Write `magic + length + JSON header + little-endian float64 payload` atomically;
     the header gains `schema: 1`, the version `_read_framed` accepts."""
     hbytes = json.dumps({**header, "schema": 1}, sort_keys=True).encode("utf-8")
-    _atomic_bytes(path, magic + len(hbytes).to_bytes(4, "little") + hbytes + values.astype("<f8").tobytes())
+    _atomic_bytes(path, magic, len(hbytes).to_bytes(4, "little"), hbytes, np.ascontiguousarray(values, "<f8"))
 
 
 def write_batch(batch: QuadratureBatch, path: str) -> None:

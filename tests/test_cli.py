@@ -94,6 +94,17 @@ class TestConfig:
         err = capsys.readouterr().err
         assert named in err and f"{path}:{lineno}" in err
 
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--seed", "-4", "sampling.seed (--seed)"),
+        ("--workers", "0", "run.workers (--workers)"),
+    ])
+    def test_invalid_flag_names_the_flag(self, tmp_path, capsys, flag, value, named):
+        # the file holds valid values for both keys, so the flag is to blame
+        _, path = tiny_config(tmp_path)
+        assert main(["sample", "--config", path, flag, value]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert named in err and path not in err
+
     def test_config_sha_golden(self):
         # provenance hashes in batch and report headers must not move; [run] is not hashed
         golden = "c50de798817b1c3eaeb9e29a2723447e61784aeecc1d8420e03f8e7ced9d2908"

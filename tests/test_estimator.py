@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -343,6 +344,39 @@ class TestReconstructFast:
         ref = est._interp_nodes(est._fast_field(batch, lat), qs, ps, lat)
         ours = est._probe_sums(batch, lat, qs, ps)
         assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_chunked_binning_matches_one_pass(self, cat, noise, monkeypatch):
+        batch = generate_batch(cat, noise, 5000, seed=81)
+        lat = est._lattice(batch, small_params(5000), noise.gamma)
+        whole = est._fast_field(batch, lat)
+        monkeypatch.setattr(est, "_BIN_CHUNK", 1000)
+        chunked = est._fast_field(batch, lat)
+        assert np.max(np.abs(chunked - whole)) <= 1e-12 * np.max(np.abs(whole))
+
+    def test_phase_seam_half_turn(self, cat, noise):
+        # (x, 0) and (-x, pi) are the same quadrature, so they must bin to the same field
+        x = np.random.default_rng(82).normal(0.0, 1.5, 400)
+        edge = np.where(np.arange(400) % 2, 0.0, math.pi)
+        at_edge = QuadratureBatch(x, edge, cat, noise, seed=0)
+        turned = QuadratureBatch(-x, math.pi - edge, cat, noise, seed=0)
+        lat = est._lattice(at_edge, small_params(400), noise.gamma)
+        ref = est._fast_field(at_edge, lat)
+        assert np.max(np.abs(est._fast_field(turned, lat) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_binning_memory_flat_in_n(self, noise):
+        rng = np.random.default_rng(83)
+        n = 8 * est._BIN_CHUNK
+        big = QuadratureBatch(rng.uniform(-3.0, 3.0, n), rng.uniform(0.0, math.pi, n),
+                              CatState(1.5), noise, seed=0)
+        small = QuadratureBatch(big.x[:n // 4], big.phi[:n // 4], big.state, noise, seed=0)
+        lat = est._lattice(big, small_params(n, grid_size=21), noise.gamma)
+        peaks = []
+        for batch in (small, big):
+            tracemalloc.start()
+            est._fast_field(batch, lat)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] < 1.05 * peaks[0], f"peak {peaks[0] / 2**20:.0f} -> {peaks[1] / 2**20:.0f} MB"
 
     def test_self_check_can_be_disabled(self, cat, noise, monkeypatch):
         monkeypatch.setattr(est, "_DIRECT_LIMIT", 0)

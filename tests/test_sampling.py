@@ -1,5 +1,6 @@
 """Sampler determinism, distributional fidelity, and batch persistence."""
 
+import hashlib
 import json
 import math
 import re
@@ -13,6 +14,7 @@ from catomo import (
     CatState,
     NoiseModel,
     QuadratureBatch,
+    WignerGrid,
     add_detection_noise,
     batch_to_csv,
     generate_batch,
@@ -22,6 +24,7 @@ from catomo import (
     sample_ideal_quadrature,
     sample_phase,
     write_batch,
+    write_grid,
 )
 from catomo.sampling import BATCH_MAGIC, _envelope_const, _stream
 
@@ -197,6 +200,20 @@ class TestBatchIO:
         write_batch(b, p1)
         write_batch(b, p2)
         assert open(p1, "rb").read() == open(p2, "rb").read()
+
+    def test_golden_bytes(self, tmp_path):
+        # hand-built values (no RNG, no libm) pin the framed layout of batches and grids
+        batch = QuadratureBatch(np.array([0.0, -1.25, 2.5, 3e-3, 7.0]),
+                                np.array([0.0, 0.5, 1.0, 3.0, math.pi]),
+                                CatState(1.5, -0.25), NoiseModel(0.45), seed=3, replicate=1,
+                                source_sha256="ab" * 32)
+        grid = WignerGrid(np.arange(9.0).reshape(3, 3) / 8.0 - 0.5, extent=2.0, r=2.0,
+                          meta={"kind": "replicate", "method": "fast", "route": "binned", "n": 5})
+        write_batch(batch, str(tmp_path / "b.qb"))
+        write_grid(grid, str(tmp_path / "g.wg"))
+        sha = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("b.qb", "g.wg")}
+        assert sha == {"b.qb": "73bbb1f51a05e896f37215320639774266b7eea95b42cf17109ce0b16ddc9787",
+                       "g.wg": "9ba9e042e5fb9c047318223fd0ba1299ed6a8c8dd0759d4fe9ff39f86d332234"}
 
     def test_csv_export(self, cat, noise, tmp_path):
         b = generate_batch(cat, noise, 10, seed=5)
