@@ -703,7 +703,7 @@ def read_grid(path: str) -> WignerGrid:
     if payload.size != size * size:
         raise ValueError(f"{path}: payload/header size mismatch")
     meta = {k: v for k, v in header.items() if k not in ("schema", "grid_size", "extent", "r")}
-    return WignerGrid(payload.reshape(size, size).copy(), extent=float(header["extent"]),
+    return WignerGrid(payload.reshape(size, size), extent=float(header["extent"]),
                       r=float(header["r"]), meta=meta)
 
 

@@ -6,7 +6,9 @@ density of the cat state.  Generation is two-stage and physically exact:
 
 1. draw an ideal quadrature from the noiseless density via rejection sampling
    against a three-Gaussian proposal (the two displaced humps plus a central
-   component dominating the interference term),
+   component dominating the interference term); the phase trigonometry is
+   done once per chunk, not once per rejection round, with the same draws
+   and accept decisions, hence the same batches,
 2. degrade it to sqrt(eta) * x + sqrt((1 - eta)/2) * y with y unit normal.
 
 Streams are derived from a counter-based Philox generator keyed by
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import CatState, NoiseModel, amplitude_along, quadrature_density
+from .states import CatState, NoiseModel, phase_amplitudes, quadrature_density
 
 __all__ = [
     "QuadratureBatch",
@@ -97,15 +99,15 @@ def _proposal_density(x, m):
     return (np.exp(-((x - m) ** 2)) + np.exp(-((x + m) ** 2)) + np.exp(-x * x)) / (3.0 * SQRT_PI)
 
 
-def _envelope_const(state: CatState, phi):
+def _envelope_const(state: CatState, a_neg):
     """Tight constant A(phi) with p(x, phi) <= A(phi) * proposal(x) for all x.
 
     The interference term is bounded by 2 e^{-2 a(-phi)^2} times the central
-    Gaussian, giving A = 3 max(1, 2 e^{-2 a(-phi)^2}) / (2 (1 + e^{-2|a|^2})).
+    Gaussian, giving A = 3 max(1, 2 e^{-2 a(-phi)^2}) / (2 (1 + e^{-2|a|^2})),
+    where `a_neg` = a(-phi) = amplitude_along(state, -phi).
     Always <= 3; the mean acceptance 1/A averaged over phi exceeds 1/2 for
     well-separated states.
     """
-    a_neg = amplitude_along(state, -np.asarray(phi))
     suppress = 2.0 * np.exp(-2.0 * a_neg * a_neg)
     return 3.0 * np.maximum(1.0, suppress) / (2.0 * (1.0 + state.overlap))
 
@@ -114,26 +116,31 @@ def sample_ideal_quadrature(state: CatState, phi, rng: np.random.Generator):
     """Noise-free quadrature value(s) distributed as quadrature_density(., phi).
 
     Rejection sampling; the proposal envelope is valid by construction, so the
-    round cap only guards against implementation regressions.
+    round cap only guards against implementation regressions.  The phase
+    amplitudes are computed once per call, not once per rejection round.
     """
     phi_arr = np.atleast_1d(np.asarray(phi, dtype=float))
     if phi_arr.min() < 0.0 or phi_arr.max() > np.pi:
         raise ValueError("quadrature phase phi must lie in [0, pi]")
-    m = np.sqrt(2.0) * amplitude_along(state, phi_arr)
-    env = _envelope_const(state, phi_arr)
+    m, a_neg, b_neg = phase_amplitudes(state, phi_arr)
+    env = _envelope_const(state, a_neg)
 
     out = np.empty(phi_arr.shape, dtype=np.float64)
     active = np.arange(phi_arr.size)
+    # round temporaries are chunk-sized at first: `comp` is freed once used,
+    # and `u`, still the round's third draw, is drawn after the densities
     for _ in range(_MAX_ROUNDS):
         if active.size == 0:
             break
         k = active.size
+        mk = m[active]
         comp = rng.integers(0, 3, size=k)
-        centers = np.where(comp == 0, m[active], np.where(comp == 1, -m[active], 0.0))
-        prop = centers + rng.normal(0.0, INV_SQRT2, size=k)
+        prop = np.where(comp == 0, mk, np.where(comp == 1, -mk, 0.0))
+        del comp
+        prop += rng.normal(0.0, INV_SQRT2, size=k)
+        target = quadrature_density(state, prop, amplitudes=(mk, a_neg[active], b_neg[active]))
+        bound = env[active] * _proposal_density(prop, mk)
         u = rng.random(size=k)
-        target = quadrature_density(state, prop, phi_arr[active])
-        bound = env[active] * _proposal_density(prop, m[active])
         accept = u * bound <= target
         out[active[accept]] = prop[accept]
         active = active[~accept]
@@ -209,7 +216,7 @@ def write_batch(batch: QuadratureBatch, path: str) -> None:
 
 
 def _read_framed(path: str, magic: bytes, kind: str, required: tuple[str, ...]):
-    """Header dict and float64 payload of a `magic + length + JSON header + payload` file.
+    """Header dict and writable float64 payload of a `magic + length + JSON header + payload` file.
 
     Checks the magic, `schema == 1` and the `required` header keys; every
     failure is a ValueError whose message starts with the path.
@@ -219,21 +226,21 @@ def _read_framed(path: str, magic: bytes, kind: str, required: tuple[str, ...]):
             raise ValueError(f"{path}: not a {kind} file")
         hlen = int.from_bytes(fh.read(4), "little")
         raw = fh.read(hlen)
-        payload = fh.read()
-    try:
-        header = json.loads(raw.decode("utf-8"))
-    except ValueError as exc:
-        raise ValueError(f"{path}: unreadable header ({exc})") from exc
-    if not isinstance(header, dict):
-        raise ValueError(f"{path}: header is not a JSON object")
-    if header.get("schema") != 1:
-        raise ValueError(f"{path}: header schema is {header.get('schema')!r}, expected 1")
-    missing = [key for key in required if key not in header]
-    if missing:
-        raise ValueError(f"{path}: header lacks the required key {missing[0]!r}")
-    if len(payload) % 8:
-        raise ValueError(f"{path}: payload of {len(payload)} bytes is not a whole number of float64 values")
-    return header, np.frombuffer(payload, dtype="<f8")
+        try:
+            header = json.loads(raw.decode("utf-8"))
+        except ValueError as exc:
+            raise ValueError(f"{path}: unreadable header ({exc})") from exc
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: header is not a JSON object")
+        if header.get("schema") != 1:
+            raise ValueError(f"{path}: header schema is {header.get('schema')!r}, expected 1")
+        missing = [key for key in required if key not in header]
+        if missing:
+            raise ValueError(f"{path}: header lacks the required key {missing[0]!r}")
+        nbytes = os.fstat(fh.fileno()).st_size - fh.tell()
+        if nbytes % 8:
+            raise ValueError(f"{path}: payload of {nbytes} bytes is not a whole number of float64 values")
+        return header, np.fromfile(fh, dtype="<f8")
 
 
 def read_batch(path: str) -> QuadratureBatch:
@@ -246,8 +253,8 @@ def read_batch(path: str) -> QuadratureBatch:
     pairs = payload.reshape(n, 2)
     try:
         return QuadratureBatch(
-            x=pairs[:, 0].copy(),
-            phi=pairs[:, 1].copy(),
+            x=pairs[:, 0],
+            phi=pairs[:, 1],
             state=CatState(header["alpha1"], header["alpha2"]),
             noise=NoiseModel(header["eta"]),
             seed=int(header["seed"]),

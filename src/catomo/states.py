@@ -37,6 +37,7 @@ __all__ = [
     "amplitude_across",
     "wigner_true",
     "wigner_fourier",
+    "phase_amplitudes",
     "quadrature_density",
     "noisy_quadrature_density",
     "radon_oracle",
@@ -153,7 +154,19 @@ def wigner_fourier(state: CatState, w1, w2):
     return (shift_plus + shift_minus + center) / (2.0 * (1.0 + state.overlap))
 
 
-def quadrature_density(state: CatState, x, phi):
+def phase_amplitudes(state: CatState, phi):
+    """(sqrt2 amplitude_along(phi), amplitude_along(-phi), amplitude_across(-phi)).
+
+    The three amplitudes `quadrature_density` needs at phase(s) phi, from one
+    cos/sin pair: cos(-phi) == cos(phi) and sin(-phi) == -sin(phi) exactly,
+    so they equal the separate calls bit for bit.
+    """
+    a1, a2 = state.alpha1, state.alpha2
+    c, s = np.cos(phi), np.sin(phi)
+    return SQRT2 * (a1 * c + a2 * s), a1 * c - a2 * s, a2 * c + a1 * s
+
+
+def quadrature_density(state: CatState, x, phi=None, *, amplitudes=None):
     """Ideal quadrature density p(x, phi), the Radon transform of the Wigner function.
 
     Two Gaussians of variance 1/2 centered at +-sqrt2 * amplitude_along(phi)
@@ -162,12 +175,16 @@ def quadrature_density(state: CatState, x, phi):
         2 e^{-x^2 - 2 amplitude_along(-phi)^2} cos(2 sqrt2 x amplitude_across(-phi)),
 
     normalized by 2 sqrt(pi) (1 + e^{-2|alpha|^2}).  Integrates to 1 for each phi.
+
+    Takes either the phase(s) phi or `amplitudes = phase_amplitudes(state, phi)`
+    of phases already checked, so a caller that evaluates many x at the same
+    phases does the phase trigonometry once.
     """
-    _check_phase(phi)
+    if amplitudes is None:
+        _check_phase(phi)
+        amplitudes = phase_amplitudes(state, phi)
     x = np.asarray(x, dtype=float)
-    m = SQRT2 * amplitude_along(state, phi)
-    a_neg = amplitude_along(state, -np.asarray(phi))
-    b_neg = amplitude_across(state, -np.asarray(phi))
+    m, a_neg, b_neg = amplitudes
     humps = np.exp(-((x - m) ** 2)) + np.exp(-((x + m) ** 2))
     ridge = 2.0 * np.exp(-x * x - 2.0 * a_neg * a_neg) * np.cos(2.0 * SQRT2 * x * b_neg)
     return (humps + ridge) / (SQRT_PI * state.norm_const)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from catomo import (
     QuadratureBatch,
     WignerGrid,
     add_detection_noise,
+    amplitude_across,
+    amplitude_along,
     batch_to_csv,
     generate_batch,
     noisy_quadrature_density,
@@ -26,7 +29,8 @@ from catomo import (
     write_batch,
     write_grid,
 )
-from catomo.sampling import BATCH_MAGIC, _envelope_const, _stream
+from catomo import sampling
+from catomo.sampling import BATCH_MAGIC, CHUNK_SIZE, _envelope_const, _stream
 
 
 def chi2_pvalue(samples, density, lo, hi, bins=100):
@@ -100,11 +104,101 @@ class TestIdealQuadrature:
             ratio = quadrature_density(state, xs, phi) / g
             assert ratio.max() <= 3.0 + 1e-12
             # and the sharper per-phase constant actually used is also valid
-            assert ratio.max() <= _envelope_const(state, phi) + 1e-12
+            assert ratio.max() <= _envelope_const(state, amplitude_along(state, -phi)) + 1e-12
 
     def test_rejects_bad_phase(self, cat):
         with pytest.raises(ValueError):
             sample_ideal_quadrature(cat, -0.5, _stream(0, 0, 0))
+
+
+# Reference rejection loop: the density and its amplitudes are evaluated
+# afresh from phi in every round, one amplitude_along/across call each.
+def _reference_quadrature_density(state, x, phi):
+    m = math.sqrt(2.0) * amplitude_along(state, phi)
+    a_neg = amplitude_along(state, -np.asarray(phi))
+    b_neg = amplitude_across(state, -np.asarray(phi))
+    humps = np.exp(-((x - m) ** 2)) + np.exp(-((x + m) ** 2))
+    ridge = 2.0 * np.exp(-x * x - 2.0 * a_neg * a_neg) * np.cos(2.0 * math.sqrt(2.0) * x * b_neg)
+    return (humps + ridge) / (math.sqrt(math.pi) * state.norm_const)
+
+
+def _reference_proposal_density(x, m):
+    return (np.exp(-((x - m) ** 2)) + np.exp(-((x + m) ** 2)) + np.exp(-x * x)) / (3.0 * math.sqrt(math.pi))
+
+
+def _reference_envelope_const(state, phi):
+    a_neg = amplitude_along(state, -np.asarray(phi))
+    suppress = 2.0 * np.exp(-2.0 * a_neg * a_neg)
+    return 3.0 * np.maximum(1.0, suppress) / (2.0 * (1.0 + state.overlap))
+
+
+def _reference_sample_ideal_quadrature(state, phi, rng):
+    phi_arr = np.atleast_1d(np.asarray(phi, dtype=float))
+    if phi_arr.min() < 0.0 or phi_arr.max() > np.pi:
+        raise ValueError("quadrature phase phi must lie in [0, pi]")
+    m = np.sqrt(2.0) * amplitude_along(state, phi_arr)
+    env = _reference_envelope_const(state, phi_arr)
+
+    out = np.empty(phi_arr.shape, dtype=np.float64)
+    active = np.arange(phi_arr.size)
+    for _ in range(10_000):
+        if active.size == 0:
+            break
+        k = active.size
+        comp = rng.integers(0, 3, size=k)
+        centers = np.where(comp == 0, m[active], np.where(comp == 1, -m[active], 0.0))
+        prop = centers + rng.normal(0.0, 1.0 / math.sqrt(2.0), size=k)
+        u = rng.random(size=k)
+        target = _reference_quadrature_density(state, prop, phi_arr[active])
+        bound = env[active] * _reference_proposal_density(prop, m[active])
+        accept = u * bound <= target
+        out[active[accept]] = prop[accept]
+        active = active[~accept]
+    return out if np.ndim(phi) else float(out[0])
+
+
+EQUIVALENCE_CASES = [
+    pytest.param(CatState(3.0 / math.sqrt(2.0)), NoiseModel(0.45), 20_000, id="cat-eta0.45"),
+    pytest.param(CatState(1.0, 0.7), NoiseModel(0.9), 20_000, id="complex-eta0.9"),
+    pytest.param(CatState(0.4, -0.6), NoiseModel(0.3), 20_000, id="small-eta0.3"),
+    pytest.param(CatState(0.0), NoiseModel(1.0), 20_000, id="vacuum-eta1"),
+    pytest.param(CatState(3.0 / math.sqrt(2.0)), NoiseModel(0.45), CHUNK_SIZE + 4097, id="two-chunks"),
+]
+
+
+class TestMatchesReferenceLoop:
+    """The sampler consumes the same draws and makes the same accept decisions
+    as the reference loop, so its values are bitwise equal to the loop's; unlike
+    a pinned digest, this does not depend on the platform's libm."""
+
+    @pytest.mark.parametrize("state, noise, n", EQUIVALENCE_CASES[:4])
+    def test_ideal_quadrature(self, state, noise, n):
+        phi = sample_phase(_stream(21, 0, 0), n)
+        got = sample_ideal_quadrature(state, phi, _stream(21, 0, 1))
+        want = _reference_sample_ideal_quadrature(state, phi, _stream(21, 0, 1))
+        assert got.tobytes() == want.tobytes()
+        assert sample_ideal_quadrature(state, 0.7, _stream(22, 0, 0)) \
+            == _reference_sample_ideal_quadrature(state, 0.7, _stream(22, 0, 0))
+
+    @pytest.mark.parametrize("state, noise, n", EQUIVALENCE_CASES)
+    def test_generate_batch(self, state, noise, n, monkeypatch):
+        got = generate_batch(state, noise, n, seed=7, replicate=1)
+        monkeypatch.setattr(sampling, "sample_ideal_quadrature", _reference_sample_ideal_quadrature)
+        want = generate_batch(state, noise, n, seed=7, replicate=1)
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.phi.tobytes() == want.phi.tobytes()
+
+    def test_chunk_memory(self, cat, noise):
+        # the lean loop peaks at 128 MiB; evaluating the densities from phi in
+        # every round peaks at 144 MiB, and keeping `comp` alive or drawing
+        # `u` before the densities at 136 MiB
+        tracemalloc.start()
+        try:
+            generate_batch(cat, noise, CHUNK_SIZE, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 132 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestDetectionNoise:
