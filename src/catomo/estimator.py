@@ -12,18 +12,18 @@ frequency integral
 whose e^{gamma xi^2} factor undoes the Gaussian detection noise while the
 cutoff 1/h keeps it finite; r and h follow the bandwidth rule
 r = 1/h = sqrt(ln n / (beta + 2 gamma)).  `kernel` evaluates it in closed
-form through the Faddeeva function, and `KernelTable` tabulates it for the
-many scattered evaluations of the direct sum.
+form through the Faddeeva function; `KernelTable` tabulates it to 1e-6 K(0),
+and every direct kernel sum (`estimate_at_points`) goes through the table.
 
 Two evaluation routes are provided.  `reconstruct_exact` sums the kernel per
 sample and per node with compensated accumulation (the authoritative slow
 path).  `reconstruct_fast` linearly bins samples on a (phase x offset)
-lattice, turns each phase bin into a 1-D FFT correlation against an on-grid
-kernel table, and maps grid nodes through cubic interpolation; a subsample
-self-check falls back to the exact path if the lattice resolutions are ever
-insufficient.  A deterministic mean-value oracle (the exact expectation
-of the estimator, one radial Bessel integral per point) supports bias tests
-without Monte Carlo.
+lattice, turns each phase bin into a 1-D FFT correlation against closed-form
+kernel values at the lattice offsets, and maps grid nodes through cubic
+interpolation; a self-check against the direct sum at a few nodes falls back
+to the exact path if the lattice resolutions are ever insufficient.  A
+deterministic mean-value oracle (the exact expectation of the estimator, one
+radial Bessel integral per point) supports bias tests without Monte Carlo.
 """
 
 from __future__ import annotations
@@ -160,6 +160,30 @@ def kernel(t, gamma: float, h: float):
 _TABLE_TOL = 1e-6
 
 
+def _cubic_spline(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients (4, n - 1) of the not-a-knot cubic spline through n > 3 points.
+
+    The operations of `scipy.interpolate.CubicSpline(x, y).c`, in its order,
+    so the same bits, without importing scipy.interpolate: it loads
+    scipy.optimize, which adds about 23 MB to the peak RSS of a reconstruction.
+    """
+    from scipy.linalg import solve_banded
+
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    ab = np.zeros((3, x.size))  # upper, main and lower diagonal of the slope equations
+    ab[0, 2:], ab[1, 1:-1], ab[2, :-2] = dx[:-1], 2 * (dx[:-1] + dx[1:]), dx[1:]
+    ab[1, 0], ab[0, 1], ab[1, -1], ab[2, -2] = dx[1], d0, dx[-2], d1
+    b = np.empty(x.size)
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    b[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
+    b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+    s = solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True, check_finite=False)
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return np.array([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]])
+
+
 class KernelTable:
     """Uniform-grid cubic-spline lookup for the kernel at fixed (gamma, h).
 
@@ -201,12 +225,9 @@ class KernelTable:
         self.step = 2.0 * span / (n_pts - 1)
         self.t0 = -span
         grid = self.t0 + self.step * np.arange(n_pts)
-        vals = kernel(grid, self.gamma, self.h)
-        from scipy.interpolate import CubicSpline
-
-        # not-a-knot ends; coefficient row k multiplies tau^(3-k) with
-        # tau = frac * step, so scaled by step^(3-k) it multiplies frac^(3-k)
-        coeffs = CubicSpline(grid, vals).c
+        # coefficient row k multiplies tau^(3-k) with tau = frac * step, so
+        # scaled by step^(3-k) it multiplies frac^(3-k)
+        coeffs = _cubic_spline(grid, kernel(grid, self.gamma, self.h))
         self._rows = tuple(coeffs[k] * self.step ** (3 - k) for k in range(4))
 
     def _max_check_error(self) -> float:
@@ -317,24 +338,21 @@ _NODE_BLOCK = 256
 
 
 def estimate_at_points(batch: QuadratureBatch, params: ReconstructionParams, q, p,
-                       table: KernelTable | None = None, sample_block: int = 64):
+                       sample_block: int = 64):
     """Raw estimator values (no disk truncation) at arbitrary points.
 
-    Per-sample kernel sums with Kahan-compensated accumulation over fixed
-    64-sample blocks, which makes the result insensitive to sample order at
-    the level of rounding noise despite the ~e^{2 gamma/h^2} dynamic range.
-    Nodes are summed in fixed blocks, so for a given `table` a node's value
-    does not depend on the other points of the call.  Without one, calls of
-    more than 2e5 evaluations build the default table.
+    Per-sample kernel sums through the batch's `KernelTable` (within
+    1e-6 * K(0) of the closed form), with Kahan-compensated accumulation over
+    fixed `sample_block`-sample blocks, which makes the result insensitive to
+    sample order at the level of rounding noise despite the ~e^{2 gamma/h^2}
+    dynamic range.  Nodes are summed in fixed blocks, so a node's value does
+    not depend on the other points of the call.
     """
     if batch.n == 0:
         raise ValueError("cannot reconstruct from an empty batch")
-    gamma = _check_gamma(batch, params)
+    table = _default_table(batch, params, _check_gamma(batch, params))
     q = np.atleast_1d(np.asarray(q, dtype=float))
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    if table is None and batch.n * q.size > 200_000:
-        table = _default_table(batch, params, gamma)
-    evaluate = table if table is not None else (lambda t: kernel(t, gamma, params.h))
 
     inv_sqrt_eta = 1.0 / math.sqrt(batch.noise.eta)
     u = batch.x * inv_sqrt_eta
@@ -355,7 +373,7 @@ def estimate_at_points(batch: QuadratureBatch, params: ReconstructionParams, q, 
             np.multiply(qb, cos_phi[sl], out=tb)
             tb += np.multiply(pb, sin_phi[sl], out=p_sin[:, :sl.stop - lo])
             tb -= u[sl]
-            block = evaluate(tb).sum(axis=1)
+            block = table(tb).sum(axis=1)
             y = block - comp
             tot = sums + y
             comp = (tot - sums) - y
@@ -587,12 +605,11 @@ _CHECK_PROBES = 24
 def _fast_self_check(batch, params, lat: _Lattice, qs, ps, fast_values) -> bool:
     """Compare the binned evaluation against the direct kernel sum at probe nodes.
 
-    Small batches are checked in full against the already-computed fast values
-    with the contract tolerance.  Large batches are checked on a subsample of
-    2048 with the tolerance widened by sqrt(n / 2048): per-sample binning errors
-    are oscillatory, so their full-batch average is no larger than the
-    subsample average, while systematic components sit far below tolerance by
-    construction.
+    Both sums run over the same m samples: the whole batch when n <= 8 * 2048,
+    else a subsample of m = 2048, with the tolerance widened by sqrt(n / m).
+    Per-sample binning errors are oscillatory, so their full-batch average is
+    no larger than the subsample average, while systematic components sit far
+    below tolerance by construction.  `fast_values` sets the scale, max|grid|.
     """
     scale = np.max(np.abs(fast_values))  # max|grid|, as the grid is zero outside the disk
     if scale == 0.0:
@@ -600,18 +617,14 @@ def _fast_self_check(batch, params, lat: _Lattice, qs, ps, fast_values) -> bool:
     rng = np.random.default_rng(618)
     probe = rng.choice(qs.size, size=min(_CHECK_PROBES, qs.size), replace=False)
     pq, pp = qs[probe], ps[probe]
-
-    if batch.n <= 8 * _CHECK_SAMPLES:
-        direct = estimate_at_points(batch, params, pq, pp)
-        return bool(np.max(np.abs(fast_values[probe] - direct)) <= _CHECK_TOL * scale)
-
-    sub_idx = rng.choice(batch.n, size=_CHECK_SAMPLES, replace=False)
-    sub = QuadratureBatch(batch.x[sub_idx], batch.phi[sub_idx], batch.state, batch.noise,
-                          seed=batch.seed, replicate=batch.replicate)
-    direct = estimate_at_points(sub, params, pq, pp)
-    binned = _probe_sums(sub, lat, pq, pp) / _CHECK_SAMPLES
-    budget = _CHECK_TOL * scale * math.sqrt(batch.n / _CHECK_SAMPLES)
-    return bool(np.max(np.abs(binned - direct)) <= budget)
+    sub = batch
+    if batch.n > 8 * _CHECK_SAMPLES:
+        sub_idx = rng.choice(batch.n, size=_CHECK_SAMPLES, replace=False)
+        sub = QuadratureBatch(batch.x[sub_idx], batch.phi[sub_idx], batch.state, batch.noise,
+                              seed=batch.seed, replicate=batch.replicate)
+    binned = _probe_sums(sub, lat, pq, pp) / sub.n
+    budget = _CHECK_TOL * scale * math.sqrt(batch.n / sub.n)
+    return bool(np.max(np.abs(binned - estimate_at_points(sub, params, pq, pp))) <= budget)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -218,8 +219,10 @@ def write_batch(batch: QuadratureBatch, path: str) -> None:
 def _read_framed(path: str, magic: bytes, kind: str, required: tuple[str, ...]):
     """Header dict and writable float64 payload of a `magic + length + JSON header + payload` file.
 
-    Checks the magic, `schema == 1` and the `required` header keys; every
-    failure is a ValueError whose message starts with the path.
+    Checks the magic, `schema == 1` and the `required` header keys, each of
+    which must hold a finite number, a whole one for the counts n, seed,
+    replicate and grid_size; every failure is a ValueError whose message
+    starts with the path.
     """
     with open(path, "rb") as fh:
         if fh.read(len(magic)) != magic:
@@ -237,6 +240,12 @@ def _read_framed(path: str, magic: bytes, kind: str, required: tuple[str, ...]):
         missing = [key for key in required if key not in header]
         if missing:
             raise ValueError(f"{path}: header lacks the required key {missing[0]!r}")
+        for key in required:
+            value = header[key]  # compared, not converted, so a huge JSON int is refused here
+            if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+                raise ValueError(f"{path}: header key {key!r} holds {value!r}, not a finite number")
+            if key in ("n", "seed", "replicate", "grid_size") and value != int(value):
+                raise ValueError(f"{path}: header key {key!r} holds {value!r}, not a whole number")
         nbytes = os.fstat(fh.fileno()).st_size - fh.tell()
         if nbytes % 8:
             raise ValueError(f"{path}: payload of {nbytes} bytes is not a whole number of float64 values")

@@ -201,17 +201,14 @@ def noisy_quadrature_density(state: CatState, noise: NoiseModel, x, phi):
         2 e^{-x^2 - 2|alpha|^2 + 2 eta amplitude_across(-phi)^2}
           cos(2 sqrt(2 eta) x amplitude_across(-phi)).
 
-    Reduces exactly to `quadrature_density` at eta = 1.
+    That is `quadrature_density` at the amplitudes (sqrt(eta) m, sqrt(|alpha|^2
+    - eta b^2), sqrt(eta) b) of (m, a, b) = `phase_amplitudes(state, phi)`.
     """
     _check_phase(phi)
-    x = np.asarray(x, dtype=float)
-    eta = noise.eta
-    m = math.sqrt(2.0 * eta) * amplitude_along(state, phi)
-    b_neg = amplitude_across(state, -np.asarray(phi))
-    humps = np.exp(-((x - m) ** 2)) + np.exp(-((x + m) ** 2))
-    log_amp = -2.0 * state.abs_alpha_sq + 2.0 * eta * b_neg * b_neg
-    ridge = 2.0 * np.exp(-x * x + log_amp) * np.cos(2.0 * math.sqrt(2.0 * eta) * x * b_neg)
-    return (humps + ridge) / (SQRT_PI * state.norm_const)
+    root_eta = math.sqrt(noise.eta)
+    m, _, b_neg = phase_amplitudes(state, phi)
+    a_noisy = np.sqrt(np.maximum(state.abs_alpha_sq - noise.eta * b_neg * b_neg, 0.0))
+    return quadrature_density(state, x, amplitudes=(root_eta * m, a_noisy, root_eta * b_neg))
 
 
 def radon_oracle(state: CatState, x: float, phi: float, tol: float = 1e-10) -> float:

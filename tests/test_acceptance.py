@@ -242,7 +242,7 @@ def test_c05_fast_path_equivalence(monkeypatch):
              f"worst dev/max|grid| = {worst_ratio:.2e} over 50 batches (tol 1e-3)", elapsed)
 
 
-def test_c06_estimator_bias_oracle():
+def test_c06_estimator_bias_oracle(monkeypatch):
     t0 = time.perf_counter()
     n, reps = 10_000, 200
     params = ReconstructionParams.for_experiment(n, 0.1, NOISE45, grid_size=201)
@@ -250,10 +250,11 @@ def test_c06_estimator_bias_oracle():
     pp = np.array([0.0, 0.0, 0.0, 0.556, 1.111, 1.5, 0.0, 2.5, -1.0, 1.0])
     oracle = estimator_mean_oracle(CAT, params, pq, pp)
     table = KernelTable(NOISE45.gamma, params.h, t_max=params.r + 14.0)
+    monkeypatch.setattr(est, "_default_table", lambda *args: table)
     estimates = np.empty((reps, pq.size))
     for rep in range(reps):
         batch = generate_batch(CAT, NOISE45, n, seed=903, replicate=rep)
-        estimates[rep] = estimate_at_points(batch, params, pq, pp, table=table)
+        estimates[rep] = estimate_at_points(batch, params, pq, pp)
     mc_mean = estimates.mean(axis=0)
     se = estimates.std(axis=0, ddof=1) / math.sqrt(reps)
     pulls = np.abs(mc_mean - oracle) / se

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from catomo import read_batch, read_grid
+from catomo.estimator import GRID_MAGIC
 from catomo.sampling import BATCH_MAGIC
 from catomo.cli import (
     EXIT_CONFIG,
@@ -285,6 +286,26 @@ class TestAnalyze:
         from catomo import write_grid
         write_grid(grid, gpath)
         assert main(["analyze", "--config", path]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("reconstruct", "n", None), ("reconstruct", "n", [10]), ("reconstruct", "n", 10.5),
+    ("reconstruct", "eta", "0.45"), ("reconstruct", "alpha1", "x"),
+    ("analyze", "grid_size", None), ("analyze", "extent", None),
+])
+def test_header_value_of_wrong_type_refused(tmp_path, capsys, command, key, value):
+    cfg, path = tiny_config(tmp_path)
+    main(["sample", "--config", path])
+    if command == "analyze":
+        main(["reconstruct", "--config", path])
+        fpath, magic = os.path.join(cfg.output_dir, "grids", "beta_0.1", "grid_r00.wg"), GRID_MAGIC
+    else:
+        fpath, magic = os.path.join(cfg.output_dir, "batches", "batch_r00.qb"), BATCH_MAGIC
+    rewrite_header(fpath, magic, lambda header: header.update({key: value}))
+    capsys.readouterr()
+    assert main([command, "--config", path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert fpath in err and repr(key) in err
 
 
 class TestSweepAndTable:

@@ -77,12 +77,22 @@ def fourier_truncation_reference(state, cutoff, q, p, n_rho=16, n_theta=256):
                      for qv, pv in zip(np.ravel(q), np.ravel(p))])
 
 
-def test_import_leaves_signal_and_integrate_unloaded():
+def loaded_after(code, modules):
+    """The `modules` loaded in a fresh interpreter after `import catomo` and `code`."""
     src = os.path.dirname(os.path.dirname(est.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = "import sys, catomo; print(sorted({'scipy.signal', 'scipy.integrate'} & set(sys.modules)))"
+    probe = f"import sys, catomo; {code}; print(sorted({set(modules)!r} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_leaves_signal_and_integrate_unloaded():
+    assert loaded_after("pass", ["scipy.signal", "scipy.integrate"]) == "[]"
+
+
+def test_kernel_table_leaves_interpolate_unloaded():
+    # scipy.interpolate loads scipy.optimize, about 23 MB of resident memory
+    assert loaded_after("catomo.KernelTable(0.3, 0.2, t_max=5.0)", ["scipy.interpolate", "scipy.optimize"]) == "[]"
 
 
 class TestGamma:
@@ -177,6 +187,18 @@ class TestKernelTable:
         err = np.max(np.abs(table(t) - kernel(t, GAMMA_045, H_REF)))
         assert err < 1e-6 * table.k0
 
+    def test_spline_matches_scipy_bit_for_bit(self):
+        from scipy.interpolate import CubicSpline
+
+        rng = np.random.default_rng(7)
+        for n in (4, 5, 37, 1001):
+            x = np.sort(rng.uniform(-5.0, 5.0, n))
+            y = rng.normal(size=n)
+            np.testing.assert_array_equal(est._cubic_spline(x, y), CubicSpline(x, y).c)
+        grid = np.linspace(-12.0, 12.0, 1201)
+        y = kernel(grid, GAMMA_045, H_REF)
+        np.testing.assert_array_equal(est._cubic_spline(grid, y), CubicSpline(grid, y).c)
+
     def test_beyond_range_falls_back_to_direct(self):
         table = KernelTable(GAMMA_045, H_REF, t_max=5.0)
         assert table(8.5) == kernel(8.5, GAMMA_045, H_REF)
@@ -196,21 +218,20 @@ class TestKernelTable:
 
 class TestEstimateAtPoints:
     def test_node_blocks_do_not_change_values(self, cat, noise):
+        # a node's value is the same alone as inside a call of several node blocks
         batch = generate_batch(cat, noise, 1000, seed=23)
         params = small_params(1000, grid_size=21)
-        table = est._default_table(batch, params, noise.gamma)
         n_nodes = 3 * est._NODE_BLOCK + 17
         rng = np.random.default_rng(24)
         radius = params.r * np.sqrt(rng.uniform(0.0, 1.0, n_nodes))
         angle = rng.uniform(0.0, 2.0 * np.pi, n_nodes)
         q, p = radius * np.cos(angle), radius * np.sin(angle)
-        full = estimate_at_points(batch, params, q, p, table=table)
+        full = estimate_at_points(batch, params, q, p)
+        assert estimate_at_points(batch, params, q[5], p[5]) == full[5]
         for k in (1, est._NODE_BLOCK - 1, est._NODE_BLOCK + 5, 2 * est._NODE_BLOCK + 100):
-            np.testing.assert_array_equal(estimate_at_points(batch, params, q[:k], p[:k], table=table),
-                                          full[:k])
+            np.testing.assert_array_equal(estimate_at_points(batch, params, q[:k], p[:k]), full[:k])
         tail = slice(est._NODE_BLOCK + 3, None)
-        np.testing.assert_array_equal(estimate_at_points(batch, params, q[tail], p[tail], table=table),
-                                      full[tail])
+        np.testing.assert_array_equal(estimate_at_points(batch, params, q[tail], p[tail]), full[tail])
 
 
 def small_params(n, beta=0.1, eta=0.45, grid_size=41):
@@ -225,10 +246,10 @@ class TestReconstructExact:
         ax = grid.axis()
         inside = grid.inside_disk()
         qq, _ = np.meshgrid(ax, ax, indexing="ij")
-        expected = kernel(qq[inside], noise.gamma, 0.25)
+        expected = est._default_table(batch, params, noise.gamma)(qq[inside])
         np.testing.assert_allclose(grid.values[inside], expected, rtol=1e-13)
 
-    def test_linearity_in_batches(self, cat, noise):
+    def test_linearity_in_batches(self, cat, noise, monkeypatch):
         a = generate_batch(cat, noise, 700, seed=21, replicate=0)
         b = generate_batch(cat, noise, 1300, seed=21, replicate=1)
         merged = QuadratureBatch(np.concatenate([a.x, b.x]), np.concatenate([a.phi, b.phi]),
@@ -236,8 +257,9 @@ class TestReconstructExact:
         params = small_params(2000, grid_size=21)
         table = KernelTable(noise.gamma, params.h,
                             t_max=params.r * 2.0 + np.max(np.abs(merged.x)) / math.sqrt(noise.eta))
+        monkeypatch.setattr(est, "_default_table", lambda *args: table)
         _, qs, ps = est._disk_nodes(params.axis(), params.r)
-        va, vb, vm = (estimate_at_points(part, params, qs, ps, table=table) for part in (a, b, merged))
+        va, vb, vm = (estimate_at_points(part, params, qs, ps) for part in (a, b, merged))
         combined = (700 * va + 1300 * vb) / 2000.0
         scale = np.max(np.abs(vm))
         np.testing.assert_allclose(vm, combined, atol=1e-12 * scale)
@@ -503,6 +525,18 @@ class TestGridOps:
                    path)
         rewrite_header(path, est.GRID_MAGIC, lambda header: header.pop(key))
         with pytest.raises(ValueError, match=re.escape(f"{path}: header lacks the required key '{key}'")):
+            read_grid(path)
+
+    @pytest.mark.parametrize("key, value, kind", [
+        ("grid_size", None, "finite"), ("grid_size", 11.5, "whole"), ("extent", None, "finite"),
+        ("extent", "3.0", "finite"), ("r", float("nan"), "finite"),
+    ])
+    def test_rejects_header_value_of_wrong_type(self, cat, noise, tmp_path, key, value, kind):
+        path = str(tmp_path / "grid.wg")
+        write_grid(reconstruct_exact(generate_batch(cat, noise, 50, seed=15), small_params(50, grid_size=11)),
+                   path)
+        rewrite_header(path, est.GRID_MAGIC, lambda header: header.update({key: value}))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: header key '{key}' holds") + f".*not a {kind} number"):
             read_grid(path)
 
     def test_rejects_other_schema(self, cat, noise, tmp_path):

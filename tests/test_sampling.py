@@ -336,6 +336,19 @@ class TestBatchIO:
         with pytest.raises(ValueError, match=re.escape(f"{path}: header lacks the required key '{key}'")):
             read_batch(path)
 
+    @pytest.mark.parametrize("key, value, kind", [
+        ("n", None, "finite"), ("n", [10], "finite"), ("n", True, "finite"), ("n", 10.5, "whole"),
+        ("seed", 5.5, "whole"), ("replicate", "0", "finite"), ("eta", "0.45", "finite"),
+        ("alpha1", "x", "finite"), ("alpha1", 10**400, "finite"), ("alpha2", float("nan"), "finite"),
+        ("eta", float("inf"), "finite"),
+    ])
+    def test_rejects_header_value_of_wrong_type(self, cat, noise, tmp_path, key, value, kind):
+        path = str(tmp_path / "batch.qb")
+        write_batch(generate_batch(cat, noise, 50, seed=5), path)
+        rewrite_header(path, BATCH_MAGIC, lambda header: header.update({key: value}))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: header key '{key}' holds") + f".*not a {kind} number"):
+            read_batch(path)
+
     @pytest.mark.parametrize("schema", [2, None])
     def test_rejects_other_schema(self, cat, noise, tmp_path, schema):
         path = str(tmp_path / "batch.qb")
