@@ -268,7 +268,7 @@ def cmd_sample(cfg: ExperimentConfig) -> int:
 
 
 # The values a batch or grid must share with the config that reads it.
-_PROVENANCE = ("alpha1", "alpha2", "eta", "n")
+_PROVENANCE = ("alpha1", "alpha2", "eta", "n", "seed")
 
 
 def _check_provenance(path: str, header: dict, cfg: ExperimentConfig, **extra) -> None:
@@ -384,6 +384,9 @@ def _format_table(rows) -> str:
 
 
 def cmd_analyze(cfg: ExperimentConfig) -> int:
+    if cfg.replicates < 2:
+        raise ConfigError(f"sampling.replicates: analyze needs at least 2 replicates for the "
+                          f"witness standard deviation, got {cfg.replicates}")
     rows = []
     # each batch is hashed once; every beta's replicate grids must descend from one
     batch_paths = (_batch_path(cfg, rep) for rep in range(cfg.replicates))

@@ -20,10 +20,12 @@ sample and per node with compensated accumulation (the authoritative slow
 path).  `reconstruct_fast` linearly bins samples on a (phase x offset)
 lattice, turns each phase bin into a 1-D FFT correlation against closed-form
 kernel values at the lattice offsets, and maps grid nodes through cubic
-interpolation; a self-check against the direct sum at a few nodes falls back
-to the exact path if the lattice resolutions are ever insufficient.  A
-deterministic mean-value oracle (the exact expectation of the estimator, one
-radial Bessel integral per point) supports bias tests without Monte Carlo.
+interpolation, whose weights at one quadrant of nodes serve all four mirror
+images of it (`_interp_grid`); a self-check against the direct sum at a few
+nodes falls back to the exact path if the lattice resolutions are ever
+insufficient.  A deterministic mean-value oracle (the exact expectation of
+the estimator, one radial Bessel integral per point) supports bias tests
+without Monte Carlo.
 """
 
 from __future__ import annotations
@@ -327,7 +329,7 @@ def _check_gamma(batch: QuadratureBatch, params: ReconstructionParams) -> float:
 
 
 def _default_table(batch: QuadratureBatch, params: ReconstructionParams, gamma: float) -> KernelTable:
-    u_max = float(np.max(np.abs(batch.x))) / math.sqrt(batch.noise.eta) if batch.n else 0.0
+    u_max = float(max(batch.x.max(), -batch.x.min())) / math.sqrt(batch.noise.eta) if batch.n else 0.0
     return KernelTable(gamma, params.h, t_max=params.extent * math.sqrt(2.0) + u_max + 1.0)
 
 
@@ -507,15 +509,43 @@ def _fast_field(batch: QuadratureBatch, lat: _Lattice):
     return fft.irfft(spectrum, size, axis=1)[:, lat.n_u - 1:lat.n_u - 1 + lat.n_s]
 
 
-def _interp_nodes(g_field, qs, ps, lat: _Lattice):
-    """Accumulate the per-phase-bin responses at node offsets s = q cos + p sin."""
-    d_phi = math.pi / lat.phi_bins
-    centers = (np.arange(lat.phi_bins) + 0.5) * d_phi
-    acc = np.zeros(qs.size)
-    for k, phi_k in enumerate(centers):
-        i1, w = _catmull_rom((qs * math.cos(phi_k) + ps * math.sin(phi_k) - lat.s0) / lat.delta)
-        acc += sum(w[m] * g_field[k, i1 + m - 1] for m in range(4))
-    return acc
+def _interp_grid(g_field, ax, mask, lat: _Lattice):
+    """Per-phase-bin responses summed at node offsets s = q cos + p sin, on the grid `ax` x `ax`.
+
+    Nonzero only on `mask`.  Two identities of the offset serve all four
+    mirror images of a node from one quadrant: s(-q, -p, phi) = -s(q, p, phi),
+    which maps lattice entry i to n_s - 1 - i (the lattice is symmetric about
+    0), and s(q, p, pi - phi) = s(-q, p, phi), which pairs phase bin k with
+    K - 1 - k (K = phi_bins, which is even).  So for each bin pair the
+    Catmull-Rom weights at the quadrant nodes (q, p >= 0) and at (-q, p)
+    gather from the rows G[k], G[k, ::-1], G[K-1-k] and G[K-1-k, ::-1]: two
+    weight computations serve eight (node, bin) terms.  The images sit at -q
+    and -p, which lie within 1 ulp of `linspace`'s negative half-axis.
+    """
+    bins, c = lat.phi_bins, ax.size // 2
+    images = (np.s_[c:, c:], np.s_[c::-1, c::-1], np.s_[c::-1, c:], np.s_[c:, c::-1])
+    quadrant = np.logical_or.reduce([mask[im] for im in images])
+    Q, P = np.meshgrid(ax[c:], ax[c:], indexing="ij")
+    q, p = Q[quadrant], P[quadrant]
+    # acc[0] holds the images (q, p), (-q, -p), (-q, p), (q, -p) in the order of
+    # `images`; acc[1], from the weights at (-q, p), holds them in the order 2, 3, 0, 1
+    acc = np.zeros((2, 4, q.size))
+    rows, gathered = np.empty((4, lat.n_s)), np.empty((4, q.size))
+    for k in range(bins // 2):
+        phi = (k + 0.5) * math.pi / bins
+        rows[0], rows[2] = g_field[k], g_field[bins - 1 - k]
+        rows[1], rows[3] = rows[0, ::-1], rows[2, ::-1]
+        for a, q_image in zip(acc, (q, -q)):
+            i1, w = _catmull_rom((q_image * math.cos(phi) + p * math.sin(phi) - lat.s0) / lat.delta)
+            for m in range(4):
+                rows.take(i1 + (m - 1), axis=1, out=gathered)
+                gathered *= w[m]
+                a += gathered
+    out = np.zeros(mask.shape)
+    for im, v in zip(images, acc[0] + acc[1][[2, 3, 0, 1]]):
+        out[im][quadrant] = v
+    out[~mask] = 0.0
+    return out
 
 
 def _catmull_rom(pos: np.ndarray):
@@ -529,7 +559,7 @@ def _catmull_rom(pos: np.ndarray):
 
 
 def _probe_sums(batch: QuadratureBatch, lat: _Lattice, qs, ps):
-    """`_interp_nodes(_fast_field(batch, lat), qs, ps, lat)` for a few nodes, without the FFT.
+    """`_interp_grid(_fast_field(batch, lat), ...)` at a few nodes (qs, ps), without the FFT.
 
     The field is linear in the lattice counts, G[k, i] = sum_j counts[k, j]
     kv[i - j + n_u - 1], so each occupied cell (k, j), at most four per
@@ -547,10 +577,11 @@ def _probe_sums(batch: QuadratureBatch, lat: _Lattice, qs, ps):
 
 
 # n * inside-disk nodes at and below which `reconstruct_fast` runs the direct
-# sum.  The binned route costs ~0.2 s plus ~20 us per node for interpolation,
-# so the crossover grows with the grid: medians of five on a 2-core Xeon put it
-# near 1.3e7 on a 41^2 grid, 1.7e7 on 61^2, 2.2e7 on 101^2 and 5e7 on 201^2
-# (n = 800 on 201^2: 0.50 s direct, 0.85 s binned); 2e7 splits 61^2 and 101^2.
+# sum.  The binned route costs ~0.25 s plus ~8 us per node for interpolation,
+# so the crossover grows only a little with the grid: medians of five on a
+# 2-core Xeon put it near 1.8e7-2e7 on a 41^2 grid, 1.6e7-1.9e7 on 101^2 and
+# 2.5e7 on 201^2 (n = 800 on 201^2: 0.53 s direct, 0.52 s binned); 2e7 sits
+# inside that band.
 _DIRECT_LIMIT = 20_000_000
 
 
@@ -580,11 +611,9 @@ def reconstruct_fast(batch: QuadratureBatch, params: ReconstructionParams,
         return grid
 
     lat = _lattice(batch, params, gamma)
-    fast_values = _interp_nodes(_fast_field(batch, lat), qs, ps, lat) / batch.n
-    values = np.zeros(mask.shape)
-    values[mask] = fast_values
+    values = _interp_grid(_fast_field(batch, lat), params.axis(), mask, lat) / batch.n
 
-    if self_check and not _fast_self_check(batch, params, lat, qs, ps, fast_values):
+    if self_check and not _fast_self_check(batch, params, lat, qs, ps, values):
         warnings.warn(
             "fast-path binning resolutions failed the subsample accuracy self-check; "
             "falling back to the exact path", RuntimeWarning)

@@ -184,6 +184,15 @@ class TestReconstruct:
         open(path, "w").write(text)
         assert main(["reconstruct", "--config", path]) == EXIT_CONFIG
 
+    def test_batches_of_another_seed_refused(self, tmp_path, capsys):
+        cfg, path = tiny_config(tmp_path)
+        assert main(["sample", "--config", path, "--seed", "3"]) == 0
+        capsys.readouterr()
+        assert main(["reconstruct", "--config", path, "--seed", "4"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "provenance mismatch" in err and "'seed': 3" in err and "'seed': 4" in err
+        assert not os.path.exists(os.path.join(cfg.output_dir, "grids", "beta_0.1", "grid_r00.wg"))
+
     def test_missing_batches_refused(self, tmp_path):
         _, path = tiny_config(tmp_path)
         assert main(["reconstruct", "--config", path]) == EXIT_CONFIG
@@ -277,6 +286,25 @@ class TestAnalyze:
         assert main(["analyze", "--config", path]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert gpath in err and "size mismatch" in err
+
+    def test_grids_of_another_seed_refused(self, pipeline, capsys):
+        cfg, path = pipeline
+        capsys.readouterr()
+        assert main(["analyze", "--config", path, "--seed", "4"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "provenance mismatch" in err and f"'seed': {cfg.seed}" in err and "'seed': 4" in err
+
+    def test_single_replicate_refused_before_reading_grids(self, tmp_path, capsys):
+        cfg, path = tiny_config(tmp_path, replicates=1)
+        assert main(["sample", "--config", path]) == 0
+        assert main(["reconstruct", "--config", path]) == 0
+        gpath = os.path.join(cfg.output_dir, "grids", "beta_0.1", "grid_r00.wg")
+        open(gpath, "wb").write(b"not a grid")  # a read would fail with another message
+        capsys.readouterr()
+        assert main(["analyze", "--config", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "sampling.replicates" in err and "got 1" in err
+        assert not os.path.exists(os.path.join(cfg.output_dir, "analysis"))
 
     def test_grid_with_other_alpha2_refused(self, pipeline):
         cfg, path = pipeline

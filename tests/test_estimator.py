@@ -238,6 +238,17 @@ def small_params(n, beta=0.1, eta=0.45, grid_size=41):
     return ReconstructionParams.for_experiment(n, beta, NoiseModel(eta), grid_size=grid_size)
 
 
+def interp_nodes_reference(g_field, qs, ps, lat):
+    """Per-phase-bin responses summed at nodes (qs, ps): Catmull-Rom weights per node and per bin."""
+    d_phi = math.pi / lat.phi_bins
+    centers = (np.arange(lat.phi_bins) + 0.5) * d_phi
+    acc = np.zeros(qs.size)
+    for k, phi_k in enumerate(centers):
+        i1, w = est._catmull_rom((qs * math.cos(phi_k) + ps * math.sin(phi_k) - lat.s0) / lat.delta)
+        acc += sum(w[m] * g_field[k, i1 + m - 1] for m in range(4))
+    return acc
+
+
 class TestReconstructExact:
     def test_single_sample_is_kernel_translate(self, cat, noise):
         batch = QuadratureBatch(np.array([0.0]), np.array([0.0]), cat, noise, seed=0)
@@ -363,9 +374,42 @@ class TestReconstructFast:
         inside = qq**2 + pp**2 <= params.r**2
         pick = np.random.default_rng(80).choice(np.count_nonzero(inside), 24, replace=False)
         qs, ps = qq[inside][pick], pp[inside][pick]
-        ref = est._interp_nodes(est._fast_field(batch, lat), qs, ps, lat)
+        ref = est._interp_grid(est._fast_field(batch, lat), ax, inside, lat)[inside][pick]
         ours = est._probe_sums(batch, lat, qs, ps)
         assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("grid_size", [3, 21, 41])
+    @pytest.mark.parametrize("phi_bins", [512, 1024])
+    def test_mirrored_interpolation_matches_per_bin_loop(self, noise, grid_size, phi_bins):
+        # alpha2 != 0 breaks both reflection symmetries of the field, so an image
+        # written to the wrong quadrant, or a bin paired with the wrong partner, shows
+        batch = generate_batch(CatState(1.5, 0.7), noise, 3000, seed=84)
+        params = small_params(3000, grid_size=grid_size)
+        lat = est._lattice(batch, params, noise.gamma)._replace(phi_bins=phi_bins)
+        g_field = est._fast_field(batch, lat)
+        ax = params.axis()
+        mask, qs, ps = est._disk_nodes(ax, params.r)
+        ref = np.zeros(mask.shape)
+        ref[mask] = interp_nodes_reference(g_field, qs, ps, lat)
+        scale = np.max(np.abs(ref))
+        for mirrored in (ref[::-1, :], ref[:, ::-1], ref[::-1, ::-1]):
+            assert np.max(np.abs(mirrored - ref)) > 1e-3 * scale
+        grid = est._interp_grid(g_field, ax, mask, lat)
+        assert np.all(grid[~mask] == 0.0)
+        assert np.max(np.abs(grid - ref)) <= 1e-12 * scale
+
+    def test_interpolation_allocates_no_lattice_sized_array(self, cat, noise):
+        params = small_params(4_000_000, grid_size=201)
+        x = np.linspace(-6.0, 6.0, 64)
+        lat = est._lattice(QuadratureBatch(x, np.zeros(64), cat, noise, seed=0), params, noise.gamma)
+        g_field = np.random.default_rng(85).normal(size=(lat.phi_bins, lat.n_s))
+        ax = params.axis()
+        mask = est._disk_nodes(ax, params.r)[0]
+        tracemalloc.start()
+        est._interp_grid(g_field, ax, mask, lat)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < g_field.nbytes / 4, f"peak {peak / 2**20:.1f} MiB, lattice {g_field.nbytes / 2**20:.1f} MiB"
 
     def test_chunked_binning_matches_one_pass(self, cat, noise, monkeypatch):
         batch = generate_batch(cat, noise, 5000, seed=81)
