@@ -183,7 +183,7 @@ def config_text(cfg: ExperimentConfig) -> str:
 
 
 def save_config(cfg: ExperimentConfig, path: str) -> None:
-    _atomic_bytes(path, config_text(cfg).encode("utf-8"))
+    _atomic_bytes(path, [config_text(cfg).encode("utf-8")])
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -368,9 +368,9 @@ def _analyze_beta(cfg: ExperimentConfig, beta: float, batch_shas: set[str]) -> d
     adir = _analysis_dir(cfg, beta)
     os.makedirs(adir, exist_ok=True)
     _atomic_bytes(os.path.join(adir, "error_report.json"),
-                  json.dumps(report, sort_keys=True, indent=2).encode("utf-8"))
+                  [json.dumps(report, sort_keys=True, indent=2).encode("utf-8")])
     _atomic_bytes(os.path.join(adir, "witness_stats.json"),
-                  json.dumps(asdict(stats), sort_keys=True, indent=2).encode("utf-8"))
+                  [json.dumps(asdict(stats), sort_keys=True, indent=2).encode("utf-8")])
     return {"beta": beta, "report": report, "witness": stats}
 
 
@@ -421,9 +421,9 @@ def cmd_sweep_beta(cfg: ExperimentConfig, points: int = 23) -> int:
         lines.append(f"{row['beta']:.17g},{row['delta']:.17g},{av},{sd},{separated}")
     os.makedirs(cfg.output_dir, exist_ok=True)
     out = os.path.join(cfg.output_dir, f"sweep_eta{cfg.eta:g}.csv")
-    _atomic_bytes(out, ("\n".join(lines) + "\n").encode("utf-8"))
+    _atomic_bytes(out, [("\n".join(lines) + "\n").encode("utf-8")])
     terms_out = os.path.join(cfg.output_dir, f"sweep_terms_eta{cfg.eta:g}.csv")
-    _atomic_bytes(terms_out, sweep_terms_csv(rows).encode("utf-8"))
+    _atomic_bytes(terms_out, [sweep_terms_csv(rows).encode("utf-8")])
     print(f"wrote {out}")
     print(f"wrote {terms_out}")
     return EXIT_OK

@@ -468,8 +468,14 @@ def _lattice(batch: QuadratureBatch, params: ReconstructionParams, gamma: float)
     return _Lattice(phi_bins, delta, s0, n_s, u0, n_u, kernel(offsets, gamma, params.h))
 
 
-# Samples per binning pass; binning memory is the lattice plus one chunk, whatever n is.
-_BIN_CHUNK = 1 << 19
+# Samples per binning pass and phase rows per FFT block.  The binned field's
+# working memory is the lattice, the field and one chunk's shares (2 MiB) or
+# one block's transforms (under 1 MiB), whatever n is.  Medians of five at
+# n = 4e6 on a 512 x 6974 lattice (2-core Xeon), three runs: `add.at` over
+# 2^15-sample chunks took 0.31-0.45 s against 0.42-0.49 s at 2^17, and 8-row
+# blocks 0.10-0.13 s against 0.12-0.15 s for the whole lattice at once.
+_BIN_CHUNK = 1 << 15
+_FFT_ROWS = 8
 
 
 def _shares(batch: QuadratureBatch, lat: _Lattice, part=slice(None)):
@@ -487,26 +493,36 @@ def _shares(batch: QuadratureBatch, lat: _Lattice, part=slice(None)):
     row, col = np.floor(pos), np.floor(upos)
     w_phi, w_u = pos - row, upos - col  # weights of row + 1 and col + 1
     base = (row * n_u + np.clip(col, 0, n_u - 2)).astype(np.int64)
-    flat = np.column_stack([base, base + 1, base + n_u, base + (n_u + 1)])
+    flat = base[:, None] + (0, 1, n_u, n_u + 1)
     low, high = np.flatnonzero(row < 0), np.flatnonzero(row == lat.phi_bins - 1)
     flat[low, :2] = (size - 1 - n_u) - flat[low, :2]
     flat[high, 2:] = (size - 1 + n_u) - flat[high, 2:]
     w_phi_lo, w_u_lo = 1.0 - w_phi, 1.0 - w_u
-    weight = np.column_stack([w_phi_lo * w_u_lo, w_phi_lo * w_u, w_phi * w_u_lo, w_phi * w_u])
+    weight = np.empty((base.size, 4))
+    for m, (a, b) in enumerate(((w_phi_lo, w_u_lo), (w_phi_lo, w_u), (w_phi, w_u_lo), (w_phi, w_u))):
+        np.multiply(a, b, out=weight[:, m])
     return flat.ravel(), weight.ravel()
 
 
 def _fast_field(batch: QuadratureBatch, lat: _Lattice):
-    """Per-phase-bin kernel response G[k, i] = sum_j counts[k, j] K(s_i - u_j)."""
-    cells = lat.phi_bins * lat.n_u
-    counts = np.zeros(cells)
+    """Per-phase-bin kernel response G[k, i] = sum_j counts[k, j] K(s_i - u_j).
+
+    `add.at` sums the shares into counts in sample order, so the field does
+    not depend on `_BIN_CHUNK`, nor on `_FFT_ROWS`, as each row transforms alone.
+    """
+    counts = np.zeros((lat.phi_bins, lat.n_u))
     for lo in range(0, batch.n, _BIN_CHUNK):
-        counts += np.bincount(*_shares(batch, lat, slice(lo, lo + _BIN_CHUNK)), minlength=cells)
+        np.add.at(counts.reshape(-1), *_shares(batch, lat, slice(lo, lo + _BIN_CHUNK)))
     # a circular correlation of length >= n_u + n_s - 1 leaves the n_s wanted
     # entries of the full one unaliased
     size = fft.next_fast_len(lat.n_u + lat.n_s - 1, True)
-    spectrum = fft.rfft(counts.reshape(lat.phi_bins, lat.n_u), size, axis=1) * fft.rfft(lat.kv, size)
-    return fft.irfft(spectrum, size, axis=1)[:, lat.n_u - 1:lat.n_u - 1 + lat.n_s]
+    kv_spectrum = fft.rfft(lat.kv, size)
+    out = np.empty((lat.phi_bins, lat.n_s))
+    for lo in range(0, lat.phi_bins, _FFT_ROWS):
+        spectrum = fft.rfft(counts[lo:lo + _FFT_ROWS], size, axis=1)
+        spectrum *= kv_spectrum
+        out[lo:lo + _FFT_ROWS] = fft.irfft(spectrum, size, axis=1)[:, lat.n_u - 1:lat.n_u - 1 + lat.n_s]
+    return out
 
 
 def _interp_grid(g_field, ax, mask, lat: _Lattice):
@@ -577,11 +593,10 @@ def _probe_sums(batch: QuadratureBatch, lat: _Lattice, qs, ps):
 
 
 # n * inside-disk nodes at and below which `reconstruct_fast` runs the direct
-# sum.  The binned route costs ~0.25 s plus ~8 us per node for interpolation,
-# so the crossover grows only a little with the grid: medians of five on a
-# 2-core Xeon put it near 1.8e7-2e7 on a 41^2 grid, 1.6e7-1.9e7 on 101^2 and
-# 2.5e7 on 201^2 (n = 800 on 201^2: 0.53 s direct, 0.52 s binned); 2e7 sits
-# inside that band.
+# sum.  The binned route costs ~0.2 s plus ~8 us per node for interpolation,
+# so the crossover grows with the grid: medians of five on a 2-core Xeon put
+# it at 1.0e7-1.6e7 on a 41^2 grid, 1.2e7-1.5e7 on 101^2 and 1.8e7-2.2e7 on
+# 201^2 (n = 573 on 201^2: 0.40 s either way); 2e7 sits inside that band.
 _DIRECT_LIMIT = 20_000_000
 
 
@@ -736,7 +751,7 @@ def write_grid(grid: WignerGrid, path: str) -> None:
     """JSON header + row-major little-endian float64 payload, written atomically."""
     header = dict(grid.meta)
     header.update({"grid_size": grid.grid_size, "extent": grid.extent, "r": grid.r})
-    _write_framed(path, GRID_MAGIC, header, grid.values)
+    _write_framed(path, GRID_MAGIC, header, [grid.values])
 
 
 def read_grid(path: str) -> WignerGrid:
@@ -756,4 +771,4 @@ def grid_to_csv(grid: WignerGrid, path: str) -> None:
     for i, qv in enumerate(ax):
         for j, pv in enumerate(ax):
             lines.append(f"{qv:.17g},{pv:.17g},{grid.values[i, j]:.17g}")
-    _atomic_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    _atomic_bytes(path, [("\n".join(lines) + "\n").encode("utf-8")])

@@ -23,6 +23,7 @@ Batch files are a small JSON header followed by raw little-endian float64
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -194,8 +195,9 @@ def _batch_header(batch: QuadratureBatch) -> dict:
     }
 
 
-def _atomic_bytes(path: str, *parts) -> None:
-    """Write the bytes-like `parts` in order to a synced temp file, then rename it to `path`."""
+def _atomic_bytes(path: str, parts) -> None:
+    """Write the bytes-like items of the iterable `parts` in order to a synced temp
+    file, then rename it to `path`; a lazy `parts` is written as it yields."""
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
         fh.writelines(parts)
@@ -204,16 +206,30 @@ def _atomic_bytes(path: str, *parts) -> None:
     os.replace(tmp, path)
 
 
-def _write_framed(path: str, magic: bytes, header: dict, values: np.ndarray) -> None:
-    """Write `magic + length + JSON header + little-endian float64 payload` atomically;
-    the header gains `schema: 1`, the version `_read_framed` accepts."""
+def _write_framed(path: str, magic: bytes, header: dict, payload) -> None:
+    """Write `magic + length + JSON header` and then each float64 array of the
+    iterable `payload`, little-endian, atomically; the header gains
+    `schema: 1`, the version `_read_framed` accepts."""
     hbytes = json.dumps({**header, "schema": 1}, sort_keys=True).encode("utf-8")
-    _atomic_bytes(path, magic, len(hbytes).to_bytes(4, "little"), hbytes, np.ascontiguousarray(values, "<f8"))
+    _atomic_bytes(path, itertools.chain((magic, len(hbytes).to_bytes(4, "little"), hbytes),
+                                        (np.ascontiguousarray(values, "<f8") for values in payload)))
 
 
 def write_batch(batch: QuadratureBatch, path: str) -> None:
-    """Write header + interleaved little-endian float64 (x, phi) pairs atomically."""
-    _write_framed(path, BATCH_MAGIC, _batch_header(batch), np.column_stack([batch.x, batch.phi]))
+    """Write header + interleaved little-endian float64 (x, phi) pairs atomically.
+
+    The pairs are interleaved one `CHUNK_SIZE` slice at a time into one reused
+    buffer, each written before the next is made, so writing copies one chunk
+    of the batch, not all of it.
+    """
+    pairs = np.empty((min(batch.n, CHUNK_SIZE), 2))
+
+    def chunks():
+        for lo in range(0, batch.n, CHUNK_SIZE):
+            part = slice(lo, min(lo + CHUNK_SIZE, batch.n))
+            yield np.stack([batch.x[part], batch.phi[part]], axis=1, out=pairs[:part.stop - lo])
+
+    _write_framed(path, BATCH_MAGIC, _batch_header(batch), chunks())
 
 
 def _read_framed(path: str, magic: bytes, kind: str, required: tuple[str, ...]):
@@ -278,4 +294,4 @@ def batch_to_csv(batch: QuadratureBatch, path: str) -> None:
     """Interchange export: `x,phi` rows with 17 significant digits."""
     lines = ["x,phi"]
     lines.extend(f"{x:.17g},{phi:.17g}" for x, phi in zip(batch.x, batch.phi))
-    _atomic_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    _atomic_bytes(path, [("\n".join(lines) + "\n").encode("utf-8")])

@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
+from scipy import fft
 from scipy.integrate import quad
 from scipy.special import i0
 
@@ -249,6 +250,26 @@ def interp_nodes_reference(g_field, qs, ps, lat):
     return acc
 
 
+def field_reference(batch, lat):
+    """`_fast_field` in one shot: a single `bincount` over every sample's shares,
+    then one FFT correlation over the whole lattice."""
+    counts = np.bincount(*est._shares(batch, lat), minlength=lat.phi_bins * lat.n_u)
+    size = fft.next_fast_len(lat.n_u + lat.n_s - 1, True)
+    spectrum = fft.rfft(counts.reshape(lat.phi_bins, lat.n_u), size, axis=1) * fft.rfft(lat.kv, size)
+    return fft.irfft(spectrum, size, axis=1)[:, lat.n_u - 1:lat.n_u - 1 + lat.n_s]
+
+
+def seam_batch(n, seed):
+    """n uniform samples, a fifth of them on the phases 0 and pi or within 1e-3
+    (under half a phase bin) of them, so their shares cross the seam."""
+    rng = np.random.default_rng(seed)
+    phi = rng.uniform(0.0, math.pi, n)
+    phi[::20], phi[1::20] = 0.0, math.pi
+    phi[2::20] = 1e-3 * rng.random(phi[2::20].size)
+    phi[3::20] = math.pi - 1e-3 * rng.random(phi[3::20].size)
+    return QuadratureBatch(rng.uniform(-1.5, 1.5, n), phi, CatState(1.5, 0.7), NoiseModel(0.45), seed=0)
+
+
 class TestReconstructExact:
     def test_single_sample_is_kernel_translate(self, cat, noise):
         batch = QuadratureBatch(np.array([0.0]), np.array([0.0]), cat, noise, seed=0)
@@ -416,8 +437,21 @@ class TestReconstructFast:
         lat = est._lattice(batch, small_params(5000), noise.gamma)
         whole = est._fast_field(batch, lat)
         monkeypatch.setattr(est, "_BIN_CHUNK", 1000)
-        chunked = est._fast_field(batch, lat)
-        assert np.max(np.abs(chunked - whole)) <= 1e-12 * np.max(np.abs(whole))
+        assert np.array_equal(est._fast_field(batch, lat), whole)
+
+    # s = 1 is the 512 x 4096 lattice of beta = 0.1; beta = 0.05 at n = 1.6e7 needs s = 2
+    @pytest.mark.parametrize("n_rule, beta, phi_bins", [(4_000_000, 0.1, 512), (16_000_000, 0.05, 1024)])
+    @pytest.mark.parametrize("chunk, rows", [(None, None), (1000, 7)])
+    def test_field_matches_one_shot_reference(self, monkeypatch, n_rule, beta, phi_bins, chunk, rows):
+        # counts are summed in sample order and each phase row transforms alone,
+        # so neither the chunk nor the block size changes a bit of the field
+        if chunk:
+            monkeypatch.setattr(est, "_BIN_CHUNK", chunk)
+            monkeypatch.setattr(est, "_FFT_ROWS", rows)
+        batch = seam_batch(3 * est._BIN_CHUNK + 321 if chunk is None else 3210, seed=86)
+        lat = est._lattice(batch, small_params(n_rule, beta=beta), batch.noise.gamma)
+        assert lat.phi_bins == phi_bins
+        assert np.array_equal(est._fast_field(batch, lat), field_reference(batch, lat))
 
     def test_phase_seam_half_turn(self, cat, noise):
         # (x, 0) and (-x, pi) are the same quadrature, so they must bin to the same field
@@ -443,6 +477,24 @@ class TestReconstructFast:
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
         assert peaks[1] < 1.05 * peaks[0], f"peak {peaks[0] / 2**20:.0f} -> {peaks[1] / 2**20:.0f} MB"
+
+    def test_field_memory_is_the_lattice(self, noise):
+        # lattice counts plus the field plus one chunk's shares and one block's
+        # transforms, 2.6 MiB over the first two here; the whole-lattice FFT and a
+        # lattice-sized `bincount` per chunk peaked at 159 MiB
+        rng = np.random.default_rng(87)
+        n = 3 * est._BIN_CHUNK
+        batch = QuadratureBatch(rng.normal(0.0, 1.6, n), rng.uniform(0.0, math.pi, n), CatState(1.5), noise, seed=0)
+        lat = est._lattice(batch, small_params(4_000_000, grid_size=201), noise.gamma)
+        tracemalloc.start()
+        try:
+            g_field = est._fast_field(batch, lat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        lattice = 8 * lat.phi_bins * (lat.n_u + lat.n_s)
+        assert peak < lattice + 8 * 2**20, f"peak {peak / 2**20:.1f} MiB, lattice and field {lattice / 2**20:.1f} MiB"
+        assert g_field.flags.owndata
 
     def test_self_check_can_be_disabled(self, cat, noise, monkeypatch):
         monkeypatch.setattr(est, "_DIRECT_LIMIT", 0)

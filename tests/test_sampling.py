@@ -30,7 +30,7 @@ from catomo import (
     write_grid,
 )
 from catomo import sampling
-from catomo.sampling import BATCH_MAGIC, CHUNK_SIZE, _envelope_const, _stream
+from catomo.sampling import BATCH_MAGIC, CHUNK_SIZE, _batch_header, _envelope_const, _stream, _write_framed
 
 
 def chi2_pvalue(samples, density, lo, hi, bins=100):
@@ -294,6 +294,22 @@ class TestBatchIO:
         write_batch(b, p1)
         write_batch(b, p2)
         assert open(p1, "rb").read() == open(p2, "rb").read()
+
+    def test_chunked_write_matches_one_copy(self, cat, noise, tmp_path):
+        # pairs are interleaved one chunk at a time into a reused buffer; the bytes
+        # are those of interleaving the whole batch at once, and the copy is one chunk
+        n = 2 * CHUNK_SIZE + 5
+        rng = np.random.default_rng(88)
+        b = QuadratureBatch(rng.normal(0.0, 2.0, n), rng.uniform(0.0, math.pi, n), cat, noise, seed=4)
+        tracemalloc.start()
+        try:
+            write_batch(b, str(tmp_path / "chunked.qb"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        _write_framed(str(tmp_path / "whole.qb"), BATCH_MAGIC, _batch_header(b), [np.column_stack([b.x, b.phi])])
+        assert (tmp_path / "chunked.qb").read_bytes() == (tmp_path / "whole.qb").read_bytes()
+        assert peak < 16 * CHUNK_SIZE + 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_golden_bytes(self, tmp_path):
         # hand-built values (no RNG, no libm) pin the framed layout of batches and grids
