@@ -26,9 +26,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .estimator import ReconstructionParams, WignerGrid, optimal_bandwidth, _EXP_LIMIT
+from .estimator import ReconstructionParams, WignerGrid, optimal_bandwidth, _EXP_LIMIT, _leggauss
 from .states import (
     CatState,
     NoiseModel,
@@ -96,10 +95,10 @@ def _check_grid_state(grid: WignerGrid, state: CatState) -> None:
 def _tail_norm_sq(state: CatState, r: float) -> float:
     """Integral of W^2 outside the disk of radius r, by polar Gauss-Legendre."""
     rho_hi = r + 9.0 + math.sqrt(2.0 * state.abs_alpha_sq)
-    gx, gw = leggauss(220)
+    gx, gw = _leggauss(220)
     rho = 0.5 * (rho_hi + r) + 0.5 * (rho_hi - r) * gx
     rho_w = 0.5 * (rho_hi - r) * gw
-    tx, tw = leggauss(256)
+    tx, tw = _leggauss(256)
     theta = math.pi * (tx + 1.0)
     theta_w = math.pi * tw
     qq = rho[:, None] * np.cos(theta)[None, :]
@@ -228,7 +227,7 @@ def witness_mean_oracle(state: CatState, params: ReconstructionParams) -> float:
     """
     w01, w02 = 2.0 * math.sqrt(2.0) * state.alpha2, 2.0 * math.sqrt(2.0) * state.alpha1
     rho_hi = min(1.0 / params.h, math.hypot(w01, w02) + 16.0)
-    gx, gw = leggauss(96)
+    gx, gw = _leggauss(96)
     rho = 0.5 * rho_hi * (gx + 1.0)
     rho_w = 0.5 * rho_hi * gw * rho
     theta = np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)

@@ -30,6 +30,7 @@ without Monte Carlo.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -192,11 +193,13 @@ class KernelTable:
     The step is sized from an analytic bound on |K''''| so the interpolation
     error stays below 1e-6 * K(0), then verified on random offsets (the table
     refuses to build otherwise).  Offsets beyond the tabulated span fall back
-    to direct kernel evaluation.  A lookup is four 1-D gathers of coefficient
-    rows pre-scaled by step^(3-k) and a Horner evaluation in the fractional
+    to direct kernel evaluation.  A lookup (`lookup`, in table units
+    (t - t0) / step) is one gather of an interval's four coefficients,
+    pre-scaled by step^(3-k), and a Horner evaluation in the fractional
     position; on a 256 x 64 block it costs about a thirtieth of a closed-form
-    evaluation (92 M against 3.1 M evaluations/s on one core of a 2-core Xeon),
-    which the ~1e8 scattered evaluations of a direct reconstruction need.
+    evaluation (about 100 M against 2.8 M evaluations/s on one core of a
+    2-core Xeon), which the ~1e8 scattered evaluations of a direct
+    reconstruction need.
     """
 
     def __init__(self, gamma: float, h: float, t_max: float):
@@ -227,27 +230,37 @@ class KernelTable:
         self.step = 2.0 * span / (n_pts - 1)
         self.t0 = -span
         grid = self.t0 + self.step * np.arange(n_pts)
-        # coefficient row k multiplies tau^(3-k) with tau = frac * step, so
-        # scaled by step^(3-k) it multiplies frac^(3-k)
+        # coefficient k multiplies tau^(3-k) with tau = frac * step, so scaled
+        # by step^(3-k) it multiplies frac^(3-k); an interval's four are adjacent
         coeffs = _cubic_spline(grid, kernel(grid, self.gamma, self.h))
-        self._rows = tuple(coeffs[k] * self.step ** (3 - k) for k in range(4))
+        self._coef = np.stack([coeffs[k] * self.step ** (3 - k) for k in range(4)], axis=1)
 
     def _max_check_error(self) -> float:
         probe = np.random.default_rng(1234).uniform(-self.t_max, self.t_max, 257)
         return float(np.max(np.abs(self(probe) - kernel(probe, self.gamma, self.h))))
 
+    def lookup(self, pos: np.ndarray) -> np.ndarray:
+        """Spline values at table positions pos = (t - t0) / step, overwriting `pos`.
+
+        Positions off the table clip to its end intervals, so the caller
+        evaluates any |t| > t_max itself.
+        """
+        whole = np.floor(pos)
+        idx = whole.astype(np.intp)
+        pos -= whole  # position within the interval, in [0, 1)
+        coef = self._coef.take(idx, axis=0, mode="clip")
+        out = np.multiply(coef[..., 0], pos)
+        for k in (1, 2):
+            out += coef[..., k]
+            out *= pos
+        out += coef[..., 3]
+        return out
+
     def __call__(self, t):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        frac = t_arr - self.t0
-        frac /= self.step
-        idx = frac.astype(np.int64)
-        frac -= idx  # position within the interval, in [0, 1)
-        c0, c1, c2, c3 = self._rows
-        out = c0.take(idx, mode="clip")
-        gathered = np.empty_like(out)
-        for row in (c1, c2, c3):
-            out *= frac
-            out += row.take(idx, out=gathered, mode="clip")
+        pos = t_arr - self.t0
+        pos /= self.step
+        out = self.lookup(pos)
         if t_arr.size and (t_arr.min() < -self.t_max or t_arr.max() > self.t_max):
             outside = np.abs(t_arr) > self.t_max
             out[outside] = kernel(t_arr[outside], self.gamma, self.h)
@@ -334,8 +347,9 @@ def _default_table(batch: QuadratureBatch, params: ReconstructionParams, gamma: 
 
 
 # Nodes per block of the direct sum.  A block's offsets and the lookup's
-# temporaries (256 x 64 doubles, 128 KB each) stay in L2 cache; 1024-node
-# blocks ran about 40 % slower on a Xeon with 2 MB of L2 per core.
+# temporaries (256 x 64 doubles, 128 KB each, 512 KB for the gathered
+# coefficients) stay in L2 cache; 1024-node blocks ran about 40 % slower on a
+# Xeon with 2 MB of L2 per core.
 _NODE_BLOCK = 256
 
 
@@ -347,8 +361,12 @@ def estimate_at_points(batch: QuadratureBatch, params: ReconstructionParams, q, 
     1e-6 * K(0) of the closed form), with Kahan-compensated accumulation over
     fixed `sample_block`-sample blocks, which makes the result insensitive to
     sample order at the level of rounding noise despite the ~e^{2 gamma/h^2}
-    dynamic range.  Nodes are summed in fixed blocks, so a node's value does
-    not depend on the other points of the call.
+    dynamic range.  Offsets are formed in table units, (t - t0) / step, by
+    one product per block of 256 node rows [q, p, 1] against per-sample
+    columns [cos phi, sin phi, -(u + t0)] / step, then looked up by
+    `KernelTable.lookup`; a node block reaching past the table's t_max takes
+    the closed form there.  Nodes are summed in fixed, zero-padded blocks, so a
+    node's value does not depend on the other points of the call.
     """
     if batch.n == 0:
         raise ValueError("cannot reconstruct from an empty batch")
@@ -356,31 +374,41 @@ def estimate_at_points(batch: QuadratureBatch, params: ReconstructionParams, q, 
     q = np.atleast_1d(np.asarray(q, dtype=float))
     p = np.atleast_1d(np.asarray(p, dtype=float))
 
-    inv_sqrt_eta = 1.0 / math.sqrt(batch.noise.eta)
-    u = batch.x * inv_sqrt_eta
-    cos_phi = np.cos(batch.phi)
-    sin_phi = np.sin(batch.phi)
+    # offset of node (q, p) from sample l in table units: [q, p, 1] @ cols[:, l]
+    cols = np.empty((3, batch.n))
+    np.cos(batch.phi, out=cols[0])
+    np.sin(batch.phi, out=cols[1])
+    np.multiply(batch.x, 1.0 / math.sqrt(batch.noise.eta), out=cols[2])  # u
+    u_max = float(max(cols[2].max(), -cols[2].min()))
+    cols[2] += table.t0
+    cols[:2] /= table.step
+    cols[2] /= -table.step
 
+    # every product has 256 rows: numpy sends a one-row product to gemv, which
+    # rounds differently, so zero rows pad the last node block; only the
+    # block's own rows are looked up and summed
+    nodes = np.zeros((_NODE_BLOCK, 3))
+    nodes[:, 2] = 1.0
+    buf = np.empty((_NODE_BLOCK, sample_block))
     out = np.empty(q.size)
     for a in range(0, q.size, _NODE_BLOCK):
-        qb = q[a:a + _NODE_BLOCK, None]
-        pb = p[a:a + _NODE_BLOCK, None]
-        t = np.empty((qb.size, sample_block))
-        p_sin = np.empty_like(t)
-        sums = np.zeros(qb.size)
-        comp = np.zeros(qb.size)
+        k = min(_NODE_BLOCK, q.size - a)
+        nodes[:k, 0], nodes[:k, 1] = q[a:a + k], p[a:a + k]
+        nodes[k:, :2] = 0.0
+        # |t| <= |(q, p)| + max|u|, which `_default_table` keeps below t_max inside
+        # the grid's square, so only a block of farther nodes needs the closed form
+        far = np.max(np.hypot(q[a:a + k], p[a:a + k])) + u_max > table.t_max
+        sums = np.zeros(k)
+        comp = np.zeros(k)
         for lo in range(0, batch.n, sample_block):
             sl = slice(lo, min(lo + sample_block, batch.n))
-            tb = t[:, :sl.stop - lo]
-            np.multiply(qb, cos_phi[sl], out=tb)
-            tb += np.multiply(pb, sin_phi[sl], out=p_sin[:, :sl.stop - lo])
-            tb -= u[sl]
-            block = table(tb).sum(axis=1)
+            pos = np.matmul(nodes, cols[:, sl], out=buf[:, :sl.stop - lo])[:k]
+            block = (table(pos * table.step + table.t0) if far else table.lookup(pos)).sum(axis=1)
             y = block - comp
             tot = sums + y
             comp = (tot - sums) - y
             sums = tot
-        out[a:a + qb.size] = sums
+        out[a:a + k] = sums
     return out / batch.n
 
 
@@ -593,10 +621,12 @@ def _probe_sums(batch: QuadratureBatch, lat: _Lattice, qs, ps):
 
 
 # n * inside-disk nodes at and below which `reconstruct_fast` runs the direct
-# sum.  The binned route costs ~0.2 s plus ~8 us per node for interpolation,
-# so the crossover grows with the grid: medians of five on a 2-core Xeon put
-# it at 1.0e7-1.6e7 on a 41^2 grid, 1.2e7-1.5e7 on 101^2 and 1.8e7-2.2e7 on
-# 201^2 (n = 573 on 201^2: 0.40 s either way); 2e7 sits inside that band.
+# sum.  The binned route costs ~0.2 s plus ~8 us per node for interpolation and
+# the direct sum ~12 ns per sample and node, so the crossover grows with the
+# grid: medians of five on a 2-core Xeon put it at 2.0e7-2.25e7 on a 41^2 grid
+# (set by the self-check's whole-batch probe sums up to n = 16384),
+# 2.25e7-2.5e7 on 101^2 and 3.5e7-4.0e7 on 201^2; 2e7 sits at the lower edge
+# of that band.
 _DIRECT_LIMIT = 20_000_000
 
 
@@ -675,6 +705,14 @@ def _fast_self_check(batch, params, lat: _Lattice, qs, ps, fast_values) -> bool:
 # deterministic mean oracle
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _leggauss(n: int):
+    """Read-only Gauss-Legendre nodes and weights of order n, computed once per order."""
+    nodes, weights = leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def estimator_mean_oracle(state: CatState, params: ReconstructionParams, q, p):
     """Exact expectation of the (untruncated-disk) estimator at points x = (q, p).
 
@@ -704,7 +742,7 @@ def estimator_mean_oracle(state: CatState, params: ReconstructionParams, q, p):
     rho_hi = min(1.0 / params.h, 2.0 * math.sqrt(v0) + 16.0)
     n_panels = max(4, int(math.ceil(rho_hi / 0.5)))
     edges = np.linspace(0.0, rho_hi, n_panels + 1)
-    gl_x, gl_w = leggauss(32)
+    gl_x, gl_w = _leggauss(32)
     rho = (0.5 * (edges[1:] + edges[:-1])[:, None] + 0.5 * (edges[1:] - edges[:-1])[:, None] * gl_x).ravel()
     rho_w = (0.5 * (edges[1:] - edges[:-1])[:, None] * gl_w).ravel()
     rho_w *= rho / (4.0 * math.pi * (1.0 + state.overlap))

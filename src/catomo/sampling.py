@@ -235,15 +235,18 @@ def write_batch(batch: QuadratureBatch, path: str) -> None:
 def _read_framed(path: str, magic: bytes, kind: str, required: tuple[str, ...]):
     """Header dict and writable float64 payload of a `magic + length + JSON header + payload` file.
 
-    Checks the magic, `schema == 1` and the `required` header keys, each of
-    which must hold a finite number, a whole one for the counts n, seed,
-    replicate and grid_size; every failure is a ValueError whose message
-    starts with the path.
+    Checks the magic, a header length within the file, `schema == 1` and the
+    `required` header keys, each of which must hold a finite number, a whole
+    one for the counts n, seed, replicate and grid_size; every failure is a
+    ValueError whose message starts with the path.
     """
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         if fh.read(len(magic)) != magic:
             raise ValueError(f"{path}: not a {kind} file")
         hlen = int.from_bytes(fh.read(4), "little")
+        if hlen > size - fh.tell():
+            raise ValueError(f"{path}: header length {hlen} exceeds the {size - fh.tell()} bytes left in the file")
         raw = fh.read(hlen)
         try:
             header = json.loads(raw.decode("utf-8"))
@@ -262,7 +265,7 @@ def _read_framed(path: str, magic: bytes, kind: str, required: tuple[str, ...]):
                 raise ValueError(f"{path}: header key {key!r} holds {value!r}, not a finite number")
             if key in ("n", "seed", "replicate", "grid_size") and value != int(value):
                 raise ValueError(f"{path}: header key {key!r} holds {value!r}, not a whole number")
-        nbytes = os.fstat(fh.fileno()).st_size - fh.tell()
+        nbytes = size - fh.tell()
         if nbytes % 8:
             raise ValueError(f"{path}: payload of {nbytes} bytes is not a whole number of float64 values")
         return header, np.fromfile(fh, dtype="<f8")

@@ -68,6 +68,24 @@ class TestL2Error:
         with pytest.raises(ValueError, match=key):
             measure(grid, cat)
 
+    def test_quadrature_nodes_built_once(self, cat, monkeypatch):
+        from catomo import estimator
+
+        orders = []
+
+        def counted(n):
+            orders.append(n)
+            return np.polynomial.legendre.leggauss(n)
+
+        estimator._leggauss.cache_clear()
+        monkeypatch.setattr(estimator, "leggauss", counted)
+        grid = analytic_grid(cat)
+        try:
+            assert l2_error(grid, cat) == l2_error(grid, cat)
+        finally:
+            estimator._leggauss.cache_clear()
+        assert orders and len(orders) == len(set(orders))
+
 
 class TestMeanSquareError:
     def test_single(self):

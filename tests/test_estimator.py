@@ -217,6 +217,28 @@ class TestKernelTable:
         np.testing.assert_array_equal(got[~inside], kernel(t[~inside], GAMMA_045, H_REF))
 
 
+def direct_sum_reference(batch, params, q, p, sample_block=64):
+    """`estimate_at_points` as one Kahan-compensated loop over offsets t in
+    kernel units, looked up through the batch's table (which takes the closed
+    form beyond t_max), in the same node and sample blocks."""
+    table = est._default_table(batch, params, batch.noise.gamma)
+    q, p = np.atleast_1d(q).astype(float), np.atleast_1d(p).astype(float)
+    u = batch.x / math.sqrt(batch.noise.eta)
+    cos_phi, sin_phi = np.cos(batch.phi), np.sin(batch.phi)
+    out = np.empty(q.size)
+    for a in range(0, q.size, est._NODE_BLOCK):
+        qb, pb = q[a:a + est._NODE_BLOCK, None], p[a:a + est._NODE_BLOCK, None]
+        sums, comp = np.zeros(qb.size), np.zeros(qb.size)
+        for lo in range(0, batch.n, sample_block):
+            sl = slice(lo, min(lo + sample_block, batch.n))
+            y = table(qb * cos_phi[sl] + pb * sin_phi[sl] - u[sl]).sum(axis=1) - comp
+            tot = sums + y
+            comp = (tot - sums) - y
+            sums = tot
+        out[a:a + qb.size] = sums
+    return out / batch.n
+
+
 class TestEstimateAtPoints:
     def test_node_blocks_do_not_change_values(self, cat, noise):
         # a node's value is the same alone as inside a call of several node blocks
@@ -228,11 +250,42 @@ class TestEstimateAtPoints:
         angle = rng.uniform(0.0, 2.0 * np.pi, n_nodes)
         q, p = radius * np.cos(angle), radius * np.sin(angle)
         full = estimate_at_points(batch, params, q, p)
-        assert estimate_at_points(batch, params, q[5], p[5]) == full[5]
+        # one-node calls, at either end of a node block: a product of one row
+        # would go to gemv, which rounds differently from the blocked product
+        for i in (0, 5, est._NODE_BLOCK - 1, est._NODE_BLOCK, n_nodes - 1):
+            assert estimate_at_points(batch, params, q[i], p[i]) == full[i]
         for k in (1, est._NODE_BLOCK - 1, est._NODE_BLOCK + 5, 2 * est._NODE_BLOCK + 100):
             np.testing.assert_array_equal(estimate_at_points(batch, params, q[:k], p[:k]), full[:k])
         tail = slice(est._NODE_BLOCK + 3, None)
         np.testing.assert_array_equal(estimate_at_points(batch, params, q[tail], p[tail]), full[tail])
+
+    @pytest.mark.parametrize("sample_block", [64, 4096])
+    @pytest.mark.parametrize("make_batch", [
+        lambda cat, noise: generate_batch(cat, noise, 1000, seed=41),  # 1000 = 15 * 64 + 40
+        lambda cat, noise: generate_batch(cat, noise, 1025, seed=42),  # a one-sample last block
+        lambda cat, noise: seam_batch(2000, seed=43),
+    ], ids=["n1000", "n1025", "seams"])
+    def test_matches_offset_loop(self, cat, noise, make_batch, sample_block):
+        batch = make_batch(cat, noise)
+        params = small_params(batch.n, grid_size=41)
+        _, qs, ps = est._disk_nodes(params.axis(), params.r)
+        ref = direct_sum_reference(batch, params, qs, ps, sample_block)
+        got = estimate_at_points(batch, params, qs, ps, sample_block=sample_block)
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12 * np.max(np.abs(ref)))
+
+    def test_node_beyond_table_takes_closed_form(self, cat, noise):
+        # offsets from (3r, 0) pass t_max, where a clipped lookup would return
+        # the end interval's spline instead of K(t)
+        batch = generate_batch(cat, noise, 1000, seed=44)
+        params = small_params(1000, grid_size=21)
+        q, p = np.array([0.5, 3.0 * params.r]), np.array([0.2, 0.0])
+        table = est._default_table(batch, params, noise.gamma)
+        u = batch.x / math.sqrt(noise.eta)
+        assert np.max(np.abs(q[1] * np.cos(batch.phi) - u)) > table.t_max
+        ref = direct_sum_reference(batch, params, q, p)
+        for k in (1, 2):  # the far node alone and beside a near one
+            got = estimate_at_points(batch, params, q[-k:], p[-k:])
+            np.testing.assert_allclose(got, ref[-k:], rtol=0.0, atol=1e-12 * np.max(np.abs(ref)))
 
 
 def small_params(n, beta=0.1, eta=0.45, grid_size=41):

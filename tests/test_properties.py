@@ -1,7 +1,11 @@
 """Property tests: the kernel and its table on random (gamma, h, t), the mean
-oracle on random states and cutoffs, and the batch, grid and config file round trips."""
+oracle on random states and cutoffs, the batch, grid and config file round
+trips, and truncated or corrupt batch and grid files."""
 
+import contextlib
+import io
 import math
+import os
 import warnings
 
 import numpy as np
@@ -21,13 +25,16 @@ from catomo import (
     write_batch,
     write_grid,
 )
-from catomo.cli import ExperimentConfig, load_config, save_config
+from catomo.cli import EXIT_CONFIG, EXIT_OK, ExperimentConfig, load_config, main, save_config
+from catomo.estimator import GRID_MAGIC
+from catomo.sampling import BATCH_MAGIC
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
+from test_cli import tiny_config  # noqa: E402
 from test_estimator import fourier_truncation_reference, kernel_quad_oracle  # noqa: E402
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -149,6 +156,67 @@ def test_truncated_file_names_itself(workdir, data, kind):
     with pytest.raises(ValueError) as err:
         read(cut)
     assert str(err.value).startswith(cut)
+
+
+def flip_framing_byte(raw, magic, data):
+    """`raw` with one byte of its header length or JSON header flipped.
+
+    A length byte is XORed with any mask; a header byte gets its high bit set,
+    which no ASCII JSON header can hold, so every flip corrupts the file.
+    """
+    start = len(magic)
+    hlen = int.from_bytes(raw[start:start + 4], "little")
+    pos = data.draw(st.integers(start, start + 3 + hlen))
+    mask = data.draw(st.integers(1, 255)) if pos < start + 4 else 0x80
+    return raw[:pos] + bytes([raw[pos] ^ mask]) + raw[pos + 1:]
+
+
+@PROPERTY
+@given(data=st.data(), kind=st.sampled_from(["batch", "grid"]))
+def test_corrupt_framing_names_itself(workdir, data, kind):
+    whole, bad = str(workdir / f"whole.{kind}"), str(workdir / f"bad.{kind}")
+    if kind == "batch":
+        write, read, magic, item = write_batch, read_batch, BATCH_MAGIC, data.draw(batches)
+    else:
+        write, read, magic, item = write_grid, read_grid, GRID_MAGIC, data.draw(grids)
+    write(item, whole)
+    with open(whole, "rb") as fh:
+        raw = fh.read()
+    corrupt = flip_framing_byte(raw, magic, data)
+    with open(bad, "wb") as fh:
+        fh.write(corrupt)
+    with pytest.raises(ValueError) as err:
+        read(bad)
+    assert str(err.value).startswith(bad)
+    hlen = int.from_bytes(corrupt[len(magic):len(magic) + 4], "little")
+    if hlen > len(corrupt) - len(magic) - 4:  # refused before reading past the file's end
+        assert "exceeds" in str(err.value)
+
+
+@pytest.fixture(scope="module")
+def sampled(tmp_path_factory):
+    """A tiny config whose batches are written, and the bytes of its first batch."""
+    cfg, path = tiny_config(tmp_path_factory.mktemp("cli"))
+    assert main(["sample", "--config", path]) == EXIT_OK
+    batch = os.path.join(cfg.output_dir, "batches", "batch_r00.qb")
+    with open(batch, "rb") as fh:
+        return path, batch, fh.read()
+
+
+@settings(PROPERTY, max_examples=15)
+@given(data=st.data())
+def test_reconstruct_refuses_corrupt_batch(sampled, data):
+    path, batch, raw = sampled
+    with open(batch, "wb") as fh:
+        fh.write(flip_framing_byte(raw, BATCH_MAGIC, data))
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            assert main(["reconstruct", "--config", path]) == EXIT_CONFIG
+    finally:
+        with open(batch, "wb") as fh:
+            fh.write(raw)
+    assert f"invalid batch file: {batch}" in err.getvalue()
 
 
 configs = st.builds(
