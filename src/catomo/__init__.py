@@ -11,8 +11,6 @@ from .states import (
     CatState,
     NoiseModel,
     WITNESS_PAIRING,
-    amplitude_across,
-    amplitude_along,
     incoherent_witness_mean,
     noisy_quadrature_density,
     pure_witness_mean,

@@ -331,7 +331,8 @@ def _load_replicate_grids(cfg: ExperimentConfig, beta: float, batch_shas: set[st
     grids = []
     for path in paths:
         grid = _read_grid_file(path)
-        _check_provenance(path, grid.meta, cfg, beta=beta)
+        _check_provenance(path, {**grid.meta, "grid_size": grid.grid_size}, cfg,
+                          beta=beta, grid_size=cfg.grid_size, method=cfg.path)
         if batch_shas and grid.meta.get("source_sha256") not in batch_shas:
             raise ConfigError(f"provenance mismatch: {path} does not descend from the current batches")
         grids.append((path, grid))
@@ -430,14 +431,18 @@ def cmd_sweep_beta(cfg: ExperimentConfig, points: int = 23) -> int:
 
 
 def cmd_table1(cfg: ExperimentConfig) -> int:
-    rows = []
+    rows, sha = [], config_sha(cfg)
     for beta in cfg.betas:
         tv, tt, tb = delta_terms(cfg.n, beta, cfg.eta, cfg.state)
         numeric = None
         rpath = os.path.join(_analysis_dir(cfg, beta), "error_report.json")
         if os.path.exists(rpath):
             with open(rpath, "r", encoding="utf-8") as fh:
-                numeric = json.load(fh)["delta_numeric"]
+                report = json.load(fh)
+            if report.get("config_sha256") != sha:
+                raise ConfigError(f"provenance mismatch: {rpath} was analyzed under another config; "
+                                  f"run `analyze` with this one first")
+            numeric = report["delta_numeric"]
         rows.append({"beta": beta, "delta_numeric": numeric, "delta_bound": tv + tt + tb})
     print(_format_table(rows))
     return EXIT_OK

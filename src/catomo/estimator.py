@@ -342,7 +342,7 @@ def _check_gamma(batch: QuadratureBatch, params: ReconstructionParams) -> float:
 
 
 def _default_table(batch: QuadratureBatch, params: ReconstructionParams, gamma: float) -> KernelTable:
-    u_max = float(max(batch.x.max(), -batch.x.min())) / math.sqrt(batch.noise.eta) if batch.n else 0.0
+    u_max = float(max(batch.x.max(), -batch.x.min())) / math.sqrt(batch.noise.eta)
     return KernelTable(gamma, params.h, t_max=params.extent * math.sqrt(2.0) + u_max + 1.0)
 
 
@@ -606,18 +606,16 @@ def _probe_sums(batch: QuadratureBatch, lat: _Lattice, qs, ps):
     """`_interp_grid(_fast_field(batch, lat), ...)` at a few nodes (qs, ps), without the FFT.
 
     The field is linear in the lattice counts, G[k, i] = sum_j counts[k, j]
-    kv[i - j + n_u - 1], so each occupied cell (k, j), at most four per
-    sample, is summed directly against the on-grid kernel values with the
-    Catmull-Rom weights of its phase bin.
+    kv[i - j + n_u - 1], so each sample's four shares, in cells (k, j), are
+    summed directly against the on-grid kernel values with the Catmull-Rom
+    weights of their phase bin.
     """
     flat, weight = _shares(batch, lat)
-    cells, slot = np.unique(flat, return_inverse=True)
-    counts = np.bincount(slot, weights=weight)
-    k, j = np.divmod(cells, lat.n_u)
+    k, j = np.divmod(flat, lat.n_u)
     phi_k = (k + 0.5) * (math.pi / lat.phi_bins)
     i1, w = _catmull_rom((qs[:, None] * np.cos(phi_k) + ps[:, None] * np.sin(phi_k) - lat.s0) / lat.delta)
     base = i1 + (lat.n_u - 2) - j  # kv index of G[k, i1 - 1]
-    return sum(w[m] * lat.kv[base + m] for m in range(4)) @ counts
+    return sum(w[m] * lat.kv[base + m] for m in range(4)) @ weight
 
 
 # n * inside-disk nodes at and below which `reconstruct_fast` runs the direct
@@ -663,7 +661,7 @@ def reconstruct_fast(batch: QuadratureBatch, params: ReconstructionParams,
             "fast-path binning resolutions failed the subsample accuracy self-check; "
             "falling back to the exact path", RuntimeWarning)
         grid = reconstruct_exact(batch, params)
-        grid.meta["route"] = "fallback"
+        grid.meta.update(method="fast", route="fallback")
         return grid
 
     return WignerGrid(values, extent=params.extent, r=params.r,

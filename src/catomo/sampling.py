@@ -105,8 +105,8 @@ def _envelope_const(state: CatState, a_neg):
     """Tight constant A(phi) with p(x, phi) <= A(phi) * proposal(x) for all x.
 
     The interference term is bounded by 2 e^{-2 a(-phi)^2} times the central
-    Gaussian, giving A = 3 max(1, 2 e^{-2 a(-phi)^2}) / (2 (1 + e^{-2|a|^2})),
-    where `a_neg` = a(-phi) = amplitude_along(state, -phi).
+    Gaussian, giving A = 3 max(1, 2 e^{-2 a(-phi)^2}) / (2 (1 + e^{-2|alpha|^2})),
+    where `a_neg` = a(-phi) is the amplitude of `phase_amplitudes`.
     Always <= 3; the mean acceptance 1/A averaged over phi exceeds 1/2 for
     well-separated states.
     """

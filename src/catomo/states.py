@@ -33,8 +33,6 @@ import numpy as np
 __all__ = [
     "CatState",
     "NoiseModel",
-    "amplitude_along",
-    "amplitude_across",
     "wigner_true",
     "wigner_fourier",
     "phase_amplitudes",
@@ -100,19 +98,6 @@ class NoiseModel:
         return (1.0 - self.eta) / (4.0 * self.eta)
 
 
-def amplitude_along(state: CatState, phi):
-    """Component of alpha along the measured quadrature: alpha1 cos(phi) + alpha2 sin(phi)."""
-    return state.alpha1 * np.cos(phi) + state.alpha2 * np.sin(phi)
-
-
-def amplitude_across(state: CatState, phi):
-    """Orthogonal component alpha2 cos(phi) - alpha1 sin(phi).
-
-    Satisfies amplitude_along(phi)^2 + amplitude_across(phi)^2 = |alpha|^2.
-    """
-    return state.alpha2 * np.cos(phi) - state.alpha1 * np.sin(phi)
-
-
 def _check_phase(phi) -> None:
     phi = np.asarray(phi)
     if np.any(phi < 0.0) or np.any(phi > np.pi):
@@ -155,11 +140,12 @@ def wigner_fourier(state: CatState, w1, w2):
 
 
 def phase_amplitudes(state: CatState, phi):
-    """(sqrt2 amplitude_along(phi), amplitude_along(-phi), amplitude_across(-phi)).
+    """(sqrt2 a(phi), a(-phi), b(-phi)): the amplitudes `quadrature_density` needs at phase(s) phi.
 
-    The three amplitudes `quadrature_density` needs at phase(s) phi, from one
-    cos/sin pair: cos(-phi) == cos(phi) and sin(-phi) == -sin(phi) exactly,
-    so they equal the separate calls bit for bit.
+    a(phi) = alpha1 cos(phi) + alpha2 sin(phi) is the component of alpha along
+    the measured quadrature and b(phi) = alpha2 cos(phi) - alpha1 sin(phi) the
+    one across it, so a^2 + b^2 = |alpha|^2.  All three come from one cos/sin
+    pair, as cos(-phi) == cos(phi) and sin(-phi) == -sin(phi) exactly.
     """
     a1, a2 = state.alpha1, state.alpha2
     c, s = np.cos(phi), np.sin(phi)
@@ -169,12 +155,13 @@ def phase_amplitudes(state: CatState, phi):
 def quadrature_density(state: CatState, x, phi=None, *, amplitudes=None):
     """Ideal quadrature density p(x, phi), the Radon transform of the Wigner function.
 
-    Two Gaussians of variance 1/2 centered at +-sqrt2 * amplitude_along(phi)
-    plus the interference term
+    Two Gaussians of variance 1/2 centered at +-sqrt2 a(phi) plus the
+    interference term
 
-        2 e^{-x^2 - 2 amplitude_along(-phi)^2} cos(2 sqrt2 x amplitude_across(-phi)),
+        2 e^{-x^2 - 2 a(-phi)^2} cos(2 sqrt2 x b(-phi)),
 
-    normalized by 2 sqrt(pi) (1 + e^{-2|alpha|^2}).  Integrates to 1 for each phi.
+    normalized by 2 sqrt(pi) (1 + e^{-2|alpha|^2}), with the amplitudes a and b
+    of `phase_amplitudes`.  Integrates to 1 for each phi.
 
     Takes either the phase(s) phi or `amplitudes = phase_amplitudes(state, phi)`
     of phases already checked, so a caller that evaluates many x at the same
@@ -195,14 +182,14 @@ def noisy_quadrature_density(state: CatState, noise: NoiseModel, x, phi):
 
     Closed-form convolution of `quadrature_density` with the noise law of the
     measured variable sqrt(eta) x + sqrt((1-eta)/2) y: the Gaussian humps keep
-    variance 1/2 with centers rescaled to +-sqrt(2 eta) amplitude_along(phi),
-    and the interference term becomes
+    variance 1/2 with centers rescaled to +-sqrt(2 eta) a(phi), and the
+    interference term becomes
 
-        2 e^{-x^2 - 2|alpha|^2 + 2 eta amplitude_across(-phi)^2}
-          cos(2 sqrt(2 eta) x amplitude_across(-phi)).
+        2 e^{-x^2 - 2|alpha|^2 + 2 eta b(-phi)^2} cos(2 sqrt(2 eta) x b(-phi)).
 
-    That is `quadrature_density` at the amplitudes (sqrt(eta) m, sqrt(|alpha|^2
-    - eta b^2), sqrt(eta) b) of (m, a, b) = `phase_amplitudes(state, phi)`.
+    That is `quadrature_density` at the amplitudes (sqrt(2 eta) a(phi),
+    sqrt(|alpha|^2 - eta b(-phi)^2), sqrt(eta) b(-phi)), with a and b those of
+    `phase_amplitudes`.
     """
     _check_phase(phi)
     root_eta = math.sqrt(noise.eta)

@@ -315,6 +315,17 @@ class TestAnalyze:
         write_grid(grid, gpath)
         assert main(["analyze", "--config", path]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("key, name, value", [("grid_size", "grid_size", 21), ("path", "method", "exact")])
+    def test_grids_of_another_size_or_path_refused(self, pipeline, tmp_path, capsys, key, name, value):
+        cfg, _ = pipeline
+        _, path = tiny_config(tmp_path, **{key: value})  # same output directory
+        capsys.readouterr()
+        assert main(["analyze", "--config", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        held = getattr(cfg, key)
+        assert "provenance mismatch" in err and "grid_r00.wg" in err
+        assert f"'{name}': {held!r}" in err and f"'{name}': {value!r}" in err
+
 
 @pytest.mark.parametrize("command, key, value", [
     ("reconstruct", "n", None), ("reconstruct", "n", [10]), ("reconstruct", "n", 10.5),
@@ -399,6 +410,18 @@ class TestSweepAndTable:
         report = json.load(open(os.path.join(cfg.output_dir, "analysis", "beta_0.1",
                                              "error_report.json")))
         assert f"{report['delta_numeric']:.4g}" in out
+
+    def test_table1_refuses_report_of_another_config(self, tmp_path, capsys):
+        cfg, path = tiny_config(tmp_path)
+        main(["sample", "--config", path])
+        main(["reconstruct", "--config", path])
+        main(["analyze", "--config", path])
+        _, path = tiny_config(tmp_path, n=2 * cfg.n)  # same output directory
+        capsys.readouterr()
+        assert main(["table1", "--config", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "provenance mismatch" in err
+        assert os.path.join(cfg.output_dir, "analysis", "beta_0.1", "error_report.json") in err
 
 
 class TestWorkers:

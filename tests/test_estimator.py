@@ -437,7 +437,7 @@ class TestReconstructFast:
             grid = reconstruct_fast(batch, params)
         exact = reconstruct_exact(batch, params)
         np.testing.assert_array_equal(grid.values, exact.values)
-        assert grid.meta["route"] == "fallback"
+        assert grid.meta["route"] == "fallback" and grid.meta["method"] == "fast"
 
     def test_probe_sums_match_fft_field(self, cat, noise):
         batch = generate_batch(cat, noise, 2048, seed=79)

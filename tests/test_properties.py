@@ -1,12 +1,14 @@
 """Property tests: the kernel and its table on random (gamma, h, t), the mean
-oracle on random states and cutoffs, the batch, grid and config file round
-trips, and truncated or corrupt batch and grid files."""
+oracle on random states and cutoffs, the estimator's linearity across merged
+batches, the batch, grid and config file round trips, and truncated or
+corrupt batch and grid files."""
 
 import contextlib
 import io
 import math
 import os
 import warnings
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from catomo import (
     QuadratureBatch,
     ReconstructionParams,
     WignerGrid,
+    estimate_at_points,
     estimator_mean_oracle,
     kernel,
     read_batch,
@@ -26,6 +29,7 @@ from catomo import (
     write_grid,
 )
 from catomo.cli import EXIT_CONFIG, EXIT_OK, ExperimentConfig, load_config, main, save_config
+from catomo import estimator as est
 from catomo.estimator import GRID_MAGIC
 from catomo.sampling import BATCH_MAGIC
 
@@ -95,6 +99,43 @@ def test_mean_oracle_matches_fourier_reference(alpha1, alpha2, inv_h, r, nodes):
     assert np.max(np.abs(ref - finer)) < 1e-13 * scale
     ours = estimator_mean_oracle(state, ReconstructionParams(r=r, h=1.0 / inv_h), q, p)
     assert np.max(np.abs(ours - finer)) <= 1e-12 * scale
+
+
+# a 21^2 grid's parameters and one table serving every batch below (|x| <= 6)
+LINEAR_NOISE = NoiseModel(0.45)
+LINEAR_PARAMS = ReconstructionParams.for_experiment(300, 0.1, LINEAR_NOISE, grid_size=21)
+_, LINEAR_QS, LINEAR_PS = est._disk_nodes(LINEAR_PARAMS.axis(), LINEAR_PARAMS.r)
+# phases on and next to the 0 / pi seams, besides uniform ones
+seam_phases = st.sampled_from([0.0, 5e-324, 1e-12, math.pi - 1e-12, np.nextafter(math.pi, 0.0), math.pi])
+
+
+def linear_batches(n):
+    return st.builds(
+        QuadratureBatch,
+        x=hnp.arrays(np.float64, n, elements=st.floats(-6.0, 6.0)),
+        phi=hnp.arrays(np.float64, n, elements=seam_phases | st.floats(0.0, math.pi)),
+        state=st.just(CatState(1.5)), noise=st.just(LINEAR_NOISE), seed=st.just(0))
+
+
+@pytest.fixture(scope="module")
+def linear_table():
+    u_max = 6.0 / math.sqrt(LINEAR_NOISE.eta)
+    return KernelTable(LINEAR_NOISE.gamma, LINEAR_PARAMS.h,
+                       t_max=LINEAR_PARAMS.extent * math.sqrt(2.0) + u_max + 1.0)
+
+
+# the fixtures of a hypothesis test must outlive its examples, so the table is
+# shared by `patch.object`, not by the function-scoped `monkeypatch`
+@settings(PROPERTY, max_examples=30)
+@given(a=st.integers(1, 300).flatmap(linear_batches), b=st.integers(1, 300).flatmap(linear_batches))
+def test_estimate_is_linear_across_merged_batches(linear_table, a, b):
+    merged = QuadratureBatch(np.concatenate([a.x, b.x]), np.concatenate([a.phi, b.phi]),
+                             a.state, a.noise, seed=0)
+    with patch.object(est, "_default_table", lambda *args: linear_table):
+        va, vb, vm = (estimate_at_points(part, LINEAR_PARAMS, LINEAR_QS, LINEAR_PS)
+                      for part in (a, b, merged))
+    combined = (a.n * va + b.n * vb) / merged.n
+    assert np.max(np.abs(vm - combined)) <= 1e-12 * np.max(np.abs(vm))
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

@@ -17,8 +17,6 @@ from catomo import (
     QuadratureBatch,
     WignerGrid,
     add_detection_noise,
-    amplitude_across,
-    amplitude_along,
     batch_to_csv,
     generate_batch,
     noisy_quadrature_density,
@@ -104,7 +102,7 @@ class TestIdealQuadrature:
             ratio = quadrature_density(state, xs, phi) / g
             assert ratio.max() <= 3.0 + 1e-12
             # and the sharper per-phase constant actually used is also valid
-            assert ratio.max() <= _envelope_const(state, amplitude_along(state, -phi)) + 1e-12
+            assert ratio.max() <= _envelope_const(state, _reference_along(state, -phi)) + 1e-12
 
     def test_rejects_bad_phase(self, cat):
         with pytest.raises(ValueError):
@@ -112,11 +110,20 @@ class TestIdealQuadrature:
 
 
 # Reference rejection loop: the density and its amplitudes are evaluated
-# afresh from phi in every round, one amplitude_along/across call each.
+# afresh from phi in every round, each amplitude from its own formula:
+# a(phi) = alpha1 cos(phi) + alpha2 sin(phi), b(phi) = alpha2 cos(phi) - alpha1 sin(phi).
+def _reference_along(state, phi):
+    return state.alpha1 * np.cos(phi) + state.alpha2 * np.sin(phi)
+
+
+def _reference_across(state, phi):
+    return state.alpha2 * np.cos(phi) - state.alpha1 * np.sin(phi)
+
+
 def _reference_quadrature_density(state, x, phi):
-    m = math.sqrt(2.0) * amplitude_along(state, phi)
-    a_neg = amplitude_along(state, -np.asarray(phi))
-    b_neg = amplitude_across(state, -np.asarray(phi))
+    m = math.sqrt(2.0) * _reference_along(state, phi)
+    a_neg = _reference_along(state, -np.asarray(phi))
+    b_neg = _reference_across(state, -np.asarray(phi))
     humps = np.exp(-((x - m) ** 2)) + np.exp(-((x + m) ** 2))
     ridge = 2.0 * np.exp(-x * x - 2.0 * a_neg * a_neg) * np.cos(2.0 * math.sqrt(2.0) * x * b_neg)
     return (humps + ridge) / (math.sqrt(math.pi) * state.norm_const)
@@ -127,7 +134,7 @@ def _reference_proposal_density(x, m):
 
 
 def _reference_envelope_const(state, phi):
-    a_neg = amplitude_along(state, -np.asarray(phi))
+    a_neg = _reference_along(state, -np.asarray(phi))
     suppress = 2.0 * np.exp(-2.0 * a_neg * a_neg)
     return 3.0 * np.maximum(1.0, suppress) / (2.0 * (1.0 + state.overlap))
 
@@ -136,7 +143,7 @@ def _reference_sample_ideal_quadrature(state, phi, rng):
     phi_arr = np.atleast_1d(np.asarray(phi, dtype=float))
     if phi_arr.min() < 0.0 or phi_arr.max() > np.pi:
         raise ValueError("quadrature phase phi must lie in [0, pi]")
-    m = np.sqrt(2.0) * amplitude_along(state, phi_arr)
+    m = np.sqrt(2.0) * _reference_along(state, phi_arr)
     env = _reference_envelope_const(state, phi_arr)
 
     out = np.empty(phi_arr.shape, dtype=np.float64)

@@ -16,8 +16,6 @@ from catomo import (
     CatState,
     NoiseModel,
     WITNESS_PAIRING,
-    amplitude_across,
-    amplitude_along,
     incoherent_witness_mean,
     noisy_quadrature_density,
     pure_witness_mean,
@@ -27,6 +25,7 @@ from catomo import (
     wigner_true,
     witness_phase_fn,
 )
+from catomo.states import phase_amplitudes
 
 ALPHA1 = 3.0 / math.sqrt(2.0)
 
@@ -242,8 +241,11 @@ class TestPhaseFunctions:
         for _ in range(100):
             state = CatState(rng.uniform(-4, 4), rng.uniform(-4, 4))
             phi = rng.uniform(-2 * math.pi, 2 * math.pi)
-            total = amplitude_along(state, phi) ** 2 + amplitude_across(state, phi) ** 2
-            assert total == pytest.approx(state.abs_alpha_sq, rel=1e-12, abs=1e-12)
+            _, a_neg, b_neg = phase_amplitudes(state, phi)
+            assert a_neg ** 2 + b_neg ** 2 == pytest.approx(state.abs_alpha_sq, rel=1e-12, abs=1e-12)
+            # the first amplitude is sqrt2 a(phi), the second a(-phi)
+            m_neg = phase_amplitudes(state, -phi)[0]
+            assert m_neg / math.sqrt(2.0) == pytest.approx(a_neg, rel=1e-15, abs=1e-15)
 
 
 class TestWitness:
