@@ -368,11 +368,26 @@ def _analyze_beta(cfg: ExperimentConfig, beta: float, batch_shas: set[str]) -> d
     })
     adir = _analysis_dir(cfg, beta)
     os.makedirs(adir, exist_ok=True)
-    _atomic_bytes(os.path.join(adir, "error_report.json"),
-                  [json.dumps(report, sort_keys=True, indent=2).encode("utf-8")])
+    # the hashed report goes last: `_analyzed_report` vouches for the witness stats by it
     _atomic_bytes(os.path.join(adir, "witness_stats.json"),
                   [json.dumps(asdict(stats), sort_keys=True, indent=2).encode("utf-8")])
+    _atomic_bytes(os.path.join(adir, "error_report.json"),
+                  [json.dumps(report, sort_keys=True, indent=2).encode("utf-8")])
     return {"beta": beta, "report": report, "witness": stats}
+
+
+def _analyzed_report(cfg: ExperimentConfig, beta: float) -> dict | None:
+    """The error report `analyze` wrote for `beta`, or None if there is none; a report
+    written under another config is refused, and with it the witness stats beside it."""
+    rpath = os.path.join(_analysis_dir(cfg, beta), "error_report.json")
+    if not os.path.exists(rpath):
+        return None
+    with open(rpath, "r", encoding="utf-8") as fh:
+        report = json.load(fh)
+    if report.get("config_sha256") != config_sha(cfg):
+        raise ConfigError(f"provenance mismatch: {rpath} was analyzed under another config; "
+                          f"run `analyze` with this one first")
+    return report
 
 
 def _format_table(rows) -> str:
@@ -412,8 +427,8 @@ def cmd_sweep_beta(cfg: ExperimentConfig, points: int = 23) -> int:
     lines = ["beta,delta,av,sd,separated"]
     for row in rows:
         av = sd = separated = ""
-        wpath = os.path.join(_analysis_dir(cfg, row["beta"]), "witness_stats.json")
-        if os.path.exists(wpath):
+        if _analyzed_report(cfg, row["beta"]) is not None:
+            wpath = os.path.join(_analysis_dir(cfg, row["beta"]), "witness_stats.json")
             with open(wpath, "r", encoding="utf-8") as fh:
                 stats = json.load(fh)
             av = f"{stats['av']:.17g}"
@@ -431,18 +446,11 @@ def cmd_sweep_beta(cfg: ExperimentConfig, points: int = 23) -> int:
 
 
 def cmd_table1(cfg: ExperimentConfig) -> int:
-    rows, sha = [], config_sha(cfg)
+    rows = []
     for beta in cfg.betas:
         tv, tt, tb = delta_terms(cfg.n, beta, cfg.eta, cfg.state)
-        numeric = None
-        rpath = os.path.join(_analysis_dir(cfg, beta), "error_report.json")
-        if os.path.exists(rpath):
-            with open(rpath, "r", encoding="utf-8") as fh:
-                report = json.load(fh)
-            if report.get("config_sha256") != sha:
-                raise ConfigError(f"provenance mismatch: {rpath} was analyzed under another config; "
-                                  f"run `analyze` with this one first")
-            numeric = report["delta_numeric"]
+        report = _analyzed_report(cfg, beta)
+        numeric = report["delta_numeric"] if report is not None else None
         rows.append({"beta": beta, "delta_numeric": numeric, "delta_bound": tv + tt + tb})
     print(_format_table(rows))
     return EXIT_OK

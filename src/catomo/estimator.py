@@ -15,24 +15,23 @@ r = 1/h = sqrt(ln n / (beta + 2 gamma)).  `kernel` evaluates it in closed
 form through the Faddeeva function; `KernelTable` tabulates it to 1e-6 K(0),
 and every direct kernel sum (`estimate_at_points`) goes through the table.
 
-Two evaluation routes are provided.  `reconstruct_exact` sums the kernel per
-sample and per node with compensated accumulation (the authoritative slow
-path).  `reconstruct_fast` linearly bins samples on a (phase x offset)
-lattice, turns each phase bin into a 1-D FFT correlation against closed-form
-kernel values at the lattice offsets, and maps grid nodes through cubic
-interpolation, whose weights at one quadrant of nodes serve all four mirror
-images of it (`_interp_grid`); a self-check against the direct sum at a few
-nodes falls back to the exact path if the lattice resolutions are ever
-insufficient.  A deterministic mean-value oracle (the exact expectation of
-the estimator, one radial Bessel integral per point) supports bias tests
-without Monte Carlo.
+Two evaluation routes are provided, one per path.  `reconstruct_exact`
+sums the kernel per sample and per node with compensated accumulation (the
+authoritative slow path).  `reconstruct_fast` linearly bins samples on a
+(phase x offset) lattice, turns each phase bin into a 1-D FFT correlation
+against closed-form kernel values at the lattice offsets, and maps grid nodes
+through cubic interpolation, whose weights at one quadrant of nodes serve all
+four mirror images of it (`_interp_grid`); a self-check against the direct
+sum at a few nodes raises `RuntimeError`, pointing to the exact path, if the
+lattice resolutions are ever insufficient.  A deterministic mean-value oracle
+(the exact expectation of the estimator, one radial Bessel integral per
+point) supports bias tests without Monte Carlo.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -412,14 +411,14 @@ def estimate_at_points(batch: QuadratureBatch, params: ReconstructionParams, q, 
     return out / batch.n
 
 
-def _grid_meta(batch: QuadratureBatch, params: ReconstructionParams, method: str, route: str) -> dict:
+def _grid_meta(batch: QuadratureBatch, params: ReconstructionParams, method: str) -> dict:
     """Provenance header of one replicate grid; `route` names the evaluation
-    that ran: "direct" (kernel sum), "binned" (lattice + FFT) or "fallback"
-    (the direct sum after a failed binned self-check)."""
+    that ran, which the path fixes: "direct" (kernel sum) for the exact path,
+    "binned" (lattice + FFT) for the fast one."""
     return {
         "kind": "replicate",
         "method": method,
-        "route": route,
+        "route": "direct" if method == "exact" else "binned",
         "n": batch.n,
         "seed": batch.seed,
         "replicate": batch.replicate,
@@ -446,7 +445,7 @@ def reconstruct_exact(batch: QuadratureBatch, params: ReconstructionParams) -> W
     values = np.zeros(mask.shape)
     values[mask] = estimate_at_points(batch, params, qs, ps)
     return WignerGrid(values, extent=params.extent, r=params.r,
-                      meta=_grid_meta(batch, params, "exact", "direct"))
+                      meta=_grid_meta(batch, params, "exact"))
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +471,7 @@ def _resolution(r: float, h: float) -> tuple[int, int]:
     Binning errors grow like (r/h * step)^2, so both resolutions scale with
     s = ceil(r / (24 h)) beyond the 512 phase bins and 4096 node offsets they
     were validated at.  s is capped at 4 to bound the lattice's memory; past
-    that the self-check falls back to the exact path.
+    that the self-check may refuse the grid, and the exact path serves it.
     """
     sharp = max(1, min(4, math.ceil(r / (24.0 * h))))
     return 512 * sharp, 4096 * sharp
@@ -618,54 +617,29 @@ def _probe_sums(batch: QuadratureBatch, lat: _Lattice, qs, ps):
     return sum(w[m] * lat.kv[base + m] for m in range(4)) @ weight
 
 
-# n * inside-disk nodes at and below which `reconstruct_fast` runs the direct
-# sum.  The binned route costs ~0.2 s plus ~8 us per node for interpolation and
-# the direct sum ~12 ns per sample and node, so the crossover grows with the
-# grid: medians of five on a 2-core Xeon put it at 2.0e7-2.25e7 on a 41^2 grid
-# (set by the self-check's whole-batch probe sums up to n = 16384),
-# 2.25e7-2.5e7 on 101^2 and 3.5e7-4.0e7 on 201^2; 2e7 sits at the lower edge
-# of that band.
-_DIRECT_LIMIT = 20_000_000
-
-
 def reconstruct_fast(batch: QuadratureBatch, params: ReconstructionParams,
                      self_check: bool = True) -> WignerGrid:
     """Accelerated estimator: identical contract to `reconstruct_exact` within
     a nodewise tolerance of 1e-3 * max|grid| at the lattice resolutions.
 
-    Large workloads run the binned route: samples are spread linearly onto a
-    (phase x offset) lattice, each phase bin becomes one FFT correlation
-    against an on-grid kernel table, and grid nodes interpolate the result.
-    A subsample self-check compares that against the direct evaluation and
-    falls back to the exact path (with a warning) if the resolutions cannot
-    meet the tolerance.  Up to `_DIRECT_LIMIT` (n * inside-disk nodes) the
-    direct table-backed sum is cheaper than building the lattice, so small
-    workloads route there.  The grid meta's `route` records which ran:
-    "direct", "binned" or "fallback".
+    Samples are spread linearly onto a (phase x offset) lattice, each phase
+    bin becomes one FFT correlation against an on-grid kernel table, and grid
+    nodes interpolate the result.  A subsample self-check compares that
+    against the direct evaluation and raises `RuntimeError` if the
+    resolutions cannot meet the tolerance; `reconstruct_exact` (`--exact`)
+    then gives the direct sum.  The grid meta's `route` is "binned".
     """
     if batch.n == 0:
         raise ValueError("cannot reconstruct from an empty batch")
     gamma = _check_gamma(batch, params)
 
     mask, qs, ps = _disk_nodes(params.axis(), params.r)
-    if batch.n * qs.size <= _DIRECT_LIMIT:
-        grid = reconstruct_exact(batch, params)
-        grid.meta["method"] = "fast"
-        return grid
-
     lat = _lattice(batch, params, gamma)
     values = _interp_grid(_fast_field(batch, lat), params.axis(), mask, lat) / batch.n
-
-    if self_check and not _fast_self_check(batch, params, lat, qs, ps, values):
-        warnings.warn(
-            "fast-path binning resolutions failed the subsample accuracy self-check; "
-            "falling back to the exact path", RuntimeWarning)
-        grid = reconstruct_exact(batch, params)
-        grid.meta.update(method="fast", route="fallback")
-        return grid
-
+    if self_check:
+        _fast_self_check(batch, params, lat, qs, ps, values)
     return WignerGrid(values, extent=params.extent, r=params.r,
-                      meta=_grid_meta(batch, params, "fast", "binned"))
+                      meta=_grid_meta(batch, params, "fast"))
 
 
 # Self-check tolerance relative to max|grid|, subsample size and probe-node count.
@@ -674,8 +648,9 @@ _CHECK_SAMPLES = 2048
 _CHECK_PROBES = 24
 
 
-def _fast_self_check(batch, params, lat: _Lattice, qs, ps, fast_values) -> bool:
-    """Compare the binned evaluation against the direct kernel sum at probe nodes.
+def _fast_self_check(batch, params, lat: _Lattice, qs, ps, fast_values) -> None:
+    """Compare the binned evaluation against the direct kernel sum at probe nodes;
+    raise `RuntimeError` naming the lattice if they differ by more than the budget.
 
     Both sums run over the same m samples: the whole batch when n <= 8 * 2048,
     else a subsample of m = 2048, with the tolerance widened by sqrt(n / m).
@@ -685,7 +660,7 @@ def _fast_self_check(batch, params, lat: _Lattice, qs, ps, fast_values) -> bool:
     """
     scale = np.max(np.abs(fast_values))  # max|grid|, as the grid is zero outside the disk
     if scale == 0.0:
-        return True
+        return
     rng = np.random.default_rng(618)
     probe = rng.choice(qs.size, size=min(_CHECK_PROBES, qs.size), replace=False)
     pq, pp = qs[probe], ps[probe]
@@ -696,7 +671,12 @@ def _fast_self_check(batch, params, lat: _Lattice, qs, ps, fast_values) -> bool:
                               seed=batch.seed, replicate=batch.replicate)
     binned = _probe_sums(sub, lat, pq, pp) / sub.n
     budget = _CHECK_TOL * scale * math.sqrt(batch.n / sub.n)
-    return bool(np.max(np.abs(binned - estimate_at_points(sub, params, pq, pp))) <= budget)
+    dev = np.max(np.abs(binned - estimate_at_points(sub, params, pq, pp)))
+    if not dev <= budget:
+        raise RuntimeError(
+            f"the binned lattice (phi_bins x n_s = {lat.phi_bins} x {lat.n_s}, n_u = {lat.n_u}) "
+            f"failed its accuracy self-check: deviation {dev:.3e} exceeds the budget {budget:.3e}; "
+            f"--exact gives the direct kernel sum")
 
 
 # ---------------------------------------------------------------------------

@@ -214,11 +214,7 @@ def test_c04_sampler_fidelity():
     _verdict(4, "sampler fidelity", ok, "; ".join(details), elapsed)
 
 
-def test_c05_fast_path_equivalence(monkeypatch):
-    # odd trials force the binned route so both internal paths of
-    # reconstruct_fast face the tolerance (even trials exercise the public
-    # routing behavior, where small workloads reuse the direct evaluation)
-    direct_limit = est._DIRECT_LIMIT
+def test_c05_fast_path_equivalence():
     t0 = time.perf_counter()
     rng = np.random.default_rng(55)
     worst_ratio = 0.0
@@ -230,7 +226,6 @@ def test_c05_fast_path_equivalence(monkeypatch):
         beta = rng.uniform(0.03, 0.2)
         batch = generate_batch(state, nm, n, seed=7000 + trial)
         params = ReconstructionParams.for_experiment(n, beta, nm, grid_size=41)
-        monkeypatch.setattr(est, "_DIRECT_LIMIT", 0 if trial % 2 else direct_limit)
         fast = reconstruct_fast(batch, params)
         exact = reconstruct_exact(batch, params)
         scale = np.max(np.abs(exact.values))
@@ -240,6 +235,33 @@ def test_c05_fast_path_equivalence(monkeypatch):
     ok = worst_ratio <= 1e-3 and elapsed < 120.0
     _verdict(5, "fast-path equivalence", ok,
              f"worst dev/max|grid| = {worst_ratio:.2e} over 50 batches (tol 1e-3)", elapsed)
+
+
+@pytest.mark.slow
+def test_c05_fast_path_equivalence_at_headline_scale(headline_batches, headline_grids):
+    # the binned route on the first headline batch at both betas, against the
+    # direct sum at 24 random inside-disk nodes and 24 near the rim, |x| > 0.9 r
+    t0 = time.perf_counter()
+    grids_01, _ = headline_grids
+    batch = read_batch(headline_batches[0])
+    rng = np.random.default_rng(5005)
+    details, worst_ratio = [], 0.0
+    for beta in (0.05, 0.1):
+        params = ReconstructionParams.for_experiment(HEADLINE_N, beta, NOISE45, grid_size=201)
+        grid = grids_01[0] if beta == 0.1 else reconstruct_fast(batch, params)
+        ax = grid.axis()
+        ii, jj = np.nonzero(grid.inside_disk())
+        rim = np.flatnonzero(np.hypot(ax[ii], ax[jj]) > 0.9 * params.r)
+        pick = np.concatenate([rng.choice(ii.size, 24, replace=False), rng.choice(rim, 24, replace=False)])
+        i, j = ii[pick], jj[pick]
+        direct = estimate_at_points(batch, params, ax[i], ax[j], sample_block=4096)
+        ratio = np.max(np.abs(grid.values[i, j] - direct)) / np.max(np.abs(grid.values))
+        worst_ratio = max(worst_ratio, ratio)
+        details.append(f"beta={beta:g}: {ratio:.2e}")
+    elapsed = time.perf_counter() - t0
+    _verdict(5, "fast-path equivalence at headline scale", worst_ratio <= 1e-3,
+             f"n={HEADLINE_N:,}, 201^2, 48 nodes per beta, dev/max|grid|: "
+             f"{'; '.join(details)} (tol 1e-3)", elapsed)
 
 
 def test_c06_estimator_bias_oracle(monkeypatch):

@@ -6,12 +6,14 @@ import os
 import numpy as np
 import pytest
 
+from catomo import estimator as est
 from catomo import read_batch, read_grid
 from catomo.estimator import GRID_MAGIC
 from catomo.sampling import BATCH_MAGIC
 from catomo.cli import (
     EXIT_CONFIG,
     EXIT_IO,
+    EXIT_NUMERIC,
     ExperimentConfig,
     config_sha,
     load_config,
@@ -230,6 +232,19 @@ class TestReconstruct:
         assert grid.meta["method"] == "exact"
         assert grid.meta["route"] == "direct"
 
+    def test_failed_self_check_refuses_the_grid(self, tmp_path, capsys, monkeypatch):
+        cfg, path = tiny_config(tmp_path)
+        main(["sample", "--config", path])
+        monkeypatch.setattr(est, "_resolution", lambda r, h: (8, 128))
+        capsys.readouterr()
+        assert main(["reconstruct", "--config", path]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "phi_bins x n_s = 8 x 128" in err and "exceeds the budget" in err and "--exact" in err
+        grid_path = os.path.join(cfg.output_dir, "grids", "beta_0.1", "grid_r00.wg")
+        assert not os.path.exists(grid_path)
+        assert main(["reconstruct", "--config", path, "--exact"]) == 0
+        assert read_grid(grid_path).meta["route"] == "direct"
+
 
 class TestAnalyze:
     @pytest.fixture
@@ -375,7 +390,6 @@ class TestSweepAndTable:
     def test_numerical_failure_exit_code(self, tmp_path):
         # beta extremely close to 1/4 passes validation but overflows the bound
         cfg, path = tiny_config(tmp_path, betas=(0.2499999,))
-        from catomo.cli import EXIT_NUMERIC
         assert main(["table1", "--config", path]) == EXIT_NUMERIC
 
     def test_sweep_includes_witness_after_analysis(self, tmp_path):
@@ -389,6 +403,23 @@ class TestSweepAndTable:
         with_witness = [row for row in rows if row[2] != ""]
         assert len(with_witness) == 1  # exactly the analyzed beta = 0.1
         assert with_witness[0][4] in ("true", "false")
+
+    def test_sweep_refuses_witness_of_another_config(self, tmp_path, capsys):
+        cfg, path = tiny_config(tmp_path, n=3000)
+        for command in ("sample", "reconstruct", "analyze", "sweep-beta"):
+            assert main([command, "--config", path]) == 0
+        csv_path = os.path.join(cfg.output_dir, "sweep_eta0.45.csv")
+        analyzed = read_bytes(csv_path)
+        tiny_config(tmp_path, n=6000)  # rewrites the config; same output directory
+        capsys.readouterr()
+        assert main(["sweep-beta", "--config", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "provenance mismatch" in err
+        assert os.path.join(cfg.output_dir, "analysis", "beta_0.1", "error_report.json") in err
+        assert read_bytes(csv_path) == analyzed
+        tiny_config(tmp_path, n=3000)
+        assert main(["sweep-beta", "--config", path]) == 0
+        assert read_bytes(csv_path) == analyzed
 
     def test_table1_bounds(self, tmp_path, capsys):
         cfg = ExperimentConfig(output_dir=str(tmp_path / "out"))

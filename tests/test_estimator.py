@@ -381,8 +381,7 @@ class TestReconstructExact:
 
 
 class TestReconstructFast:
-    def test_binned_route_matches_exact_random_batches(self, noise, monkeypatch):
-        monkeypatch.setattr(est, "_DIRECT_LIMIT", 0)
+    def test_binned_route_matches_exact_random_batches(self, noise):
         rng = np.random.default_rng(99)
         for trial in range(10):
             n = int(rng.integers(1000, 10_001))
@@ -396,10 +395,9 @@ class TestReconstructFast:
             dev = np.max(np.abs(fast.values - exact.values))
             assert dev <= 1e-3 * scale, f"trial {trial}: dev {dev:.3e} vs scale {scale:.3e}"
 
-    def test_binned_route_high_cutoff(self, monkeypatch):
+    def test_binned_route_high_cutoff(self):
         # eta = 0.95 with small beta pushes the cutoff past 9; the resolutions
         # scale up with r/h to hold the tolerance
-        monkeypatch.setattr(est, "_DIRECT_LIMIT", 0)
         nm = NoiseModel(0.95)
         batch = generate_batch(CatState(2.0, 0.3), nm, 6000, seed=314)
         params = ReconstructionParams.for_experiment(6000, 0.05, nm, grid_size=41)
@@ -410,34 +408,22 @@ class TestReconstructFast:
         scale = np.max(np.abs(exact.values))
         assert np.max(np.abs(fast.values - exact.values)) <= 1e-3 * scale
 
-    def test_small_workload_routes_to_direct(self, cat, noise):
-        batch = generate_batch(cat, noise, 500, seed=76)
-        params = small_params(500, grid_size=21)
-        fast = reconstruct_fast(batch, params)
-        exact = reconstruct_exact(batch, params)
-        np.testing.assert_array_equal(fast.values, exact.values)
-        assert fast.meta["method"] == "fast"
-        assert fast.meta["route"] == exact.meta["route"] == "direct"
-
-    def test_degenerate_batch(self, cat, noise, monkeypatch):
-        monkeypatch.setattr(est, "_DIRECT_LIMIT", 0)
+    def test_degenerate_batch(self, cat, noise):
         batch = QuadratureBatch(np.full(64, 0.7), np.full(64, 1.1), cat, noise, seed=0)
         params = small_params(64, grid_size=21)
         fast = reconstruct_fast(batch, params)
         exact = reconstruct_exact(batch, params)
         scale = np.max(np.abs(exact.values))
         assert np.max(np.abs(fast.values - exact.values)) <= 1e-3 * scale
+        assert fast.meta["method"] == "fast" and fast.meta["route"] == "binned"
 
-    def test_insufficient_resolution_falls_back(self, cat, noise, monkeypatch):
+    def test_insufficient_resolution_refuses(self, cat, noise, monkeypatch):
         batch = generate_batch(cat, noise, 4000, seed=77)
         params = ReconstructionParams.for_experiment(4000, 0.1, noise, grid_size=21)
         monkeypatch.setattr(est, "_resolution", lambda r, h: (8, 128))
-        monkeypatch.setattr(est, "_DIRECT_LIMIT", 0)
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            grid = reconstruct_fast(batch, params)
-        exact = reconstruct_exact(batch, params)
-        np.testing.assert_array_equal(grid.values, exact.values)
-        assert grid.meta["route"] == "fallback" and grid.meta["method"] == "fast"
+        named = r"phi_bins x n_s = 8 x 128, n_u = \d+\).* deviation \S+ exceeds the budget \S+; --exact"
+        with pytest.raises(RuntimeError, match=named):
+            reconstruct_fast(batch, params)
 
     def test_probe_sums_match_fft_field(self, cat, noise):
         batch = generate_batch(cat, noise, 2048, seed=79)
@@ -550,12 +536,11 @@ class TestReconstructFast:
         assert g_field.flags.owndata
 
     def test_self_check_can_be_disabled(self, cat, noise, monkeypatch):
-        monkeypatch.setattr(est, "_DIRECT_LIMIT", 0)
-        batch = generate_batch(cat, noise, 1000, seed=78)
-        params = small_params(1000, grid_size=21)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            reconstruct_fast(batch, params, self_check=False)
+        batch = generate_batch(cat, noise, 4000, seed=77)
+        params = ReconstructionParams.for_experiment(4000, 0.1, noise, grid_size=21)
+        monkeypatch.setattr(est, "_resolution", lambda r, h: (8, 128))
+        grid = reconstruct_fast(batch, params, self_check=False)
+        assert grid.meta["route"] == "binned" and np.all(np.isfinite(grid.values))
 
 
 class TestMeanOracle:
@@ -652,7 +637,7 @@ class TestGridOps:
         np.testing.assert_array_equal(avg.values,
                                       np.mean([g.values for g in grids], axis=0))
         assert avg.meta["kind"] == "average"
-        assert avg.meta["routes"] == ["direct"] * 3 and "route" not in avg.meta
+        assert avg.meta["routes"] == ["binned"] * 3 and "route" not in avg.meta
 
     def test_grid_io_round_trip(self, cat, noise, tmp_path):
         batch = generate_batch(cat, noise, 300, seed=13)
