@@ -20,12 +20,12 @@ sums the kernel per sample and per node with compensated accumulation (the
 authoritative slow path).  `reconstruct_fast` linearly bins samples on a
 (phase x offset) lattice, turns each phase bin into a 1-D FFT correlation
 against closed-form kernel values at the lattice offsets, and maps grid nodes
-through cubic interpolation, whose weights at one quadrant of nodes serve all
-four mirror images of it (`_interp_grid`); a self-check against the direct
-sum at a few nodes raises `RuntimeError`, pointing to the exact path, if the
-lattice resolutions are ever insufficient.  A deterministic mean-value oracle
-(the exact expectation of the estimator, one radial Bessel integral per
-point) supports bias tests without Monte Carlo.
+through linear interpolation, whose weights at one quadrant of nodes serve all
+four mirror images of it (`_interp_grid`) and whose error the cutoff bounds
+(`_resolution`); a self-check against the direct sum at a few nodes raises
+`RuntimeError`, pointing to the exact path, if the lattice is too coarse.  A
+deterministic mean-value oracle (the exact expectation of the estimator, one
+radial Bessel integral per point) supports bias tests without Monte Carlo.
 """
 
 from __future__ import annotations
@@ -361,11 +361,11 @@ def estimate_at_points(batch: QuadratureBatch, params: ReconstructionParams, q, 
     fixed `sample_block`-sample blocks, which makes the result insensitive to
     sample order at the level of rounding noise despite the ~e^{2 gamma/h^2}
     dynamic range.  Offsets are formed in table units, (t - t0) / step, by
-    one product per block of 256 node rows [q, p, 1] against per-sample
-    columns [cos phi, sin phi, -(u + t0)] / step, then looked up by
-    `KernelTable.lookup`; a node block reaching past the table's t_max takes
-    the closed form there.  Nodes are summed in fixed, zero-padded blocks, so a
-    node's value does not depend on the other points of the call.
+    one product per block of up to 256 node rows [q, p, 1], zero-padded to a
+    multiple of 16, against per-sample columns [cos phi, sin phi, -(u + t0)] / step,
+    then looked up by `KernelTable.lookup`; a node block reaching past the
+    table's t_max takes the closed form there.  A node's value does not depend
+    on the other points of the call.
     """
     if batch.n == 0:
         raise ValueError("cannot reconstruct from an empty batch")
@@ -383,15 +383,15 @@ def estimate_at_points(batch: QuadratureBatch, params: ReconstructionParams, q, 
     cols[:2] /= table.step
     cols[2] /= -table.step
 
-    # every product has 256 rows: numpy sends a one-row product to gemv, which
-    # rounds differently, so zero rows pad the last node block; only the
-    # block's own rows are looked up and summed
+    # numpy sends a one-row product to gemv, which rounds differently, so zero
+    # rows pad a block to a multiple of 16; each row then rounds as in a full block
     nodes = np.zeros((_NODE_BLOCK, 3))
     nodes[:, 2] = 1.0
     buf = np.empty((_NODE_BLOCK, sample_block))
     out = np.empty(q.size)
     for a in range(0, q.size, _NODE_BLOCK):
         k = min(_NODE_BLOCK, q.size - a)
+        rows = -(-k // 16) * 16
         nodes[:k, 0], nodes[:k, 1] = q[a:a + k], p[a:a + k]
         nodes[k:, :2] = 0.0
         # |t| <= |(q, p)| + max|u|, which `_default_table` keeps below t_max inside
@@ -401,7 +401,7 @@ def estimate_at_points(batch: QuadratureBatch, params: ReconstructionParams, q, 
         comp = np.zeros(k)
         for lo in range(0, batch.n, sample_block):
             sl = slice(lo, min(lo + sample_block, batch.n))
-            pos = np.matmul(nodes, cols[:, sl], out=buf[:, :sl.stop - lo])[:k]
+            pos = np.matmul(nodes[:rows], cols[:, sl], out=buf[:rows, :sl.stop - lo])[:k]
             block = (table(pos * table.step + table.t0) if far else table.lookup(pos)).sum(axis=1)
             y = block - comp
             tot = sums + y
@@ -449,7 +449,7 @@ def reconstruct_exact(batch: QuadratureBatch, params: ReconstructionParams) -> W
 
 
 # ---------------------------------------------------------------------------
-# fast path: linear binning + FFT correlation + cubic node interpolation
+# fast path: linear binning + FFT correlation + linear node interpolation
 # ---------------------------------------------------------------------------
 
 class _Lattice(NamedTuple):
@@ -466,15 +466,17 @@ class _Lattice(NamedTuple):
 
 
 def _resolution(r: float, h: float) -> tuple[int, int]:
-    """Phase bins and node offsets of the binned lattice for radius r and cutoff 1/h.
+    """Phase bins and node offsets of the binned lattice for radius r and cutoff c = 1/h.
 
-    Binning errors grow like (r/h * step)^2, so both resolutions scale with
-    s = ceil(r / (24 h)) beyond the 512 phase bins and 4096 node offsets they
-    were validated at.  s is capped at 4 to bound the lattice's memory; past
-    that the self-check may refuse the grid, and the exact path serves it.
+    Binning errors grow like (r/h * step)^2, so the lattice has 512 s phase
+    bins and 2048 s node offsets, s = ceil(r / (24 h)) capped at 4 to bound its
+    memory (past the cap the self-check may refuse the grid; the exact path
+    serves it).  The offset spacing delta = 2 r / (2048 s - 9) keeps
+    c delta <= 48/2039, so linear interpolation of a phase row, band-limited to
+    c, is within (c delta)^2 / 8 <= 7e-5 of its maximum (Bernstein's inequality).
     """
     sharp = max(1, min(4, math.ceil(r / (24.0 * h))))
-    return 512 * sharp, 4096 * sharp
+    return 512 * sharp, 2048 * sharp
 
 
 def _lattice(batch: QuadratureBatch, params: ReconstructionParams, gamma: float) -> _Lattice:
@@ -560,10 +562,11 @@ def _interp_grid(g_field, ax, mask, lat: _Lattice):
     which maps lattice entry i to n_s - 1 - i (the lattice is symmetric about
     0), and s(q, p, pi - phi) = s(-q, p, phi), which pairs phase bin k with
     K - 1 - k (K = phi_bins, which is even).  So for each bin pair the
-    Catmull-Rom weights at the quadrant nodes (q, p >= 0) and at (-q, p)
-    gather from the rows G[k], G[k, ::-1], G[K-1-k] and G[K-1-k, ::-1]: two
-    weight computations serve eight (node, bin) terms.  The images sit at -q
-    and -p, which lie within 1 ulp of `linspace`'s negative half-axis.
+    linear weights at the quadrant nodes (q, p >= 0) and at (-q, p) gather
+    from the rows G[k], G[k, ::-1], G[K-1-k] and G[K-1-k, ::-1]: two weight
+    computations serve eight (node, bin) terms, each within
+    (c delta)^2 / 8 * max|G[k]| of the row at the node's offset (`_resolution`).
+    The images sit at -q and -p, within 1 ulp of `linspace`'s negative half-axis.
     """
     bins, c = lat.phi_bins, ax.size // 2
     images = (np.s_[c:, c:], np.s_[c::-1, c::-1], np.s_[c::-1, c:], np.s_[c:, c::-1])
@@ -579,9 +582,9 @@ def _interp_grid(g_field, ax, mask, lat: _Lattice):
         rows[0], rows[2] = g_field[k], g_field[bins - 1 - k]
         rows[1], rows[3] = rows[0, ::-1], rows[2, ::-1]
         for a, q_image in zip(acc, (q, -q)):
-            i1, w = _catmull_rom((q_image * math.cos(phi) + p * math.sin(phi) - lat.s0) / lat.delta)
-            for m in range(4):
-                rows.take(i1 + (m - 1), axis=1, out=gathered)
+            i0, w = _linear((q_image * math.cos(phi) + p * math.sin(phi) - lat.s0) / lat.delta)
+            for m in range(2):
+                rows.take(i0 + m, axis=1, out=gathered)
                 gathered *= w[m]
                 a += gathered
     out = np.zeros(mask.shape)
@@ -591,14 +594,11 @@ def _interp_grid(g_field, ax, mask, lat: _Lattice):
     return out
 
 
-def _catmull_rom(pos: np.ndarray):
-    """Lattice index i1 = floor(pos) and the Catmull-Rom weights of rows i1 - 1 .. i1 + 2."""
-    i1 = pos.astype(np.int64)
-    tau = pos - i1
-    return i1, (tau * ((2.0 - tau) * tau - 1.0) * 0.5,
-                (tau * tau * (3.0 * tau - 5.0) + 2.0) * 0.5,
-                tau * ((4.0 - 3.0 * tau) * tau + 1.0) * 0.5,
-                tau * tau * (tau - 1.0) * 0.5)
+def _linear(pos: np.ndarray):
+    """Lattice index i0 = floor(pos) of positive positions and the linear weights of entries i0 and i0 + 1."""
+    i0 = pos.astype(np.int64)
+    tau = pos - i0
+    return i0, (1.0 - tau, tau)
 
 
 def _probe_sums(batch: QuadratureBatch, lat: _Lattice, qs, ps):
@@ -606,15 +606,15 @@ def _probe_sums(batch: QuadratureBatch, lat: _Lattice, qs, ps):
 
     The field is linear in the lattice counts, G[k, i] = sum_j counts[k, j]
     kv[i - j + n_u - 1], so each sample's four shares, in cells (k, j), are
-    summed directly against the on-grid kernel values with the Catmull-Rom
-    weights of their phase bin.
+    summed directly against the on-grid kernel values with the linear
+    weights of their phase bin, which carry the same (c delta)^2 / 8 bound.
     """
     flat, weight = _shares(batch, lat)
     k, j = np.divmod(flat, lat.n_u)
     phi_k = (k + 0.5) * (math.pi / lat.phi_bins)
-    i1, w = _catmull_rom((qs[:, None] * np.cos(phi_k) + ps[:, None] * np.sin(phi_k) - lat.s0) / lat.delta)
-    base = i1 + (lat.n_u - 2) - j  # kv index of G[k, i1 - 1]
-    return sum(w[m] * lat.kv[base + m] for m in range(4)) @ weight
+    i0, w = _linear((qs[:, None] * np.cos(phi_k) + ps[:, None] * np.sin(phi_k) - lat.s0) / lat.delta)
+    base = i0 + (lat.n_u - 1) - j  # kv index of G[k, i0]
+    return (w[0] * lat.kv[base] + w[1] * lat.kv[base + 1]) @ weight
 
 
 def reconstruct_fast(batch: QuadratureBatch, params: ReconstructionParams,

@@ -254,7 +254,8 @@ class TestEstimateAtPoints:
         # would go to gemv, which rounds differently from the blocked product
         for i in (0, 5, est._NODE_BLOCK - 1, est._NODE_BLOCK, n_nodes - 1):
             assert estimate_at_points(batch, params, q[i], p[i]) == full[i]
-        for k in (1, est._NODE_BLOCK - 1, est._NODE_BLOCK + 5, 2 * est._NODE_BLOCK + 100):
+        # 15, 16, 17 and 33 nodes pad to 16, 16, 32 and 48 rows, against 256 in a full block
+        for k in (1, 15, 16, 17, 33, est._NODE_BLOCK - 1, est._NODE_BLOCK + 5, 2 * est._NODE_BLOCK + 100):
             np.testing.assert_array_equal(estimate_at_points(batch, params, q[:k], p[:k]), full[:k])
         tail = slice(est._NODE_BLOCK + 3, None)
         np.testing.assert_array_equal(estimate_at_points(batch, params, q[tail], p[tail]), full[tail])
@@ -293,13 +294,16 @@ def small_params(n, beta=0.1, eta=0.45, grid_size=41):
 
 
 def interp_nodes_reference(g_field, qs, ps, lat):
-    """Per-phase-bin responses summed at nodes (qs, ps): Catmull-Rom weights per node and per bin."""
-    d_phi = math.pi / lat.phi_bins
-    centers = (np.arange(lat.phi_bins) + 0.5) * d_phi
+    """Per-phase-bin responses summed at nodes (qs, ps): one two-tap linear
+    interpolation per node and per bin, between the lattice entries on either
+    side of the node's offset."""
     acc = np.zeros(qs.size)
-    for k, phi_k in enumerate(centers):
-        i1, w = est._catmull_rom((qs * math.cos(phi_k) + ps * math.sin(phi_k) - lat.s0) / lat.delta)
-        acc += sum(w[m] * g_field[k, i1 + m - 1] for m in range(4))
+    for node, (qv, pv) in enumerate(zip(qs, ps)):
+        for k in range(lat.phi_bins):
+            phi_k = (k + 0.5) * math.pi / lat.phi_bins
+            pos = (qv * math.cos(phi_k) + pv * math.sin(phi_k) - lat.s0) / lat.delta
+            i = math.floor(pos)
+            acc[node] += (i + 1 - pos) * g_field[k, i] + (pos - i) * g_field[k, i + 1]
     return acc
 
 
@@ -458,7 +462,10 @@ class TestReconstructFast:
         assert np.all(grid[~mask] == 0.0)
         assert np.max(np.abs(grid - ref)) <= 1e-12 * scale
 
-    def test_interpolation_allocates_no_lattice_sized_array(self, cat, noise):
+    def test_interpolation_allocates_no_lattice_sized_array(self, cat, noise, monkeypatch):
+        # on a 512 x 4096 lattice: the grid-sized temporaries do not shrink with
+        # the offset columns, so a narrower lattice would only test a smaller ratio
+        monkeypatch.setattr(est, "_resolution", lambda r, h: (512, 4096))
         params = small_params(4_000_000, grid_size=201)
         x = np.linspace(-6.0, 6.0, 64)
         lat = est._lattice(QuadratureBatch(x, np.zeros(64), cat, noise, seed=0), params, noise.gamma)
@@ -471,6 +478,46 @@ class TestReconstructFast:
         tracemalloc.stop()
         assert peak < g_field.nbytes / 4, f"peak {peak / 2**20:.1f} MiB, lattice {g_field.nbytes / 2**20:.1f} MiB"
 
+    @pytest.mark.parametrize("n, beta", [(500_000, 0.1), (4_000_000, 0.05), (4_000_000, 0.1), (16_000_000, 0.05)],
+                             ids=["desk", "headline-0.05", "headline-0.1", "paper-0.05"])
+    def test_interpolation_within_band_limit_bound(self, cat, noise, n, beta):
+        # rows band-limited to c = 1/h, a few cosines with frequencies up to c,
+        # interpolate within (c delta)^2 / 8 of their maximum; at the origin every
+        # offset sits halfway between two entries, where the bound is nearly met
+        params = small_params(n, beta=beta, grid_size=41)
+        x = np.linspace(-6.0, 6.0, 64)
+        lat = est._lattice(QuadratureBatch(x, np.zeros(64), cat, noise, seed=0), params, noise.gamma)
+        c = 1.0 / params.h
+        assert c * lat.delta <= 48.0 / 2039.0
+        rng = np.random.default_rng(88)
+        xi = c * np.array([1.0, 0.9, 0.5, 0.1])
+        amp = rng.uniform(-1.0, 1.0, (lat.phi_bins, xi.size))
+        amp[:, 0] = 1.0  # a full-strength term at the cutoff in every row
+        shift = rng.uniform(0.0, 2.0 * math.pi, (lat.phi_bins, xi.size))
+        shift[:, 0] = 0.0
+
+        def rows(k, s):  # phase row k at offsets s
+            return np.cos(np.multiply.outer(s, xi) + shift[k]) @ amp[k]
+
+        s_lattice = lat.s0 + lat.delta * np.arange(lat.n_s)
+        g_field = np.array([rows(k, s_lattice) for k in range(lat.phi_bins)])
+        ax = params.axis()
+        mask, qs, ps = est._disk_nodes(ax, params.r)
+        phi = (np.arange(lat.phi_bins) + 0.5) * math.pi / lat.phi_bins
+        exact = np.zeros(mask.shape)
+        exact[mask] = sum(rows(k, qs * math.cos(phi[k]) + ps * math.sin(phi[k])) for k in range(lat.phi_bins))
+        per_unit = (c * lat.delta) ** 2 / 8.0
+        dev = np.abs(est._interp_grid(g_field, ax, mask, lat) - exact)
+        assert np.max(dev) <= per_unit * np.abs(amp).sum()
+        # the cutoff terms alone reach nearly their share of the bound at the origin
+        assert dev[ax.size // 2, ax.size // 2] > 0.5 * per_unit * lat.phi_bins
+
+    def test_resolution_keeps_offset_spacing_within_bound(self):
+        # c delta = 2 (r/h) / (n_s - 9) <= 48/2039 wherever the cap s <= 4 does not bind
+        for r_over_h in np.linspace(0.5, 96.0, 400):
+            _, n_s = est._resolution(r_over_h, 1.0)
+            assert 2.0 * r_over_h / (n_s - 9) <= 48.0 / 2039.0 * (1.0 + 1e-12)
+
     def test_chunked_binning_matches_one_pass(self, cat, noise, monkeypatch):
         batch = generate_batch(cat, noise, 5000, seed=81)
         lat = est._lattice(batch, small_params(5000), noise.gamma)
@@ -478,7 +525,7 @@ class TestReconstructFast:
         monkeypatch.setattr(est, "_BIN_CHUNK", 1000)
         assert np.array_equal(est._fast_field(batch, lat), whole)
 
-    # s = 1 is the 512 x 4096 lattice of beta = 0.1; beta = 0.05 at n = 1.6e7 needs s = 2
+    # s = 1 is the 512 x 2048 lattice of beta = 0.1; beta = 0.05 at n = 1.6e7 needs s = 2
     @pytest.mark.parametrize("n_rule, beta, phi_bins", [(4_000_000, 0.1, 512), (16_000_000, 0.05, 1024)])
     @pytest.mark.parametrize("chunk, rows", [(None, None), (1000, 7)])
     def test_field_matches_one_shot_reference(self, monkeypatch, n_rule, beta, phi_bins, chunk, rows):
@@ -519,7 +566,7 @@ class TestReconstructFast:
 
     def test_field_memory_is_the_lattice(self, noise):
         # lattice counts plus the field plus one chunk's shares and one block's
-        # transforms, 2.6 MiB over the first two here; the whole-lattice FFT and a
+        # transforms, 1.3 MiB over the first two here; the whole-lattice FFT and a
         # lattice-sized `bincount` per chunk peaked at 159 MiB
         rng = np.random.default_rng(87)
         n = 3 * est._BIN_CHUNK
