@@ -116,8 +116,8 @@ def _validate(cfg: ExperimentConfig, where) -> ExperimentConfig:
             bad(key, "amplitude must be finite")
     if not (0.0 < cfg.eta <= 1.0):
         bad("eta", f"efficiency must lie in (0, 1], got {cfg.eta}")
-    if cfg.n < 1:
-        bad("n", "need at least one sample")
+    if cfg.n < 2:
+        bad("n", f"need at least 2 samples for the bandwidth rule, got {cfg.n}")
     if cfg.replicates < 1:
         bad("replicates", "need at least one replicate")
     if cfg.seed < 0:
@@ -422,6 +422,8 @@ def cmd_analyze(cfg: ExperimentConfig) -> int:
 
 
 def cmd_sweep_beta(cfg: ExperimentConfig, points: int = 23) -> int:
+    if points < 1:
+        raise ConfigError(f"--points: need at least one sweep point, got {points}")
     betas = np.linspace(0.02, 0.24, points)
     rows = sweep_beta(cfg.n, cfg.eta, cfg.state, betas)
     lines = ["beta,delta,av,sd,separated"]

@@ -12,8 +12,9 @@ frequency integral
 whose e^{gamma xi^2} factor undoes the Gaussian detection noise while the
 cutoff 1/h keeps it finite; r and h follow the bandwidth rule
 r = 1/h = sqrt(ln n / (beta + 2 gamma)).  `kernel` evaluates it in closed
-form through the Faddeeva function; `KernelTable` tabulates it to 1e-6 K(0),
-and every direct kernel sum (`estimate_at_points`) goes through the table.
+form through the Faddeeva function; `KernelTable` tabulates it in local
+cubics at a step fixed in advance, within 1e-6 K(0), and every direct kernel
+sum (`estimate_at_points`) goes through the table.
 
 Two evaluation routes are provided, one per path.  `reconstruct_exact`
 sums the kernel per sample and per node with compensated accumulation (the
@@ -38,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import fft
-from scipy.special import erfcx, factorial, hyp1f1, ive, j0, wofz
+from scipy.special import erfcx, factorial, ive, j0, wofz
 
 from .sampling import QuadratureBatch, _atomic_bytes, _read_framed, _write_framed
 from .states import CatState, NoiseModel
@@ -162,43 +163,23 @@ def kernel(t, gamma: float, h: float):
 _TABLE_TOL = 1e-6
 
 
-def _cubic_spline(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Coefficients (4, n - 1) of the not-a-knot cubic spline through n > 3 points.
-
-    The operations of `scipy.interpolate.CubicSpline(x, y).c`, in its order,
-    so the same bits, without importing scipy.interpolate: it loads
-    scipy.optimize, which adds about 23 MB to the peak RSS of a reconstruction.
-    """
-    from scipy.linalg import solve_banded
-
-    dx = np.diff(x)
-    slope = np.diff(y) / dx
-    d0, d1 = x[2] - x[0], x[-1] - x[-3]
-    ab = np.zeros((3, x.size))  # upper, main and lower diagonal of the slope equations
-    ab[0, 2:], ab[1, 1:-1], ab[2, :-2] = dx[:-1], 2 * (dx[:-1] + dx[1:]), dx[1:]
-    ab[1, 0], ab[0, 1], ab[1, -1], ab[2, -2] = dx[1], d0, dx[-2], d1
-    b = np.empty(x.size)
-    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    b[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
-    b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
-    s = solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True, check_finite=False)
-    t = (s[:-1] + s[1:] - 2 * slope) / dx
-    return np.array([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]])
-
-
 class KernelTable:
-    """Uniform-grid cubic-spline lookup for the kernel at fixed (gamma, h).
+    """Uniform-grid local-cubic lookup for the kernel at fixed (gamma, h).
 
-    The step is sized from an analytic bound on |K''''| so the interpolation
-    error stays below 1e-6 * K(0), then verified on random offsets (the table
-    refuses to build otherwise).  Offsets beyond the tabulated span fall back
-    to direct kernel evaluation.  A lookup (`lookup`, in table units
-    (t - t0) / step) is one gather of an interval's four coefficients,
-    pre-scaled by step^(3-k), and a Horner evaluation in the fractional
-    position; on a 256 x 64 block it costs about a thirtieth of a closed-form
-    evaluation (about 100 M against 2.8 M evaluations/s on one core of a
-    2-core Xeon), which the ~1e8 scattered evaluations of a direct
-    reconstruction need.
+    The nodes are the integer multiples of the step out to the second one
+    past t_max on each side, so the table is symmetric about 0.  Between nodes
+    i and i + 1 it is the cubic through the kernel at nodes i - 1 .. i + 2,
+    which is within (3/128) step^4 max|K''''| of K.  Since
+    |K''''| <= (1/2 pi) Int_0^c xi^5 e^{gamma xi^2} dxi <= c^4 K(0) with
+    c = 1/h, the step (128/3 * 1e-6)^(1/4) h, about 0.081 h, keeps the error
+    below 1e-6 * K(0) for every gamma and h; the table refuses to build if
+    random offsets say otherwise.  Offsets beyond t_max fall back to direct
+    kernel evaluation.  A lookup (`lookup`, in table units (t - t0) / step) is
+    one gather of an interval's four coefficients, in powers of the position
+    within the interval, and a Horner evaluation; on a 256 x 64 block it costs
+    about a thirtieth of a closed-form evaluation (about 100 M against 2.8 M
+    evaluations/s on one core of a 2-core Xeon), which the ~1e8 scattered
+    evaluations of a direct reconstruction need.
     """
 
     def __init__(self, gamma: float, h: float, t_max: float):
@@ -206,41 +187,26 @@ class KernelTable:
         self.h = float(h)
         self.t_max = float(t_max)
         self.k0 = float(kernel(0.0, gamma, h))
-
-        # |d^4 K / dt^4| <= (1/2pi) Int_0^c xi^5 e^{gamma xi^2} dxi = c^6 1F1(3; 4; gamma c^2) / (12 pi)
-        c = 1.0 / self.h
-        m4 = c ** 6 * float(hyp1f1(3.0, 4.0, self.gamma * c * c)) / (12.0 * math.pi)
-        step = (384.0 / 5.0 * _TABLE_TOL * abs(self.k0) / max(m4, 1e-300)) ** 0.25
-        step = min(step, self.h / 4.0)
-
-        for _ in range(4):
-            self._build(step)
-            if self._max_check_error() <= _TABLE_TOL * abs(self.k0):
-                break
-            step *= 0.5
-        else:
+        self.step = (128.0 / 3.0 * _TABLE_TOL) ** 0.25 * self.h
+        half = math.floor(self.t_max / self.step) + 2
+        y = kernel(self.step * np.arange(-half, half + 1), self.gamma, self.h)
+        self.t0 = (1 - half) * self.step  # left node of the first interval
+        # the cubic through y[i - 1 .. i + 2] from the differences d, in powers of (t - t_i) / step
+        d = np.diff(y)
+        c2 = 0.5 * (d[1:-1] - d[:-2])
+        c3 = (d[2:] - 2.0 * d[1:-1] + d[:-2]) / 6.0
+        self._coef = np.stack([c3, c2, d[1:-1] - c2 - c3, y[1:-2]], axis=1)
+        if self._max_check_error() > _TABLE_TOL * abs(self.k0):
             raise RuntimeError("kernel table failed to reach interpolation tolerance")
-
-    def _build(self, step: float) -> None:
-        # pad past t_max so lookups never touch the spline's boundary intervals
-        span = self.t_max + 6.0 * step
-        n_pts = int(math.ceil(2.0 * span / step)) + 1
-        n_pts += n_pts % 2 == 0  # odd count keeps the grid symmetric about zero
-        self.step = 2.0 * span / (n_pts - 1)
-        self.t0 = -span
-        grid = self.t0 + self.step * np.arange(n_pts)
-        # coefficient k multiplies tau^(3-k) with tau = frac * step, so scaled
-        # by step^(3-k) it multiplies frac^(3-k); an interval's four are adjacent
-        coeffs = _cubic_spline(grid, kernel(grid, self.gamma, self.h))
-        self._coef = np.stack([coeffs[k] * self.step ** (3 - k) for k in range(4)], axis=1)
 
     def _max_check_error(self) -> float:
         probe = np.random.default_rng(1234).uniform(-self.t_max, self.t_max, 257)
         return float(np.max(np.abs(self(probe) - kernel(probe, self.gamma, self.h))))
 
     def lookup(self, pos: np.ndarray) -> np.ndarray:
-        """Spline values at table positions pos = (t - t0) / step, overwriting `pos`.
+        """Table values at positions pos = (t - t0) / step, overwriting `pos`.
 
+        Interval floor(pos)'s cubic, in powers of pos - floor(pos), by Horner.
         Positions off the table clip to its end intervals, so the caller
         evaluates any |t| > t_max itself.
         """
@@ -365,13 +331,15 @@ def estimate_at_points(batch: QuadratureBatch, params: ReconstructionParams, q, 
     multiple of 16, against per-sample columns [cos phi, sin phi, -(u + t0)] / step,
     then looked up by `KernelTable.lookup`; a node block reaching past the
     table's t_max takes the closed form there.  A node's value does not depend
-    on the other points of the call.
+    on the other points of the call.  q and p broadcast against each other;
+    the result is flat, one value per broadcast point.
     """
     if batch.n == 0:
         raise ValueError("cannot reconstruct from an empty batch")
     table = _default_table(batch, params, _check_gamma(batch, params))
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    p = np.atleast_1d(np.asarray(p, dtype=float))
+    shape = np.broadcast_shapes(np.shape(q), np.shape(p))
+    q = np.broadcast_to(np.asarray(q, dtype=float), shape).ravel()
+    p = np.broadcast_to(np.asarray(p, dtype=float), shape).ravel()
 
     # offset of node (q, p) from sample l in table units: [q, p, 1] @ cols[:, l]
     cols = np.empty((3, batch.n))
@@ -775,6 +743,8 @@ def read_grid(path: str) -> WignerGrid:
     size = int(header["grid_size"])
     if payload.size != size * size:
         raise ValueError(f"{path}: payload/header size mismatch")
+    if not np.all(np.isfinite(payload)):
+        raise ValueError(f"{path}: grid holds non-finite values (NaN or inf)")
     meta = {k: v for k, v in header.items() if k not in ("schema", "grid_size", "extent", "r")}
     return WignerGrid(payload.reshape(size, size), extent=float(header["extent"]),
                       r=float(header["r"]), meta=meta)

@@ -90,6 +90,7 @@ class TestConfig:
         ("sample", ("seed = 11", "seed = -3"), "sampling.seed"),
         ("reconstruct", ("betas = 0.1", "betas ="), "reconstruction.betas"),
         ("analyze", ("betas = 0.1", "betas ="), "reconstruction.betas"),
+        ("sample", ("n = 2000", "n = 1"), "sampling.n"),
     ])
     def test_invalid_value_names_its_line(self, tmp_path, capsys, command, edit, named):
         path, lineno = edit_config(tmp_path, *edit)
@@ -141,7 +142,7 @@ class TestSample:
 
     def test_output_dir_created(self, tmp_path):
         cfg, path = tiny_config(tmp_path)
-        assert not os.path.exists(cfg.output_dir)
+        assert not os.path.exists(os.path.join(cfg.output_dir, "sweep_eta0.45.csv"))
         assert main(["sample", "--config", path]) == 0
         assert os.path.isdir(cfg.output_dir)
 
@@ -302,6 +303,18 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert gpath in err and "size mismatch" in err
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_grid_refused(self, pipeline, capsys, value):
+        cfg, path = pipeline
+        gpath = os.path.join(cfg.output_dir, "grids", "beta_0.1", "grid_r00.wg")
+        blob = read_bytes(gpath)
+        open(gpath, "wb").write(blob[:-8] + np.float64(value).tobytes())
+        capsys.readouterr()
+        assert main(["analyze", "--config", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{gpath}: grid holds non-finite values" in err
+        assert not os.path.exists(os.path.join(cfg.output_dir, "analysis", "beta_0.1", "error_report.json"))
+
     def test_grids_of_another_seed_refused(self, pipeline, capsys):
         cfg, path = pipeline
         capsys.readouterr()
@@ -386,6 +399,13 @@ class TestSweepAndTable:
         assert lines[0] == "beta,delta,term_var,term_tail,term_bias"
         row = [float(tok) for tok in lines[1].split(",")]
         assert row[1] == pytest.approx(row[2] + row[3] + row[4], rel=1e-12)
+
+    @pytest.mark.parametrize("points", ["-1", "0"])
+    def test_sweep_without_points_refused(self, tmp_path, capsys, points):
+        cfg, path = tiny_config(tmp_path)
+        assert main(["sweep-beta", "--config", path, "--points", points]) == EXIT_CONFIG
+        assert "--points" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(cfg.output_dir, "sweep_eta0.45.csv"))
 
     def test_numerical_failure_exit_code(self, tmp_path):
         # beta extremely close to 1/4 passes validation but overflows the bound

@@ -263,7 +263,7 @@ def test_reconstruct_refuses_corrupt_batch(sampled, data):
 configs = st.builds(
     ExperimentConfig,
     alpha1=finite, alpha2=finite, eta=st.floats(0.0, 1.0, exclude_min=True),
-    n=st.integers(1, 10 ** 9), replicates=st.integers(1, 100), seed=st.integers(0, 2 ** 63),
+    n=st.integers(2, 10 ** 9), replicates=st.integers(1, 100), seed=st.integers(0, 2 ** 63),
     betas=st.lists(st.floats(0.0, 0.25, exclude_min=True, exclude_max=True), min_size=1, max_size=4).map(tuple),
     grid_size=st.integers(1, 500).map(lambda k: 2 * k + 1), path=st.sampled_from(["fast", "exact"]),
     output_dir=st.text("abcXYZ019_-./%", min_size=1, max_size=16), workers=st.integers(1, 64))
