@@ -142,7 +142,7 @@ class TestSample:
 
     def test_output_dir_created(self, tmp_path):
         cfg, path = tiny_config(tmp_path)
-        assert not os.path.exists(os.path.join(cfg.output_dir, "sweep_eta0.45.csv"))
+        assert not os.path.exists(cfg.output_dir)
         assert main(["sample", "--config", path]) == 0
         assert os.path.isdir(cfg.output_dir)
 
