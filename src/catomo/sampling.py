@@ -6,16 +6,20 @@ density of the cat state.  Generation is two-stage and physically exact:
 
 1. draw an ideal quadrature from the noiseless density via rejection sampling
    against a three-Gaussian proposal (the two displaced humps plus a central
-   component dominating the interference term); the phase trigonometry is
-   done once per chunk, not once per rejection round, with the same draws
-   and accept decisions, hence the same batches,
+   component dominating the interference term),
 2. degrade it to sqrt(eta) * x + sqrt((1 - eta)/2) * y with y unit normal.
 
 Streams are derived from a counter-based Philox generator keyed by
 SeedSequence(seed, spawn_key=(replicate, chunk)), so identical
 (seed, replicate, n) reproduce batches bit-exactly and replicates are
 statistically independent.  Chunk boundaries are fixed (independent of how
-generation is scheduled), which keeps output deterministic under sharding.
+generation is scheduled), which keeps output deterministic under sharding
+and lets two threads sample two chunks at once: a batch of several chunks
+is sampled on a pool of two threads, a batch of one chunk on the calling
+thread.  The calling thread allocates every chunk-sized array: the batch
+and one round workspace per thread.  Each rejection round draws into the
+workspace with `out=` and is evaluated in 2^15-sample blocks, the phase
+trigonometry redone per block from phi.
 
 Batch files are a small JSON header followed by raw little-endian float64
 (x, phi) pairs; a CSV export with 17 significant digits is also provided.
@@ -28,6 +32,8 @@ import json
 import math
 import os
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,9 +58,21 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # Samples per derived RNG sub-stream; fixed so that batch content does not
 # depend on how chunks are scheduled across workers.
 CHUNK_SIZE = 1 << 20
+# Threads that sample the chunks of one batch, one per core of a 2-core box.
+_POOL_THREADS = 2
+# Samples per block of a rejection round; a block's temporaries take 256 KiB each.
+_BLOCK = 1 << 15
+
+# Held around each call of `quadrature_density`, so one sampler thread at a
+# time is inside it.  The function is looked up as a module attribute on
+# every call so that a tracer can wrap it (perfbench/tracer.py does), and
+# such a tracer keeps one stack of open spans, which two threads inside the
+# wrapper at once would close out of order.  Serialising this one call cost
+# no measurable time: the other thread draws and bounds meanwhile.
+_DENSITY_LOCK = threading.Lock()
 
 BATCH_MAGIC = b"CATQB1\n"
-_MAX_ROUNDS = 10_000  # rejection rounds before `sample_ideal_quadrature` gives up
+_MAX_ROUNDS = 10_000  # rejection rounds before `_reject_into` gives up
 
 
 @dataclass
@@ -114,42 +132,61 @@ def _envelope_const(state: CatState, a_neg):
     return 3.0 * np.maximum(1.0, suppress) / (2.0 * (1.0 + state.overlap))
 
 
+def _workspace(size: int):
+    """Round arrays for `size` samples: proposals, uniforms and active indices."""
+    return np.empty(size), np.empty(size), np.empty(size, dtype=np.intp)
+
+
+def _reject_into(state: CatState, phi, out, rng: np.random.Generator, work) -> None:
+    """Fill `out` with draws from quadrature_density(., phi), one per phase of the 1-D `phi`.
+
+    Rejection sampling; the proposal envelope is valid by construction, so the
+    round cap only guards against implementation regressions.  A round draws,
+    for its k active samples in order, k proposal components, k normals into
+    `prop` and k uniforms into `u` of `work = _workspace(>= phi.size)`.  It is
+    then evaluated block by block: each block's proposals are accepted into
+    `out` and its rejected indices are compacted forward in `active`, which
+    keeps their order for the next round.
+    """
+    prop, u, active = work
+    k = phi.size
+    active[:k] = np.arange(k)
+    for _ in range(_MAX_ROUNDS):
+        if k == 0:
+            return
+        comp = rng.integers(0, 3, size=k)
+        rng.standard_normal(out=prop[:k])
+        prop[:k] *= INV_SQRT2  # the bits of rng.normal(0.0, INV_SQRT2, size=k)
+        rng.random(out=u[:k])
+        kept = 0
+        for lo in range(0, k, _BLOCK):
+            hi = min(lo + _BLOCK, k)
+            idx = active[lo:hi]
+            m, a_neg, b_neg = phase_amplitudes(state, phi[idx])
+            x, c = prop[lo:hi], comp[lo:hi]
+            x += np.where(c == 0, m, np.where(c == 1, -m, 0.0))
+            with _DENSITY_LOCK:
+                target = quadrature_density(state, x, amplitudes=(m, a_neg, b_neg))
+            accept = u[lo:hi] * (_envelope_const(state, a_neg) * _proposal_density(x, m)) <= target
+            out[idx[accept]] = x[accept]
+            rest = idx[~accept]
+            active[kept:kept + rest.size] = rest
+            kept += rest.size
+        k = kept
+    raise RuntimeError(f"rejection sampler exceeded {_MAX_ROUNDS} rounds; proposal envelope is broken")
+
+
 def sample_ideal_quadrature(state: CatState, phi, rng: np.random.Generator):
     """Noise-free quadrature value(s) distributed as quadrature_density(., phi).
 
-    Rejection sampling; the proposal envelope is valid by construction, so the
-    round cap only guards against implementation regressions.  The phase
-    amplitudes are computed once per call, not once per rejection round.
+    Rejection sampling against the three-Gaussian proposal, in a workspace
+    allocated for this call.
     """
     phi_arr = np.atleast_1d(np.asarray(phi, dtype=float))
     if phi_arr.min() < 0.0 or phi_arr.max() > np.pi:
         raise ValueError("quadrature phase phi must lie in [0, pi]")
-    m, a_neg, b_neg = phase_amplitudes(state, phi_arr)
-    env = _envelope_const(state, a_neg)
-
     out = np.empty(phi_arr.shape, dtype=np.float64)
-    active = np.arange(phi_arr.size)
-    # round temporaries are chunk-sized at first: `comp` is freed once used,
-    # and `u`, still the round's third draw, is drawn after the densities
-    for _ in range(_MAX_ROUNDS):
-        if active.size == 0:
-            break
-        k = active.size
-        mk = m[active]
-        comp = rng.integers(0, 3, size=k)
-        prop = np.where(comp == 0, mk, np.where(comp == 1, -mk, 0.0))
-        del comp
-        prop += rng.normal(0.0, INV_SQRT2, size=k)
-        target = quadrature_density(state, prop, amplitudes=(mk, a_neg[active], b_neg[active]))
-        bound = env[active] * _proposal_density(prop, mk)
-        u = rng.random(size=k)
-        accept = u * bound <= target
-        out[active[accept]] = prop[accept]
-        active = active[~accept]
-    if active.size:
-        raise RuntimeError(
-            f"rejection sampler exceeded {_MAX_ROUNDS} rounds; proposal envelope is broken"
-        )
+    _reject_into(state, phi_arr, out, rng, _workspace(phi_arr.size))
     return out if np.ndim(phi) else float(out[0])
 
 
@@ -160,6 +197,22 @@ def add_detection_noise(x, noise: NoiseModel, rng: np.random.Generator):
     return np.sqrt(noise.eta) * x + np.sqrt((1.0 - noise.eta) / 2.0) * y
 
 
+def _sample_chunk(state: CatState, noise: NoiseModel, rng: np.random.Generator, phi, x, work) -> None:
+    """Fill the chunk views `phi` and `x` from `rng`: phases, ideal values, then noise.
+
+    Draws what `sample_phase`, `sample_ideal_quadrature` and
+    `add_detection_noise` draw, with the same arithmetic, into the given
+    arrays and `work`, so it allocates no chunk-sized array.
+    """
+    rng.random(out=phi)
+    phi *= np.pi  # the bits of sample_phase(rng, phi.size)
+    _reject_into(state, phi, x, rng, work)
+    y = rng.standard_normal(out=work[0][:x.size])
+    x *= np.sqrt(noise.eta)
+    y *= np.sqrt((1.0 - noise.eta) / 2.0)
+    x += y
+
+
 def generate_batch(
     state: CatState,
     noise: NoiseModel,
@@ -167,15 +220,32 @@ def generate_batch(
     seed: int,
     replicate: int = 0,
 ) -> QuadratureBatch:
-    """Generate n i.i.d. (x, phi) pairs; bit-identical for identical arguments."""
+    """Generate n i.i.d. (x, phi) pairs; bit-identical for identical arguments.
+
+    Chunk c draws from `_stream(seed, replicate, c)` alone, so the chunks of
+    a batch of several are sampled on `_POOL_THREADS` threads, thread t taking
+    chunks t, t + _POOL_THREADS, ...  A one-chunk batch runs on the calling
+    thread.  Each thread fills its chunks through a workspace allocated here,
+    on the calling thread: chunk-sized buffers freed by a pool thread would
+    stay resident in its malloc arena.
+    """
     if n < 1:
         raise ValueError("batch size n must be >= 1")
     x, phi = np.empty(n), np.empty(n)
-    for chunk, start in enumerate(range(0, n, CHUNK_SIZE)):
-        part = slice(start, min(start + CHUNK_SIZE, n))
-        rng = _stream(seed, replicate, chunk)
-        phi[part] = sample_phase(rng, part.stop - start)
-        x[part] = add_detection_noise(sample_ideal_quadrature(state, phi[part], rng), noise, rng)
+    chunks = -(-n // CHUNK_SIZE)
+    threads = min(_POOL_THREADS, chunks)
+    works = [_workspace(min(n, CHUNK_SIZE)) for _ in range(threads)]
+
+    def run(thread: int) -> None:
+        for chunk in range(thread, chunks, threads):
+            part = slice(chunk * CHUNK_SIZE, min((chunk + 1) * CHUNK_SIZE, n))
+            _sample_chunk(state, noise, _stream(seed, replicate, chunk), phi[part], x[part], works[thread])
+
+    if threads == 1:
+        run(0)
+    else:
+        with ThreadPoolExecutor(threads) as pool:
+            list(pool.map(run, range(threads)))
     return QuadratureBatch(x=x, phi=phi, state=state, noise=noise, seed=seed, replicate=replicate)
 
 

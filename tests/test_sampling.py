@@ -4,6 +4,8 @@ import hashlib
 import json
 import math
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -164,12 +166,26 @@ def _reference_sample_ideal_quadrature(state, phi, rng):
     return out if np.ndim(phi) else float(out[0])
 
 
+def _reference_generate_batch(state, noise, n, seed, replicate):
+    """Serial reference batch: chunk by chunk, phases, the reference loop, then noise."""
+    x, phi = np.empty(n), np.empty(n)
+    for chunk, start in enumerate(range(0, n, CHUNK_SIZE)):
+        part = slice(start, min(start + CHUNK_SIZE, n))
+        rng = _stream(seed, replicate, chunk)
+        phi[part] = rng.uniform(0.0, np.pi, size=part.stop - start)
+        ideal = _reference_sample_ideal_quadrature(state, phi[part], rng)
+        y = rng.standard_normal(size=ideal.size)
+        x[part] = np.sqrt(noise.eta) * ideal + np.sqrt((1.0 - noise.eta) / 2.0) * y
+    return x, phi
+
+
 EQUIVALENCE_CASES = [
     pytest.param(CatState(3.0 / math.sqrt(2.0)), NoiseModel(0.45), 20_000, id="cat-eta0.45"),
     pytest.param(CatState(1.0, 0.7), NoiseModel(0.9), 20_000, id="complex-eta0.9"),
     pytest.param(CatState(0.4, -0.6), NoiseModel(0.3), 20_000, id="small-eta0.3"),
     pytest.param(CatState(0.0), NoiseModel(1.0), 20_000, id="vacuum-eta1"),
     pytest.param(CatState(3.0 / math.sqrt(2.0)), NoiseModel(0.45), CHUNK_SIZE + 4097, id="two-chunks"),
+    pytest.param(CatState(3.0 / math.sqrt(2.0)), NoiseModel(0.45), 2 * CHUNK_SIZE + 17, id="three-chunks"),
 ]
 
 
@@ -188,17 +204,17 @@ class TestMatchesReferenceLoop:
             == _reference_sample_ideal_quadrature(state, 0.7, _stream(22, 0, 0))
 
     @pytest.mark.parametrize("state, noise, n", EQUIVALENCE_CASES)
-    def test_generate_batch(self, state, noise, n, monkeypatch):
+    def test_generate_batch(self, state, noise, n):
         got = generate_batch(state, noise, n, seed=7, replicate=1)
-        monkeypatch.setattr(sampling, "sample_ideal_quadrature", _reference_sample_ideal_quadrature)
-        want = generate_batch(state, noise, n, seed=7, replicate=1)
-        assert got.x.tobytes() == want.x.tobytes()
-        assert got.phi.tobytes() == want.phi.tobytes()
+        x, phi = _reference_generate_batch(state, noise, n, seed=7, replicate=1)
+        assert got.x.tobytes() == x.tobytes()
+        assert got.phi.tobytes() == phi.tobytes()
 
     def test_chunk_memory(self, cat, noise):
-        # the lean loop peaks at 128 MiB; evaluating the densities from phi in
-        # every round peaks at 144 MiB, and keeping `comp` alive or drawing
-        # `u` before the densities at 136 MiB
+        # one chunk on the calling thread peaks at 54 MiB: 16 MiB of batch, a
+        # 24 MiB round workspace, 8 MiB of round components and the block
+        # temporaries; a loop that allocated its round arrays per chunk
+        # peaked at 128 MiB
         tracemalloc.start()
         try:
             generate_batch(cat, noise, CHUNK_SIZE, seed=7)
@@ -206,6 +222,69 @@ class TestMatchesReferenceLoop:
         finally:
             tracemalloc.stop()
         assert peak <= 132 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+class TestChunkPool:
+    """Chunks of one batch are sampled on two threads, one chunk on the caller."""
+
+    @staticmethod
+    def _watch_density(monkeypatch):
+        """Wrap `sampling.quadrature_density`; returns the set of calling threads
+        and a one-item list holding the most threads ever inside it at once."""
+        density, guard = sampling.quadrature_density, threading.Lock()
+        inside, most, callers = [0], [0], set()
+
+        def watched(*args, **kwargs):
+            with guard:
+                inside[0] += 1
+                most[0] = max(most[0], inside[0])
+                callers.add(threading.get_ident())
+            try:
+                return density(*args, **kwargs)
+            finally:
+                with guard:
+                    inside[0] -= 1
+
+        monkeypatch.setattr(sampling, "quadrature_density", watched)
+        return callers, most
+
+    def test_density_entered_by_one_thread_at_a_time(self, cat, noise, monkeypatch):
+        # a tracer wrapping `quadrature_density` keeps one span stack, which two
+        # threads inside the wrapper at once would close out of order
+        callers, most = self._watch_density(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            generate_batch(cat, noise, 2 * CHUNK_SIZE + 17, seed=7)
+        finally:
+            sys.setswitchinterval(interval)
+        assert most[0] == 1
+        assert len(callers) == 2 and threading.get_ident() not in callers
+
+    def test_one_chunk_runs_on_calling_thread(self, cat, noise, monkeypatch):
+        callers, _ = self._watch_density(monkeypatch)
+        generate_batch(cat, noise, CHUNK_SIZE, seed=7)
+        assert callers == {threading.get_ident()}
+
+    def test_threads_joined(self, cat, noise):
+        # `_map_replicates` forks worker processes after sampling; no pool
+        # thread may outlive the batch
+        before = threading.active_count()
+        generate_batch(cat, noise, CHUNK_SIZE + 1, seed=7)
+        assert threading.active_count() == before
+
+    def test_two_chunk_memory(self, cat, noise):
+        # 103.8-106.8 MiB over 12 seeds: 32 MiB of batch, two 24 MiB round
+        # workspaces allocated by the caller, each thread's 8 MiB of round
+        # components and its block temporaries; sampling the chunks one after
+        # the other with per-chunk round arrays peaked at 144 MiB
+        tracemalloc.start()
+        try:
+            generate_batch(cat, noise, 2 * CHUNK_SIZE, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 112 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestDetectionNoise:
