@@ -26,7 +26,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 
@@ -247,6 +246,8 @@ def _map_replicates(fn, cfg: ExperimentConfig) -> list:
     """[fn(rep) for each replicate], across `cfg.workers` processes when there are several."""
     reps = range(cfg.replicates)
     if cfg.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             return list(pool.map(fn, reps))
     return [fn(rep) for rep in reps]

@@ -11,16 +11,18 @@ frequency integral
 
 whose e^{gamma xi^2} factor undoes the Gaussian detection noise while the
 cutoff 1/h keeps it finite; r and h follow the bandwidth rule
-r = 1/h = sqrt(ln n / (beta + 2 gamma)).  `kernel` evaluates it in closed
-form through the Faddeeva function; `KernelTable` tabulates it in local
+r = 1/h = sqrt(ln n / (beta + 2 gamma)).  `kernel` evaluates it by
+composite Gauss-Legendre quadrature, on panels sized from t so that the
+quadrature error sits far below rounding; `KernelTable` tabulates it in local
 cubics at a step fixed in advance, within 1e-6 K(0), and every direct kernel
-sum (`estimate_at_points`) goes through the table.
+sum (`estimate_at_points`) goes through the table.  The module needs numpy
+alone; only the mean oracle imports scipy, when it is called.
 
 Two evaluation routes are provided, one per path.  `reconstruct_exact`
 sums the kernel per sample and per node with compensated accumulation (the
 authoritative slow path).  `reconstruct_fast` linearly bins samples on a
 (phase x offset) lattice, turns each phase bin into a 1-D FFT correlation
-against closed-form kernel values at the lattice offsets, and maps grid nodes
+against kernel values at the lattice offsets (`numpy.fft`), and maps grid nodes
 through linear interpolation, whose weights at one quadrant of nodes serve all
 four mirror images of it (`_interp_grid`) and whose error the cutoff bounds
 (`_resolution`); a self-check against the direct sum at a few nodes raises
@@ -38,8 +40,6 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import fft
-from scipy.special import erfcx, factorial, ive, j0, wofz
 
 from .sampling import QuadratureBatch, _atomic_bytes, _read_framed, _write_framed
 from .states import CatState, NoiseModel
@@ -83,60 +83,48 @@ def optimal_bandwidth(n: int, beta: float, gamma: float) -> tuple[float, float]:
     return r, 1.0 / r
 
 
-# Below this value of a = gamma/h^2 the closed form cancels terms of size
-# ~1/a against each other and `kernel` switches to a power series in a.
-_SERIES_LIMIT = 0.1
-_SERIES_TERMS = 8
+@functools.cache
+def _leggauss(n: int):
+    """Read-only Gauss-Legendre nodes and weights of order n, computed once per order."""
+    nodes, weights = leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
-def _cos_moments(omega: np.ndarray, n_max: int) -> np.ndarray:
-    """m_n(omega) = Int_0^1 s^n cos(omega s) ds for n = 0..n_max and omega >= 0.
+# Gauss-Legendre nodes per panel of the kernel integral, and the bound on
+# c (|t| + 2 gamma c) / m that sets the number m of panels for offset t.
+_PANEL_NODES = 32
+_PANEL_PHASE = 40.0
 
-    Below omega = 4: the Taylor series sum_j (-1)^j omega^{2j} / ((2j)! (n + 2j + 1)),
-    cut after j = 20 (remainder < 4^42/42! ~ 1e-26).  Above: the upward
-    recurrence I_n = (e^{i omega} - n I_{n-1}) / (i omega) for
-    I_n = Int_0^1 s^n e^{i omega s} ds, which amplifies rounding by at most
-    n!/omega^n.
-    """
-    out = np.empty((n_max + 1,) + omega.shape)
-    low = omega < 4.0
-    j = np.arange(21)
-    coef = (-1.0) ** j / (factorial(2 * j) * (np.arange(n_max + 1)[:, None] + 2 * j + 1))
-    out[:, low] = coef @ omega[low] ** (2 * j[:, None])
-    i_omega = 1j * omega[~low]
-    cis = np.exp(i_omega)
-    moment = (cis - 1.0) / i_omega
-    out[0][~low] = moment.real
-    for n in range(1, n_max + 1):
-        moment = (cis - n * moment) / i_omega
-        out[n][~low] = moment.real
-    return out
+# Entries of one (offsets x nodes) block of integrand values, 512 KB, which
+# bounds `kernel`'s working memory whatever the number of offsets.
+_KERNEL_BLOCK = 1 << 16
 
 
 def kernel(t, gamma: float, h: float):
     """Deconvolution kernel K(t) = (1/2 pi) Int_0^{1/h} xi e^{gamma xi^2} cos(xi t) dxi.
 
-    Evaluated in closed form (Butucea, Guta & Artiles 2007).  With c = 1/h,
-    a = gamma c^2 and y = |t| / (2 sqrt(gamma)),
+    Composite Gauss-Legendre quadrature of that integral, the one route for
+    every t.  With c = 1/h, the offset t takes m = ceil(c (|t| + 2 gamma c) / 40)
+    equal panels of 32 nodes on [0, c].  On a panel of half-width H, a rule
+    of n + 1 nodes errs by at most H (64/15) M rho^{-2n} / (rho^2 - 1), where M
+    bounds the integrand on the Bernstein ellipse E_rho of the panel
+    (Trefethen, Approximation Theory and Approximation Practice, Thm 19.3).
+    On E_4, as H <= c/2 and H (|t| + 2 gamma c) <= 20, |xi| <= 2.5 c and
+    |e^{gamma xi^2} cos(xi t)| <= e^{gamma c^2 + 37.5}, so the m panels
+    together err by less than 7e-22 (1 + gamma c^2) K(0), and rounding sets
+    the accuracy.  Every weight is positive, so the terms sum in magnitude to
+    K(0) = (e^{gamma/h^2} - 1) / (4 pi gamma).  The integrand is formed as
+    e^{gamma c^2} e^{-gamma (c - xi)(c + xi)} cos(c|t| - (c - xi)|t|), so the
+    nodes near xi = c, which carry the weight when gamma c^2 is large, round
+    gamma c^2 and c|t| once each.  Against the Faddeeva closed form of
+    Butucea, Guta & Artiles (2007), over gamma c^2 <= 60 or = 699, c <= 30
+    and |t| <= 40, the two agree within 6e-14 K(0).
 
-        J = (i sqrt(pi) / (2 sqrt(gamma))) [erfcx(y) - e^{a + ic|t|} w(sqrt(gamma) c + iy)],
-        K(t) = (1/2 pi) Re[(e^{a + ic|t|} - 1 - i|t| J) / (2 gamma)],
-
-    where w is the Faddeeva function (`scipy.special.wofz`).  Both of its
-    arguments lie in the upper half-plane, so |w| <= 1 and nothing grows like
-    e^{t^2 / 4 gamma}.  The form cancels terms of size ~K(0)/a, which costs
-    about 2e-15/a * K(0) of accuracy, so below a* = 0.1, that is
-    gamma* = 0.1 h^2, the kernel is the series
-
-        K(t) = (c^2 / 2 pi) sum_{k=0}^{8} a^k / k! * m_{2k+1}(c|t|)
-
-    in the cosine moments m_n of `_cos_moments`.  Its truncation error is at
-    most 2 a^9 e^a / (9! * 20) * K(0) < 3.1e-16 K(0), and at a = 0 it is the
-    exact gamma = 0 form [(1/h) sin(t/h)/t + (cos(t/h) - 1)/t^2] / (2 pi).
-    Measured against quadrature over 1/h in {1, 3, 4.6, 6, 30} and |t| <= 40,
-    both branches stay within 2.5e-14 K(0), the closed form's worst case
-    being just above a*.  K(0) = (e^{gamma/h^2} - 1) / (4 pi gamma).  Even in
-    t.  Rejects gamma/h^2 > 700 (float64 overflow).
+    Each distinct |t| is evaluated once, from its own panels, and each row of
+    integrand values is summed on its own, so a value does not depend on the
+    other offsets of the call.  Even in t.  Rejects non-finite t, and
+    gamma/h^2 > 700 (float64 overflow).
     """
     if h <= 0.0:
         raise ValueError("bandwidth h must be positive")
@@ -145,19 +133,29 @@ def kernel(t, gamma: float, h: float):
     if gamma / (h * h) > _EXP_LIMIT:
         raise OverflowError(f"gamma/h^2 = {gamma / (h * h):.1f} exceeds the overflow threshold {_EXP_LIMIT:g}")
     c = 1.0 / h
-    a = gamma * c * c
-    t_abs = np.abs(np.atleast_1d(np.asarray(t, dtype=float)))
-    if a < _SERIES_LIMIT:
-        moments = _cos_moments(c * t_abs, 2 * _SERIES_TERMS + 1)
-        out = sum(a ** k / math.factorial(k) * moments[2 * k + 1] for k in range(_SERIES_TERMS + 1))
-        out = out * (c * c / (2.0 * math.pi))
-    else:
-        root = math.sqrt(gamma)
-        y = t_abs / (2.0 * root)
-        phase = np.exp(a + 1j * c * t_abs)
-        j = (0.5j * math.sqrt(math.pi) / root) * (erfcx(y) - phase * wofz(root * c + 1j * y))
-        out = ((phase - 1.0) - 1j * t_abs * j).real / (4.0 * math.pi * gamma)
-    return out if np.ndim(t) else float(out[0])
+    t_abs, inverse = np.unique(np.abs(np.asarray(t, dtype=float)).ravel(), return_inverse=True)
+    if t_abs.size and not np.isfinite(t_abs[-1]):  # unique sorts inf and NaN last
+        raise ValueError("kernel offsets must be finite")
+    panels = np.maximum(1.0, np.ceil(c * (t_abs + 2.0 * gamma * c) / _PANEL_PHASE)).astype(np.intp)
+    gl_x, gl_w = _leggauss(_PANEL_NODES)
+    values = np.empty(t_abs.size)
+    for m in np.unique(panels):
+        half = 0.5 * c / m
+        centre = 2.0 * np.arange(m) + 1.0
+        xi = (centre[:, None] + gl_x).ravel() * half
+        gap = (centre[::-1, None] - gl_x).ravel() * half  # c - xi
+        weight = np.tile(gl_w, m) * (half / (2.0 * math.pi)) * xi * np.exp(-gamma * gap * (c + xi))
+        first, stop = np.searchsorted(panels, (m, m + 1))
+        rows = max(1, _KERNEL_BLOCK // xi.size)
+        for lo in range(first, stop, rows):
+            t_block = t_abs[lo:min(lo + rows, stop)]
+            block = np.multiply.outer(t_block, gap)
+            np.subtract((c * t_block)[:, None], block, out=block)
+            np.cos(block, out=block)
+            block *= weight
+            values[lo:lo + t_block.size] = block.sum(axis=1)
+    out = values[inverse] * math.exp(gamma * c * c)
+    return out.reshape(np.shape(t)) if np.ndim(t) else float(out[0])
 
 
 _TABLE_TOL = 1e-6
@@ -177,9 +175,9 @@ class KernelTable:
     kernel evaluation.  A lookup (`lookup`, in table units (t - t0) / step) is
     one gather of an interval's four coefficients, in powers of the position
     within the interval, and a Horner evaluation; on a 256 x 64 block it costs
-    about a thirtieth of a closed-form evaluation (about 100 M against 2.8 M
-    evaluations/s on one core of a 2-core Xeon), which the ~1e8 scattered
-    evaluations of a direct reconstruction need.
+    about a hundredth of a `kernel` evaluation of distinct offsets (about 100 M
+    against 1 M evaluations/s on one core of a 2-core Xeon), which the ~1e8
+    scattered evaluations of a direct reconstruction need.
     """
 
     def __init__(self, gamma: float, h: float, t_max: float):
@@ -323,14 +321,14 @@ def estimate_at_points(batch: QuadratureBatch, params: ReconstructionParams, q, 
     """Raw estimator values (no disk truncation) at arbitrary points.
 
     Per-sample kernel sums through the batch's `KernelTable` (within
-    1e-6 * K(0) of the closed form), with Kahan-compensated accumulation over
+    1e-6 * K(0) of `kernel`), with Kahan-compensated accumulation over
     fixed `sample_block`-sample blocks, which makes the result insensitive to
     sample order at the level of rounding noise despite the ~e^{2 gamma/h^2}
     dynamic range.  Offsets are formed in table units, (t - t0) / step, by
     one product per block of up to 256 node rows [q, p, 1], zero-padded to a
     multiple of 16, against per-sample columns [cos phi, sin phi, -(u + t0)] / step,
     then looked up by `KernelTable.lookup`; a node block reaching past the
-    table's t_max takes the closed form there.  A node's value does not depend
+    table's t_max takes `kernel` there.  A node's value does not depend
     on the other points of the call.  q and p broadcast against each other;
     the result is flat, one value per broadcast point.
     """
@@ -363,7 +361,7 @@ def estimate_at_points(batch: QuadratureBatch, params: ReconstructionParams, q, 
         nodes[:k, 0], nodes[:k, 1] = q[a:a + k], p[a:a + k]
         nodes[k:, :2] = 0.0
         # |t| <= |(q, p)| + max|u|, which `_default_table` keeps below t_max inside
-        # the grid's square, so only a block of farther nodes needs the closed form
+        # the grid's square, so only a block of farther nodes needs `kernel` itself
         far = np.max(np.hypot(q[a:a + k], p[a:a + k])) + u_max > table.t_max
         sums = np.zeros(k)
         comp = np.zeros(k)
@@ -461,7 +459,10 @@ def _lattice(batch: QuadratureBatch, params: ReconstructionParams, gamma: float)
         n_u += 1
     u0 = -delta * (n_u - 1) / 2.0
 
-    offsets = (s0 - u0) + np.arange(-(n_u - 1), n_s) * delta
+    # s_i - u_j = (i - j + (n_u - n_s) / 2) delta: whole multiples of delta,
+    # symmetric about 0, so `kernel` evaluates each |offset| once
+    half_k = (n_u + n_s) // 2 - 1
+    offsets = delta * np.arange(-half_k, half_k + 1)
     return _Lattice(phi_bins, delta, s0, n_s, u0, n_u, kernel(offsets, gamma, params.h))
 
 
@@ -512,14 +513,32 @@ def _fast_field(batch: QuadratureBatch, lat: _Lattice):
         np.add.at(counts.reshape(-1), *_shares(batch, lat, slice(lo, lo + _BIN_CHUNK)))
     # a circular correlation of length >= n_u + n_s - 1 leaves the n_s wanted
     # entries of the full one unaliased
-    size = fft.next_fast_len(lat.n_u + lat.n_s - 1, True)
-    kv_spectrum = fft.rfft(lat.kv, size)
+    size = _next_fast_len(lat.n_u + lat.n_s - 1)
+    kv_spectrum = np.fft.rfft(lat.kv, size)
     out = np.empty((lat.phi_bins, lat.n_s))
+    # rows zero-padded to `size` in place: numpy.fft pads a short input by a
+    # slower copy of its own (8 ms more per 512 x 5625 field on a 2-core Xeon)
+    padded = np.zeros((_FFT_ROWS, size))
     for lo in range(0, lat.phi_bins, _FFT_ROWS):
-        spectrum = fft.rfft(counts[lo:lo + _FFT_ROWS], size, axis=1)
+        block = padded[:min(_FFT_ROWS, lat.phi_bins - lo)]
+        block[:, :lat.n_u] = counts[lo:lo + _FFT_ROWS]
+        spectrum = np.fft.rfft(block, axis=1)
         spectrum *= kv_spectrum
-        out[lo:lo + _FFT_ROWS] = fft.irfft(spectrum, size, axis=1)[:, lat.n_u - 1:lat.n_u - 1 + lat.n_s]
+        out[lo:lo + _FFT_ROWS] = np.fft.irfft(spectrum, size, axis=1)[:, lat.n_u - 1:lat.n_u - 1 + lat.n_s]
     return out
+
+
+def _next_fast_len(target: int) -> int:
+    """The smallest 2^i 3^j 5^k >= target, a length the FFT factors into radices 2, 3 and 5."""
+    best = 1 << (target - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-target // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _interp_grid(g_field, ax, mask, lat: _Lattice):
@@ -651,14 +670,6 @@ def _fast_self_check(batch, params, lat: _Lattice, qs, ps, fast_values) -> None:
 # deterministic mean oracle
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def _leggauss(n: int):
-    """Read-only Gauss-Legendre nodes and weights of order n, computed once per order."""
-    nodes, weights = leggauss(n)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
-
-
 def estimator_mean_oracle(state: CatState, params: ReconstructionParams, q, p):
     """Exact expectation of the (untruncated-disk) estimator at points x = (q, p).
 
@@ -677,6 +688,8 @@ def estimator_mean_oracle(state: CatState, params: ReconstructionParams, q, p):
     or c overflows.  Points must lie inside the disk of radius r; q and p
     broadcast against each other, and the result takes their shape.
     """
+    from scipy.special import ive, j0
+
     shape = np.broadcast_shapes(np.shape(q), np.shape(p))
     q = np.broadcast_to(np.asarray(q, dtype=float), shape).ravel()
     p = np.broadcast_to(np.asarray(p, dtype=float), shape).ravel()

@@ -20,7 +20,8 @@ from catomo.cli import (
     main,
     save_config,
 )
-from test_sampling import rewrite_header
+from test_estimator import loaded_after
+from test_sampling import read_bytes, read_text, rewrite_header, write_file
 
 TINY = dict(n=2000, replicates=2, seed=11, betas=(0.1,), grid_size=41, workers=1)
 
@@ -37,15 +38,20 @@ def tiny_config(tmp_path, **overrides):
 def edit_config(tmp_path, old, new):
     """A tiny config with `old` replaced by `new`, and the line number of `old`."""
     _, path = tiny_config(tmp_path)
-    text = open(path).read()
+    text = read_text(path)
     lineno = text[:text.index(old)].count("\n") + 1
-    open(path, "w").write(text.replace(old, new))
+    write_file(path, text.replace(old, new))
     return path, lineno
 
 
-def read_bytes(path):
-    with open(path, "rb") as fh:
-        return fh.read()
+def test_pipeline_loads_no_scipy(tmp_path):
+    # each CLI process starts on numpy alone; scipy serves the oracles and the tests
+    _, path = tiny_config(tmp_path)
+    code = (f"from catomo.cli import main\n"
+            f"for argv in (['sample'], ['reconstruct', '--exact'], ['analyze', '--exact'],\n"
+            f"             ['reconstruct', '--fast'], ['analyze', '--fast'], ['sweep-beta'], ['table1']):\n"
+            f"    assert main(argv + ['--config', {path!r}]) == 0, argv")
+    assert loaded_after(code, ["scipy"]) == "[]"
 
 
 class TestConfig:
@@ -60,8 +66,7 @@ class TestConfig:
 
     def test_invalid_eta_names_field(self, tmp_path):
         _, path = tiny_config(tmp_path)
-        text = open(path).read().replace("eta = 0.45", "eta = 1.2")
-        open(path, "w").write(text)
+        write_file(path, read_text(path).replace("eta = 0.45", "eta = 1.2"))
         with pytest.raises(Exception) as err:
             load_config(path)
         assert "noise.eta" in str(err.value)
@@ -69,8 +74,7 @@ class TestConfig:
 
     def test_invalid_eta_exit_code(self, tmp_path):
         _, path = tiny_config(tmp_path)
-        text = open(path).read().replace("eta = 0.45", "eta = 1.2")
-        open(path, "w").write(text)
+        write_file(path, read_text(path).replace("eta = 0.45", "eta = 1.2"))
         assert main(["sample", "--config", path]) == EXIT_CONFIG
 
     @pytest.mark.parametrize("edit, named", [
@@ -183,8 +187,7 @@ class TestReconstruct:
     def test_provenance_mismatch_refused(self, tmp_path):
         cfg, path = tiny_config(tmp_path)
         main(["sample", "--config", path])
-        text = open(path).read().replace("eta = 0.45", "eta = 0.9")
-        open(path, "w").write(text)
+        write_file(path, read_text(path).replace("eta = 0.45", "eta = 0.9"))
         assert main(["reconstruct", "--config", path]) == EXIT_CONFIG
 
     def test_batches_of_another_seed_refused(self, tmp_path, capsys):
@@ -209,7 +212,7 @@ class TestReconstruct:
         start = len(BATCH_MAGIC) + 4 + int.from_bytes(blob[len(BATCH_MAGIC):len(BATCH_MAGIC) + 4], "little")
         offset = start + 8 * (2 * 5 + column)  # pair 5, x or phi
         blob[offset:offset + 8] = np.array([np.nan], dtype="<f8").tobytes()
-        open(bpath, "wb").write(bytes(blob))
+        write_file(bpath, bytes(blob))
         capsys.readouterr()
         assert main(["reconstruct", "--config", path]) == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -259,8 +262,8 @@ class TestAnalyze:
         cfg, path = pipeline
         assert main(["analyze", "--config", path]) == 0
         adir = os.path.join(cfg.output_dir, "analysis", "beta_0.1")
-        report = json.load(open(os.path.join(adir, "error_report.json")))
-        witness = json.load(open(os.path.join(adir, "witness_stats.json")))
+        report = json.loads(read_text(os.path.join(adir, "error_report.json")))
+        witness = json.loads(read_text(os.path.join(adir, "witness_stats.json")))
         assert report["m"] == 2
         assert report["delta_bound"] == pytest.approx(
             report["term_variance"] + report["term_tail"] + report["term_bias"], rel=1e-15)
@@ -297,7 +300,7 @@ class TestAnalyze:
         cfg, path = pipeline
         gpath = os.path.join(cfg.output_dir, "grids", "beta_0.1", "grid_r01.wg")
         blob = read_bytes(gpath)
-        open(gpath, "wb").write(blob[:-8])
+        write_file(gpath, blob[:-8])
         capsys.readouterr()
         assert main(["analyze", "--config", path]) == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -308,7 +311,7 @@ class TestAnalyze:
         cfg, path = pipeline
         gpath = os.path.join(cfg.output_dir, "grids", "beta_0.1", "grid_r00.wg")
         blob = read_bytes(gpath)
-        open(gpath, "wb").write(blob[:-8] + np.float64(value).tobytes())
+        write_file(gpath, blob[:-8] + np.float64(value).tobytes())
         capsys.readouterr()
         assert main(["analyze", "--config", path]) == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -327,7 +330,7 @@ class TestAnalyze:
         assert main(["sample", "--config", path]) == 0
         assert main(["reconstruct", "--config", path]) == 0
         gpath = os.path.join(cfg.output_dir, "grids", "beta_0.1", "grid_r00.wg")
-        open(gpath, "wb").write(b"not a grid")  # a read would fail with another message
+        write_file(gpath, b"not a grid")  # a read would fail with another message
         capsys.readouterr()
         assert main(["analyze", "--config", path]) == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -383,7 +386,7 @@ class TestSweepAndTable:
         save_config(cfg, path)
         assert main(["sweep-beta", "--config", path, "--points", "20"]) == 0
         csv_path = os.path.join(cfg.output_dir, "sweep_eta0.45.csv")
-        lines = open(csv_path).read().strip().split("\n")
+        lines = read_text(csv_path).strip().split("\n")
         assert lines[0] == "beta,delta,av,sd,separated"
         assert len(lines) == 21
         deltas = np.array([float(row.split(",")[1]) for row in lines[1:]])
@@ -395,7 +398,7 @@ class TestSweepAndTable:
         path = str(tmp_path / "paper.ini")
         save_config(cfg, path)
         main(["sweep-beta", "--config", path, "--points", "5"])
-        lines = open(os.path.join(cfg.output_dir, "sweep_terms_eta0.45.csv")).read().strip().split("\n")
+        lines = read_text(os.path.join(cfg.output_dir, "sweep_terms_eta0.45.csv")).strip().split("\n")
         assert lines[0] == "beta,delta,term_var,term_tail,term_bias"
         row = [float(tok) for tok in lines[1].split(",")]
         assert row[1] == pytest.approx(row[2] + row[3] + row[4], rel=1e-12)
@@ -419,7 +422,7 @@ class TestSweepAndTable:
         main(["analyze", "--config", path])
         main(["sweep-beta", "--config", path])
         csv_path = os.path.join(cfg.output_dir, "sweep_eta0.45.csv")
-        rows = [line.split(",") for line in open(csv_path).read().strip().split("\n")[1:]]
+        rows = [line.split(",") for line in read_text(csv_path).strip().split("\n")[1:]]
         with_witness = [row for row in rows if row[2] != ""]
         assert len(with_witness) == 1  # exactly the analyzed beta = 0.1
         assert with_witness[0][4] in ("true", "false")
@@ -458,8 +461,8 @@ class TestSweepAndTable:
         capsys.readouterr()
         assert main(["table1", "--config", path]) == 0
         out = capsys.readouterr().out
-        report = json.load(open(os.path.join(cfg.output_dir, "analysis", "beta_0.1",
-                                             "error_report.json")))
+        report = json.loads(read_text(os.path.join(cfg.output_dir, "analysis", "beta_0.1",
+                                                   "error_report.json")))
         assert f"{report['delta_numeric']:.4g}" in out
 
     def test_table1_refuses_report_of_another_config(self, tmp_path, capsys):

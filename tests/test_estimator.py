@@ -11,9 +11,9 @@ import warnings
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
-from scipy import fft
+from scipy.fft import next_fast_len
 from scipy.integrate import quad
-from scipy.special import i0
+from scipy.special import erfcx, factorial, i0, wofz
 
 from catomo import (
     CatState,
@@ -36,7 +36,7 @@ from catomo import (
     write_grid,
 )
 from catomo import estimator as est
-from test_sampling import rewrite_header
+from test_sampling import read_text, rewrite_header
 
 GAMMA_045 = 11.0 / 36.0
 H_REF = 1.0 / 4.8297
@@ -55,6 +55,52 @@ def kernel_quad_oracle(t, gamma, h):
     val, err = quad(lambda xi: xi * math.exp(gamma * xi * xi) * math.cos(xi * t),
                     0.0, 1.0 / h, limit=500, epsabs=1e-12, epsrel=1e-12)
     return val / (2.0 * math.pi)
+
+
+def closed_form_kernel(t, gamma, h):
+    """The kernel in closed form (Butucea, Guta & Artiles 2007), an evaluation
+    independent of quadrature.  With c = 1/h, a = gamma c^2 and y = |t| / (2 sqrt(gamma)),
+
+        K(t) = (1/2 pi) Re[(e^{a + ic|t|} - 1 - i|t| J) / (2 gamma)],
+        J = (i sqrt(pi) / (2 sqrt(gamma))) [erfcx(y) - e^{a + ic|t|} w(sqrt(gamma) c + iy)],
+
+    w the Faddeeva function, which cancels terms of size ~K(0)/a.  Below
+    a = 0.1 it is the power series (c^2 / 2 pi) sum_{k <= 8} a^k / k! m_{2k+1}(c|t|)
+    in the cosine moments m_n(w) = Int_0^1 s^n cos(w s) ds (truncation below
+    3.1e-16 K(0)).
+    """
+    c = 1.0 / h
+    a = gamma * c * c
+    t_abs = np.abs(np.atleast_1d(np.asarray(t, dtype=float)))
+    if a >= 0.1:
+        root = math.sqrt(gamma)
+        y = t_abs / (2.0 * root)
+        phase = np.exp(a + 1j * c * t_abs)
+        j = (0.5j * math.sqrt(math.pi) / root) * (erfcx(y) - phase * wofz(root * c + 1j * y))
+        return ((phase - 1.0) - 1j * t_abs * j).real / (4.0 * math.pi * gamma)
+    # m_n: Taylor series below w = 4 (cut after j = 20, remainder < 4^42/42!), else
+    # the upward recurrence I_n = (e^{iw} - n I_{n-1}) / (iw) for Int_0^1 s^n e^{iws} ds
+    omega = c * t_abs
+    moments = np.empty((18,) + omega.shape)
+    low = omega < 4.0
+    j = np.arange(21)
+    coef = (-1.0) ** j / (factorial(2 * j) * (np.arange(18)[:, None] + 2 * j + 1))
+    moments[:, low] = coef @ omega[low] ** (2 * j[:, None])
+    i_omega = 1j * omega[~low]
+    cis = np.exp(i_omega)
+    moment = (cis - 1.0) / i_omega
+    moments[0][~low] = moment.real
+    for n in range(1, 18):
+        moment = (cis - n * moment) / i_omega
+        moments[n][~low] = moment.real
+    return sum(a ** k / math.factorial(k) * moments[2 * k + 1] for k in range(9)) * (c * c / (2.0 * math.pi))
+
+
+# (gamma, 1/h) pairs with gamma c^2 <= 60, then gamma c^2 = 699, just inside the overflow guard
+CUTOFFS = (1.0, 3.0, 4.455, 4.83, 6.0, 12.0, 20.0, 30.0)
+KERNEL_SWEEP = [(gamma, inv_h) for gamma in (0.0, 1e-8, 1e-6, 0.01, 0.3056, 0.35, 1.0)
+                for inv_h in CUTOFFS if gamma * inv_h ** 2 <= 60.0]
+KERNEL_SWEEP += [(699.0 / inv_h ** 2, inv_h) for inv_h in CUTOFFS]
 
 
 def fourier_truncation_reference(state, cutoff, q, p, n_rho=16, n_theta=256):
@@ -78,17 +124,15 @@ def fourier_truncation_reference(state, cutoff, q, p, n_rho=16, n_theta=256):
                      for qv, pv in zip(np.ravel(q), np.ravel(p))])
 
 
-def loaded_after(code, modules):
-    """The `modules` loaded in a fresh interpreter after `import catomo` and `code`."""
+def loaded_after(code, packages):
+    """The modules of `packages`, each a package or module with its submodules,
+    loaded in a fresh interpreter after `import catomo` and the lines of `code`."""
     src = os.path.dirname(os.path.dirname(est.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = f"import sys, catomo; {code}; print(sorted({set(modules)!r} & set(sys.modules)))"
+    probe = (f"import sys, catomo\n{code}\npackages = {tuple(packages)!r}\n"
+             "print(sorted(m for m in sys.modules if any(m == p or m.startswith(p + '.') for p in packages)))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    return out.stdout.strip()
-
-
-def test_import_leaves_signal_and_integrate_unloaded():
-    assert loaded_after("pass", ["scipy.signal", "scipy.integrate"]) == "[]"
+    return out.stdout.strip().splitlines()[-1]
 
 
 def test_kernel_table_leaves_interpolate_unloaded():
@@ -167,8 +211,9 @@ class TestKernel:
 
     @pytest.mark.parametrize("inv_h", [1.0, 3.0, 4.6, 6.0])
     def test_error_curve_against_quadrature(self, inv_h):
-        # both sides of the series/closed-form switch at gamma* = a* h^2
-        gamma_star = est._SERIES_LIMIT / inv_h**2
+        # gamma* = 0.1 h^2 is where `closed_form_kernel` switches from its power
+        # series to the Faddeeva form
+        gamma_star = 0.1 / inv_h**2
         t = np.linspace(-40.0, 40.0, 81)
         for gamma in [0.0, 1e-8, 1e-6, 0.999 * gamma_star, gamma_star, 1e-2, GAMMA_045, 0.35]:
             k0 = kernel(0.0, gamma, 1.0 / inv_h)
@@ -177,6 +222,28 @@ class TestKernel:
                 ref = np.array([kernel_quad_oracle(tv, gamma, 1.0 / inv_h) for tv in t])
             err = np.max(np.abs(kernel(t, gamma, 1.0 / inv_h) - ref))
             assert err <= 1e-12 * k0, f"gamma={gamma:.3g}: error {err / k0:.2e} K(0)"
+
+    @pytest.mark.parametrize("gamma, inv_h", KERNEL_SWEEP)
+    def test_matches_closed_form(self, gamma, inv_h):
+        t = np.linspace(-40.0, 40.0, 4001)
+        got = kernel(t, gamma, 1.0 / inv_h)
+        assert np.all(np.isfinite(got))
+        k0 = kernel(0.0, gamma, 1.0 / inv_h)
+        err = np.max(np.abs(got - closed_form_kernel(t, gamma, 1.0 / inv_h)))
+        assert err <= 1e-13 * k0, f"error {err / k0:.2e} K(0)"
+
+    def test_wider_panels_miss_closed_form(self, monkeypatch):
+        # panels twice as wide as the rule allows leave quadrature errors of ~3e-9 K(0)
+        monkeypatch.setattr(est, "_PANEL_PHASE", 2.0 * est._PANEL_PHASE)
+        t = np.linspace(-40.0, 40.0, 4001)
+        worst = max(np.max(np.abs(kernel(t, gamma, 1.0 / inv_h) - closed_form_kernel(t, gamma, 1.0 / inv_h)))
+                    / kernel(0.0, gamma, 1.0 / inv_h) for gamma, inv_h in KERNEL_SWEEP)
+        assert worst > 1e-13
+
+    def test_non_finite_offset_rejected(self):
+        for t in (math.nan, math.inf, np.array([0.5, -math.inf])):
+            with pytest.raises(ValueError, match="finite"):
+                kernel(t, GAMMA_045, H_REF)
 
     def test_overflow_guard(self):
         with pytest.raises(OverflowError):
@@ -322,9 +389,9 @@ def field_reference(batch, lat):
     """`_fast_field` in one shot: a single `bincount` over every sample's shares,
     then one FFT correlation over the whole lattice."""
     counts = np.bincount(*est._shares(batch, lat), minlength=lat.phi_bins * lat.n_u)
-    size = fft.next_fast_len(lat.n_u + lat.n_s - 1, True)
-    spectrum = fft.rfft(counts.reshape(lat.phi_bins, lat.n_u), size, axis=1) * fft.rfft(lat.kv, size)
-    return fft.irfft(spectrum, size, axis=1)[:, lat.n_u - 1:lat.n_u - 1 + lat.n_s]
+    size = est._next_fast_len(lat.n_u + lat.n_s - 1)
+    spectrum = np.fft.rfft(counts.reshape(lat.phi_bins, lat.n_u), size, axis=1) * np.fft.rfft(lat.kv, size)
+    return np.fft.irfft(spectrum, size, axis=1)[:, lat.n_u - 1:lat.n_u - 1 + lat.n_s]
 
 
 def seam_batch(n, seed):
@@ -550,6 +617,10 @@ class TestReconstructFast:
         assert lat.phi_bins == phi_bins
         assert np.array_equal(est._fast_field(batch, lat), field_reference(batch, lat))
 
+    def test_next_fast_len_is_smallest_5_smooth(self):
+        targets = range(1, 20_001)
+        assert [est._next_fast_len(n) for n in targets] == [next_fast_len(n, real=True) for n in targets]
+
     def test_phase_seam_half_turn(self, cat, noise):
         # (x, 0) and (-x, pi) are the same quadrature, so they must bin to the same field
         x = np.random.default_rng(82).normal(0.0, 1.5, 400)
@@ -744,6 +815,6 @@ class TestGridOps:
         grid = reconstruct_fast(batch, small_params(100, grid_size=21))
         path = str(tmp_path / "grid.csv")
         grid_to_csv(grid, path)
-        lines = open(path).read().strip().split("\n")
+        lines = read_text(path).strip().split("\n")
         assert lines[0] == "q,p,w"
         assert len(lines) == 1 + 21 * 21

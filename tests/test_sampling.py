@@ -349,15 +349,31 @@ class TestGenerateBatch:
             assert p > 0.01, f"stratum {k}: p={p}"
 
 
+def read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def read_text(path):
+    with open(path) as fh:
+        return fh.read()
+
+
+def write_file(path, data):
+    """Write `data`, text or bytes, to `path`, replacing it."""
+    with open(path, "wb" if isinstance(data, bytes) else "w") as fh:
+        fh.write(data)
+
+
 def rewrite_header(path, magic, edit):
     """Rewrite the JSON header of a batch or grid file after `edit(header)`."""
-    blob = open(path, "rb").read()
+    blob = read_bytes(path)
     hlen = int.from_bytes(blob[len(magic):len(magic) + 4], "little")
     header = json.loads(blob[len(magic) + 4:len(magic) + 4 + hlen])
     edit(header)
     hbytes = json.dumps(header).encode("utf-8")
     payload = blob[len(magic) + 4 + hlen:]
-    open(path, "wb").write(magic + len(hbytes).to_bytes(4, "little") + hbytes + payload)
+    write_file(path, magic + len(hbytes).to_bytes(4, "little") + hbytes + payload)
 
 
 class TestBatchIO:
@@ -379,7 +395,7 @@ class TestBatchIO:
         p1, p2 = str(tmp_path / "a.qb"), str(tmp_path / "b.qb")
         write_batch(b, p1)
         write_batch(b, p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert read_bytes(p1) == read_bytes(p2)
 
     def test_chunked_write_matches_one_copy(self, cat, noise, tmp_path):
         # pairs are interleaved one chunk at a time into a reused buffer; the bytes
@@ -415,7 +431,7 @@ class TestBatchIO:
         b = generate_batch(cat, noise, 10, seed=5)
         path = str(tmp_path / "batch.csv")
         batch_to_csv(b, path)
-        lines = open(path).read().strip().split("\n")
+        lines = read_text(path).strip().split("\n")
         assert lines[0] == "x,phi"
         assert len(lines) == 11
         x0, phi0 = (float(tok) for tok in lines[1].split(","))
@@ -425,8 +441,7 @@ class TestBatchIO:
         b = generate_batch(cat, noise, 100, seed=5)
         path = str(tmp_path / "batch.qb")
         write_batch(b, path)
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[:-16])
+        write_file(path, read_bytes(path)[:-16])
         with pytest.raises(ValueError):
             read_batch(path)
 
@@ -462,8 +477,7 @@ class TestBatchIO:
     def test_rejects_partial_value(self, cat, noise, tmp_path):
         path = str(tmp_path / "batch.qb")
         write_batch(generate_batch(cat, noise, 50, seed=5), path)
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[:-3])
+        write_file(path, read_bytes(path)[:-3])
         with pytest.raises(ValueError, match=re.escape(path) + ": payload of .* not a whole number"):
             read_batch(path)
 
