@@ -31,6 +31,7 @@ from .sampling import (
     write_batch,
 )
 from .estimator import (
+    BinnedBatch,
     KernelTable,
     ReconstructionParams,
     WignerGrid,

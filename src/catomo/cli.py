@@ -42,6 +42,7 @@ from .analysis import (
     witness_stats,
 )
 from .estimator import (
+    BinnedBatch,
     ReconstructionParams,
     mean_grid,
     optimal_bandwidth,
@@ -281,7 +282,9 @@ def _check_provenance(path: str, header: dict, cfg: ExperimentConfig, **extra) -
 
 
 def _reconstruct_one(cfg: ExperimentConfig, rep: int) -> list[str]:
-    """Every beta's grid of one replicate, built from one read of its batch."""
+    """Every beta's grid of one replicate, built from one read of its batch and,
+    on the fast path, one binning of it on the lattice of the smallest beta
+    (`BinnedBatch`), which every beta's grid shares."""
     path = _batch_path(cfg, rep)
     if not os.path.exists(path):
         raise ConfigError(f"missing batch file {path}; run `sample` first")
@@ -291,11 +294,14 @@ def _reconstruct_one(cfg: ExperimentConfig, rep: int) -> list[str]:
         raise ConfigError(f"invalid batch file: {exc}") from exc
     _check_provenance(path, _batch_header(batch), cfg)
     batch.source_sha256 = file_sha(path)
+    members = [ReconstructionParams.for_experiment(cfg.n, beta, cfg.noise, grid_size=cfg.grid_size)
+               for beta in cfg.betas]
+    fast = cfg.path == "fast"
+    source = BinnedBatch(batch, members) if fast else batch
     outs = []
-    for beta in cfg.betas:
-        params = ReconstructionParams.for_experiment(cfg.n, beta, cfg.noise, grid_size=cfg.grid_size)
-        grid = reconstruct_fast(batch, params) if cfg.path == "fast" else reconstruct_exact(batch, params)
-        outs.append(os.path.join(_grid_dir(cfg, beta), f"grid_r{batch.replicate:02d}.wg"))
+    for params in members:
+        grid = reconstruct_fast(source, params) if fast else reconstruct_exact(source, params)
+        outs.append(os.path.join(_grid_dir(cfg, params.beta), f"grid_r{batch.replicate:02d}.wg"))
         write_grid(grid, outs[-1])
     return outs
 

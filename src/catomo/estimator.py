@@ -27,6 +27,8 @@ through linear interpolation, whose weights at one quadrant of nodes serve all
 four mirror images of it (`_interp_grid`) and whose error the cutoff bounds
 (`_resolution`); a self-check against the direct sum at a few nodes raises
 `RuntimeError`, pointing to the exact path, if the lattice is too coarse.  A
+`BinnedBatch` bins a batch once for a set of parameters: one lattice, set
+by their largest radius and cutoff, serves every member's grid.  A
 deterministic mean-value oracle (the exact expectation of the estimator, one
 radial Bessel integral per point) supports bias tests without Monte Carlo.
 """
@@ -53,6 +55,7 @@ __all__ = [
     "estimate_at_points",
     "reconstruct_exact",
     "reconstruct_fast",
+    "BinnedBatch",
     "estimator_mean_oracle",
     "mean_grid",
     "write_grid",
@@ -420,7 +423,8 @@ def reconstruct_exact(batch: QuadratureBatch, params: ReconstructionParams) -> W
 
 class _Lattice(NamedTuple):
     """Binned-route lattice: phi_bins phase bins, node offsets s0 + i delta (i < n_s),
-    sample offsets u0 + j delta (j < n_u) and the kernel kv at every difference of the two."""
+    sample offsets u0 + j delta (j < n_u) and the kernel kv at every difference of the two
+    (None on the geometry a `BinnedBatch` shares, before a member's kernel is set)."""
 
     phi_bins: int
     delta: float
@@ -428,7 +432,7 @@ class _Lattice(NamedTuple):
     n_s: int
     u0: float
     n_u: int
-    kv: np.ndarray
+    kv: np.ndarray | None
 
 
 def _resolution(r: float, h: float) -> tuple[int, int]:
@@ -440,15 +444,20 @@ def _resolution(r: float, h: float) -> tuple[int, int]:
     serves it).  The offset spacing delta = 2 r / (2048 s - 9) keeps
     c delta <= 48/2039, so linear interpolation of a phase row, band-limited to
     c, is within (c delta)^2 / 8 <= 7e-5 of its maximum (Bernstein's inequality).
+    A set of parameters shares the lattice of r = r_max and c = c_max, the
+    largest radius and cutoff among its members: every member, of r <= r_max
+    and c <= c_max, then has c delta <= 48/2039 and r c <= 24 s below the cap.
     """
     sharp = max(1, min(4, math.ceil(r / (24.0 * h))))
     return 512 * sharp, 2048 * sharp
 
 
-def _lattice(batch: QuadratureBatch, params: ReconstructionParams, gamma: float) -> _Lattice:
-    """The lattice at `_resolution(r, h)` that covers the grid and every sample offset."""
-    phi_bins, n_s = _resolution(params.r, params.h)
-    delta = 2.0 * params.r / (n_s - 9)
+def _geometry(batch: QuadratureBatch, members) -> _Lattice:
+    """The lattice at `_resolution(r_max, 1 / c_max)` of the parameter set `members`
+    that covers every member's grid and every sample offset, without kernel values."""
+    r = max(p.r for p in members)
+    phi_bins, n_s = _resolution(r, min(p.h for p in members))
+    delta = 2.0 * r / (n_s - 9)
     s0 = -delta * (n_s - 1) / 2.0
 
     # max|x| / sqrt(eta) is max|u|, as dividing by sqrt(eta) is monotone
@@ -458,12 +467,17 @@ def _lattice(batch: QuadratureBatch, params: ReconstructionParams, gamma: float)
     if (n_u - n_s) % 2:
         n_u += 1
     u0 = -delta * (n_u - 1) / 2.0
+    return _Lattice(phi_bins, delta, s0, n_s, u0, n_u, None)
 
-    # s_i - u_j = (i - j + (n_u - n_s) / 2) delta: whole multiples of delta,
-    # symmetric about 0, so `kernel` evaluates each |offset| once
-    half_k = (n_u + n_s) // 2 - 1
-    offsets = delta * np.arange(-half_k, half_k + 1)
-    return _Lattice(phi_bins, delta, s0, n_s, u0, n_u, kernel(offsets, gamma, params.h))
+
+def _with_kernel(lat: _Lattice, gamma: float, h: float) -> _Lattice:
+    """`lat` with the kernel of cutoff 1/h at every node-sample offset difference.
+
+    s_i - u_j = (i - j + (n_u - n_s) / 2) delta: whole multiples of delta,
+    symmetric about 0, so `kernel` evaluates each |offset| once.
+    """
+    half_k = (lat.n_u + lat.n_s) // 2 - 1
+    return lat._replace(kv=kernel(lat.delta * np.arange(-half_k, half_k + 1), gamma, h))
 
 
 # Samples per binning pass and phase rows per FFT block.  The binned field's
@@ -502,15 +516,20 @@ def _shares(batch: QuadratureBatch, lat: _Lattice, part=slice(None)):
     return flat.ravel(), weight.ravel()
 
 
-def _fast_field(batch: QuadratureBatch, lat: _Lattice):
-    """Per-phase-bin kernel response G[k, i] = sum_j counts[k, j] K(s_i - u_j).
-
-    `add.at` sums the shares into counts in sample order, so the field does
-    not depend on `_BIN_CHUNK`, nor on `_FFT_ROWS`, as each row transforms alone.
-    """
+def _bin_counts(batch: QuadratureBatch, lat: _Lattice) -> np.ndarray:
+    """Lattice counts[k, j]: the batch's shares summed by `add.at` in sample
+    order, `_BIN_CHUNK` samples per pass, so no bit depends on the chunk."""
     counts = np.zeros((lat.phi_bins, lat.n_u))
     for lo in range(0, batch.n, _BIN_CHUNK):
         np.add.at(counts.reshape(-1), *_shares(batch, lat, slice(lo, lo + _BIN_CHUNK)))
+    return counts
+
+
+def _fast_field(counts: np.ndarray, lat: _Lattice):
+    """Per-phase-bin kernel response G[k, i] = sum_j counts[k, j] K(s_i - u_j).
+
+    Each phase row transforms alone, so the field does not depend on `_FFT_ROWS`.
+    """
     # a circular correlation of length >= n_u + n_s - 1 leaves the n_s wanted
     # entries of the full one unaliased
     size = _next_fast_len(lat.n_u + lat.n_s - 1)
@@ -589,7 +608,8 @@ def _linear(pos: np.ndarray):
 
 
 def _probe_sums(batch: QuadratureBatch, lat: _Lattice, qs, ps):
-    """`_interp_grid(_fast_field(batch, lat), ...)` at a few nodes (qs, ps), without the FFT.
+    """`_interp_grid(_fast_field(_bin_counts(batch, lat), lat), ...)` at a few
+    nodes (qs, ps), without the FFT.
 
     The field is linear in the lattice counts, G[k, i] = sum_j counts[k, j]
     kv[i - j + n_u - 1], so each sample's four shares, in cells (k, j), are
@@ -604,7 +624,29 @@ def _probe_sums(batch: QuadratureBatch, lat: _Lattice, qs, ps):
     return (w[0] * lat.kv[base] + w[1] * lat.kv[base + 1]) @ weight
 
 
-def reconstruct_fast(batch: QuadratureBatch, params: ReconstructionParams,
+class BinnedBatch:
+    """A batch binned once for a set of parameters, on the lattice `_resolution`
+    gives the set's largest radius and cutoff, within every member's bound.
+
+    The first `reconstruct_fast` call bins the counts and later members reuse
+    them.  At several betas of `ReconstructionParams.for_experiment`, the
+    smallest beta sets the lattice, so its grid is bit for bit the one
+    `reconstruct_fast(batch, params)` gives.
+    """
+
+    def __init__(self, batch: QuadratureBatch, params_seq):
+        if batch.n == 0:
+            raise ValueError("cannot reconstruct from an empty batch")
+        self.batch = batch
+        self.params = tuple(params_seq)
+        self.lattice = _geometry(batch, self.params)  # kv is None: each member sets its own
+
+    @functools.cached_property
+    def counts(self) -> np.ndarray:
+        return _bin_counts(self.batch, self.lattice)
+
+
+def reconstruct_fast(batch: QuadratureBatch | BinnedBatch, params: ReconstructionParams,
                      self_check: bool = True) -> WignerGrid:
     """Accelerated estimator: identical contract to `reconstruct_exact` within
     a nodewise tolerance of 1e-3 * max|grid| at the lattice resolutions.
@@ -615,14 +657,20 @@ def reconstruct_fast(batch: QuadratureBatch, params: ReconstructionParams,
     against the direct evaluation and raises `RuntimeError` if the
     resolutions cannot meet the tolerance; `reconstruct_exact` (`--exact`)
     then gives the direct sum.  The grid meta's `route` is "binned".
+
+    `batch` is a plain batch, binned for `params` alone, or a `BinnedBatch`
+    that `params` is a member of, whose counts serve all its members.
     """
-    if batch.n == 0:
-        raise ValueError("cannot reconstruct from an empty batch")
+    binned = batch if isinstance(batch, BinnedBatch) else BinnedBatch(batch, (params,))
+    if params not in binned.params:
+        raise ValueError(f"params for beta={params.beta!r} are not among those this BinnedBatch was "
+                         f"binned for (betas {[p.beta for p in binned.params]})")
+    batch = binned.batch
     gamma = _check_gamma(batch, params)
 
     mask, qs, ps = _disk_nodes(params.axis(), params.r)
-    lat = _lattice(batch, params, gamma)
-    values = _interp_grid(_fast_field(batch, lat), params.axis(), mask, lat) / batch.n
+    lat = _with_kernel(binned.lattice, gamma, params.h)
+    values = _interp_grid(_fast_field(binned.counts, lat), params.axis(), mask, lat) / batch.n
     if self_check:
         _fast_self_check(batch, params, lat, qs, ps, values)
     return WignerGrid(values, extent=params.extent, r=params.r,

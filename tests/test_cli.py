@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from catomo import estimator as est
-from catomo import read_batch, read_grid
+from catomo import ReconstructionParams, read_batch, read_grid, reconstruct_fast
 from catomo.estimator import GRID_MAGIC
 from catomo.sampling import BATCH_MAGIC
 from catomo.cli import (
@@ -20,7 +20,7 @@ from catomo.cli import (
     main,
     save_config,
 )
-from test_estimator import loaded_after
+from test_estimator import AddAtCounter, loaded_after
 from test_sampling import read_bytes, read_text, rewrite_header, write_file
 
 TINY = dict(n=2000, replicates=2, seed=11, betas=(0.1,), grid_size=41, workers=1)
@@ -235,6 +235,20 @@ class TestReconstruct:
         grid = read_grid(os.path.join(cfg.output_dir, "grids", "beta_0.1", "grid_r00.wg"))
         assert grid.meta["method"] == "exact"
         assert grid.meta["route"] == "direct"
+
+    def test_fast_path_bins_each_batch_once(self, tmp_path, monkeypatch):
+        # one binning pass per replicate serves both betas; beta = 0.05 sets the
+        # lattice, so its grid keeps the bits of a lone reconstruct_fast call
+        cfg, path = tiny_config(tmp_path, betas=(0.05, 0.1))
+        assert main(["sample", "--config", path]) == 0
+        counter = AddAtCounter(monkeypatch)
+        assert main(["reconstruct", "--config", path]) == 0
+        assert counter.calls == cfg.replicates
+        monkeypatch.undo()
+        params = ReconstructionParams.for_experiment(cfg.n, 0.05, cfg.noise, grid_size=cfg.grid_size)
+        lone = reconstruct_fast(read_batch(os.path.join(cfg.output_dir, "batches", "batch_r00.qb")), params)
+        grid = read_grid(os.path.join(cfg.output_dir, "grids", "beta_0.05", "grid_r00.wg"))
+        assert np.array_equal(grid.values, lone.values)
 
     def test_failed_self_check_refuses_the_grid(self, tmp_path, capsys, monkeypatch):
         cfg, path = tiny_config(tmp_path)

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -385,8 +386,36 @@ def interp_nodes_reference(g_field, qs, ps, lat):
     return acc
 
 
+def lone_lattice(batch, params, gamma):
+    """The binned lattice that `reconstruct_fast(batch, params)` builds: the
+    geometry of the one-member set {params}, with its kernel values."""
+    return est._with_kernel(est._geometry(batch, (params,)), gamma, params.h)
+
+
+def binned_field(batch, lat):
+    """`_fast_field` of the batch binned on `lat`."""
+    return est._fast_field(est._bin_counts(batch, lat), lat)
+
+
+class AddAtCounter:
+    """numpy as the estimator module sees it, with `np.add.at` calls counted:
+    one per binning pass of `_bin_counts`."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        self.add = types.SimpleNamespace(at=self._add_at)
+        monkeypatch.setattr(est, "np", self)
+
+    def _add_at(self, *args):
+        self.calls += 1
+        np.add.at(*args)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
 def field_reference(batch, lat):
-    """`_fast_field` in one shot: a single `bincount` over every sample's shares,
+    """`binned_field` in one shot: a single `bincount` over every sample's shares,
     then one FFT correlation over the whole lattice."""
     counts = np.bincount(*est._shares(batch, lat), minlength=lat.phi_bins * lat.n_u)
     size = est._next_fast_len(lat.n_u + lat.n_s - 1)
@@ -483,7 +512,7 @@ class TestReconstructFast:
         nm = NoiseModel(0.95)
         batch = generate_batch(CatState(2.0, 0.3), nm, 6000, seed=314)
         params = ReconstructionParams.for_experiment(6000, 0.05, nm, grid_size=41)
-        assert est._lattice(batch, params, nm.gamma).phi_bins > 512
+        assert lone_lattice(batch, params, nm.gamma).phi_bins > 512
         fast = reconstruct_fast(batch, params)
         assert fast.meta["route"] == "binned"
         exact = reconstruct_exact(batch, params)
@@ -510,13 +539,13 @@ class TestReconstructFast:
     def test_probe_sums_match_fft_field(self, cat, noise):
         batch = generate_batch(cat, noise, 2048, seed=79)
         params = small_params(2048, grid_size=21)
-        lat = est._lattice(batch, params, noise.gamma)
+        lat = lone_lattice(batch, params, noise.gamma)
         ax = params.axis()
         qq, pp = np.meshgrid(ax, ax, indexing="ij")
         inside = qq**2 + pp**2 <= params.r**2
         pick = np.random.default_rng(80).choice(np.count_nonzero(inside), 24, replace=False)
         qs, ps = qq[inside][pick], pp[inside][pick]
-        ref = est._interp_grid(est._fast_field(batch, lat), ax, inside, lat)[inside][pick]
+        ref = est._interp_grid(binned_field(batch, lat), ax, inside, lat)[inside][pick]
         ours = est._probe_sums(batch, lat, qs, ps)
         assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -527,8 +556,8 @@ class TestReconstructFast:
         # written to the wrong quadrant, or a bin paired with the wrong partner, shows
         batch = generate_batch(CatState(1.5, 0.7), noise, 3000, seed=84)
         params = small_params(3000, grid_size=grid_size)
-        lat = est._lattice(batch, params, noise.gamma)._replace(phi_bins=phi_bins)
-        g_field = est._fast_field(batch, lat)
+        lat = lone_lattice(batch, params, noise.gamma)._replace(phi_bins=phi_bins)
+        g_field = binned_field(batch, lat)
         ax = params.axis()
         mask, qs, ps = est._disk_nodes(ax, params.r)
         ref = np.zeros(mask.shape)
@@ -546,7 +575,7 @@ class TestReconstructFast:
         monkeypatch.setattr(est, "_resolution", lambda r, h: (512, 4096))
         params = small_params(4_000_000, grid_size=201)
         x = np.linspace(-6.0, 6.0, 64)
-        lat = est._lattice(QuadratureBatch(x, np.zeros(64), cat, noise, seed=0), params, noise.gamma)
+        lat = lone_lattice(QuadratureBatch(x, np.zeros(64), cat, noise, seed=0), params, noise.gamma)
         g_field = np.random.default_rng(85).normal(size=(lat.phi_bins, lat.n_s))
         ax = params.axis()
         mask = est._disk_nodes(ax, params.r)[0]
@@ -564,7 +593,7 @@ class TestReconstructFast:
         # offset sits halfway between two entries, where the bound is nearly met
         params = small_params(n, beta=beta, grid_size=41)
         x = np.linspace(-6.0, 6.0, 64)
-        lat = est._lattice(QuadratureBatch(x, np.zeros(64), cat, noise, seed=0), params, noise.gamma)
+        lat = lone_lattice(QuadratureBatch(x, np.zeros(64), cat, noise, seed=0), params, noise.gamma)
         c = 1.0 / params.h
         assert c * lat.delta <= 48.0 / 2039.0
         rng = np.random.default_rng(88)
@@ -590,18 +619,71 @@ class TestReconstructFast:
         # the cutoff terms alone reach nearly their share of the bound at the origin
         assert dev[ax.size // 2, ax.size // 2] > 0.5 * per_unit * lat.phi_bins
 
-    def test_resolution_keeps_offset_spacing_within_bound(self):
+    def test_resolution_keeps_offset_spacing_within_bound(self, cat, noise):
         # c delta = 2 (r/h) / (n_s - 9) <= 48/2039 wherever the cap s <= 4 does not bind
         for r_over_h in np.linspace(0.5, 96.0, 400):
             _, n_s = est._resolution(r_over_h, 1.0)
             assert 2.0 * r_over_h / (n_s - 9) <= 48.0 / 2039.0 * (1.0 + 1e-12)
+        # a set of members shares the lattice of its largest r and its largest
+        # c = 1/h, which may belong to different members; each member keeps
+        # c delta <= 48/2039 and r c <= 24 s below the cap
+        batch = QuadratureBatch(np.linspace(-5.0, 5.0, 64), np.zeros(64), cat, noise, seed=0)
+        rng = np.random.default_rng(90)
+        split = 0
+        for _ in range(300):
+            members = [ReconstructionParams(r=rng.uniform(0.5, 8.0), h=1.0 / rng.uniform(0.5, 12.0), grid_size=21)
+                       for _ in range(rng.integers(1, 5))]
+            split += np.argmax([p.r for p in members]) != np.argmin([p.h for p in members])
+            lat = est._geometry(batch, members)
+            sharp = lat.n_s // 2048
+            assert lat.phi_bins == 512 * sharp and lat.kv is None
+            assert lat.delta == 2.0 * max(p.r for p in members) / (lat.n_s - 9)
+            if max(p.r for p in members) * max(1.0 / p.h for p in members) > 96.0:
+                assert sharp == 4
+                continue
+            for p in members:
+                assert lat.delta / p.h <= 48.0 / 2039.0 * (1.0 + 1e-12)
+                assert p.r / p.h <= 24.0 * sharp * (1.0 + 1e-12)
+        assert split > 100  # sets whose r_max and c_max come from different members
+        # one member: the lattice `reconstruct_fast(batch, params)` has always built
+        for beta in (0.05, 0.1):
+            params = small_params(16_000_000, beta=beta)
+            sharp = max(1, min(4, math.ceil(params.r / (24.0 * params.h))))
+            delta = 2.0 * params.r / (2048 * sharp - 9)
+            half_u = math.ceil((5.0 / math.sqrt(noise.eta) + 2.0 * delta) / delta)
+            n_u = 2 * half_u + 1 + (2 * half_u + 1 - 2048 * sharp) % 2
+            half_k = (n_u + 2048 * sharp) // 2 - 1
+            lat = lone_lattice(batch, params, noise.gamma)
+            assert lat[:6] == (512 * sharp, delta, -delta * (2048 * sharp - 1) / 2.0, 2048 * sharp,
+                               -delta * (n_u - 1) / 2.0, n_u)
+            assert np.array_equal(lat.kv, kernel(delta * np.arange(-half_k, half_k + 1), noise.gamma, params.h))
+
+    def test_binned_batch_bins_once_for_all_members(self, cat, noise, monkeypatch):
+        # beta = 0.05 has the larger r and c, so it sets the lattice of the set
+        # whichever member comes first, and keeps the bits of its lone call
+        n = 2 * est._BIN_CHUNK + 99
+        batch = generate_batch(cat, noise, n, seed=89)
+        coarse, fine = small_params(n, beta=0.1), small_params(n, beta=0.05)
+        lone = reconstruct_fast(batch, fine)
+        counter = AddAtCounter(monkeypatch)
+        binned = est.BinnedBatch(batch, (coarse, fine))
+        grids = [reconstruct_fast(binned, params) for params in (coarse, fine)]
+        assert counter.calls == math.ceil(n / est._BIN_CHUNK)
+        assert np.array_equal(grids[1].values, lone.values)
+        mask, qs, ps = est._disk_nodes(coarse.axis(), coarse.r)
+        pick = np.random.default_rng(91).choice(qs.size, 48, replace=False)
+        direct = estimate_at_points(batch, coarse, qs[pick], ps[pick])
+        scale = np.max(np.abs(grids[0].values))
+        assert np.max(np.abs(grids[0].values[mask][pick] - direct)) <= 1e-3 * scale
+        with pytest.raises(ValueError, match=r"beta=0\.2 are not among"):
+            reconstruct_fast(binned, small_params(n, beta=0.2))
 
     def test_chunked_binning_matches_one_pass(self, cat, noise, monkeypatch):
         batch = generate_batch(cat, noise, 5000, seed=81)
-        lat = est._lattice(batch, small_params(5000), noise.gamma)
-        whole = est._fast_field(batch, lat)
+        lat = lone_lattice(batch, small_params(5000), noise.gamma)
+        whole = binned_field(batch, lat)
         monkeypatch.setattr(est, "_BIN_CHUNK", 1000)
-        assert np.array_equal(est._fast_field(batch, lat), whole)
+        assert np.array_equal(binned_field(batch, lat), whole)
 
     # s = 1 is the 512 x 2048 lattice of beta = 0.1; beta = 0.05 at n = 1.6e7 needs s = 2
     @pytest.mark.parametrize("n_rule, beta, phi_bins", [(4_000_000, 0.1, 512), (16_000_000, 0.05, 1024)])
@@ -613,9 +695,9 @@ class TestReconstructFast:
             monkeypatch.setattr(est, "_BIN_CHUNK", chunk)
             monkeypatch.setattr(est, "_FFT_ROWS", rows)
         batch = seam_batch(3 * est._BIN_CHUNK + 321 if chunk is None else 3210, seed=86)
-        lat = est._lattice(batch, small_params(n_rule, beta=beta), batch.noise.gamma)
+        lat = lone_lattice(batch, small_params(n_rule, beta=beta), batch.noise.gamma)
         assert lat.phi_bins == phi_bins
-        assert np.array_equal(est._fast_field(batch, lat), field_reference(batch, lat))
+        assert np.array_equal(binned_field(batch, lat), field_reference(batch, lat))
 
     def test_next_fast_len_is_smallest_5_smooth(self):
         targets = range(1, 20_001)
@@ -627,9 +709,9 @@ class TestReconstructFast:
         edge = np.where(np.arange(400) % 2, 0.0, math.pi)
         at_edge = QuadratureBatch(x, edge, cat, noise, seed=0)
         turned = QuadratureBatch(-x, math.pi - edge, cat, noise, seed=0)
-        lat = est._lattice(at_edge, small_params(400), noise.gamma)
-        ref = est._fast_field(at_edge, lat)
-        assert np.max(np.abs(est._fast_field(turned, lat) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        lat = lone_lattice(at_edge, small_params(400), noise.gamma)
+        ref = binned_field(at_edge, lat)
+        assert np.max(np.abs(binned_field(turned, lat) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_binning_memory_flat_in_n(self, noise):
         rng = np.random.default_rng(83)
@@ -637,11 +719,11 @@ class TestReconstructFast:
         big = QuadratureBatch(rng.uniform(-3.0, 3.0, n), rng.uniform(0.0, math.pi, n),
                               CatState(1.5), noise, seed=0)
         small = QuadratureBatch(big.x[:n // 4], big.phi[:n // 4], big.state, noise, seed=0)
-        lat = est._lattice(big, small_params(n, grid_size=21), noise.gamma)
+        lat = lone_lattice(big, small_params(n, grid_size=21), noise.gamma)
         peaks = []
         for batch in (small, big):
             tracemalloc.start()
-            est._fast_field(batch, lat)
+            binned_field(batch, lat)
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
         assert peaks[1] < 1.05 * peaks[0], f"peak {peaks[0] / 2**20:.0f} -> {peaks[1] / 2**20:.0f} MB"
@@ -653,10 +735,10 @@ class TestReconstructFast:
         rng = np.random.default_rng(87)
         n = 3 * est._BIN_CHUNK
         batch = QuadratureBatch(rng.normal(0.0, 1.6, n), rng.uniform(0.0, math.pi, n), CatState(1.5), noise, seed=0)
-        lat = est._lattice(batch, small_params(4_000_000, grid_size=201), noise.gamma)
+        lat = lone_lattice(batch, small_params(4_000_000, grid_size=201), noise.gamma)
         tracemalloc.start()
         try:
-            g_field = est._fast_field(batch, lat)
+            g_field = binned_field(batch, lat)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -13,7 +13,7 @@ PUBLIC = {
     "QuadratureBatch", "add_detection_noise", "batch_to_csv", "generate_batch", "read_batch",
     "sample_ideal_quadrature", "sample_phase", "write_batch",
     # estimator
-    "KernelTable", "ReconstructionParams", "WignerGrid", "estimate_at_points",
+    "BinnedBatch", "KernelTable", "ReconstructionParams", "WignerGrid", "estimate_at_points",
     "estimator_mean_oracle", "grid_to_csv", "kernel", "mean_grid", "optimal_bandwidth",
     "read_grid", "reconstruct_exact", "reconstruct_fast", "write_grid",
     # analysis
