@@ -51,7 +51,7 @@ from .estimator import (
     reconstruct_fast,
     write_grid,
 )
-from .sampling import _atomic_bytes, _batch_header, generate_batch, read_batch, write_batch
+from .sampling import _atomic_bytes, _batch_header, _batch_writer, _BatchFile, generate_batch, read_batch
 from .states import CatState, NoiseModel
 
 EXIT_OK = 0
@@ -255,10 +255,10 @@ def _map_replicates(fn, cfg: ExperimentConfig) -> list:
 
 
 def _sample_one(cfg: ExperimentConfig, source: str, rep: int) -> str:
-    batch = generate_batch(cfg.state, cfg.noise, cfg.n, cfg.seed, replicate=rep)
-    batch.source_sha256 = source
+    """Sample one replicate's batch file, each chunk written as soon as it is sampled."""
     path = _batch_path(cfg, rep)
-    write_batch(batch, path)
+    with _batch_writer(path, _batch_header(cfg.state, cfg.noise, cfg.n, cfg.seed, rep, source)) as out:
+        generate_batch(cfg.state, cfg.noise, cfg.n, cfg.seed, replicate=rep, out=out)
     return path
 
 
@@ -282,18 +282,26 @@ def _check_provenance(path: str, header: dict, cfg: ExperimentConfig, **extra) -
 
 
 def _reconstruct_one(cfg: ExperimentConfig, rep: int) -> list[str]:
-    """Every beta's grid of one replicate, built from one read of its batch and,
-    on the fast path, one binning of it on the lattice of the smallest beta
-    (`BinnedBatch`), which every beta's grid shares."""
+    """Every beta's grid of replicate `rep`, its batch file read in blocks.
+
+    The header and its provenance are checked first; one read then validates
+    the pairs, hashes the file and finds max|x| (`_BatchFile.scan`).  The
+    fast path bins the file in a second blocked read, once for every beta,
+    on the lattice of the smallest beta (`BinnedBatch`), so no whole batch
+    is held; the exact path's direct sum reads the whole batch.
+    """
     path = _batch_path(cfg, rep)
     if not os.path.exists(path):
         raise ConfigError(f"missing batch file {path}; run `sample` first")
     try:
-        batch = read_batch(path)
+        batch = _BatchFile(path)
+        _check_provenance(path, batch.header, cfg, replicate=rep)
+        sha = batch.scan()
+        if cfg.path == "exact":
+            batch = read_batch(path)
     except ValueError as exc:
         raise ConfigError(f"invalid batch file: {exc}") from exc
-    _check_provenance(path, _batch_header(batch), cfg)
-    batch.source_sha256 = file_sha(path)
+    batch.source_sha256 = sha
     members = [ReconstructionParams.for_experiment(cfg.n, beta, cfg.noise, grid_size=cfg.grid_size)
                for beta in cfg.betas]
     fast = cfg.path == "fast"
@@ -301,7 +309,7 @@ def _reconstruct_one(cfg: ExperimentConfig, rep: int) -> list[str]:
     outs = []
     for params in members:
         grid = reconstruct_fast(source, params) if fast else reconstruct_exact(source, params)
-        outs.append(os.path.join(_grid_dir(cfg, params.beta), f"grid_r{batch.replicate:02d}.wg"))
+        outs.append(os.path.join(_grid_dir(cfg, params.beta), f"grid_r{rep:02d}.wg"))
         write_grid(grid, outs[-1])
     return outs
 

@@ -28,7 +28,11 @@ four mirror images of it (`_interp_grid`) and whose error the cutoff bounds
 (`_resolution`); a self-check against the direct sum at a few nodes raises
 `RuntimeError`, pointing to the exact path, if the lattice is too coarse.  A
 `BinnedBatch` bins a batch once for a set of parameters: one lattice, set
-by their largest radius and cutoff, serves every member's grid.  A
+by their largest radius and cutoff, serves every member's grid.  The route
+is linear in the samples and bins them in sample order, block by block, so
+it also takes a batch file that is never held whole: the `reconstruct`
+stage scans the file once (validation, hash, max|x|) and bins it in a
+second read, which also gathers the self-check's samples.  A
 deterministic mean-value oracle (the exact expectation of the estimator, one
 radial Bessel integral per point) supports bias tests without Monte Carlo.
 """
@@ -308,7 +312,7 @@ def _check_gamma(batch: QuadratureBatch, params: ReconstructionParams) -> float:
 
 
 def _default_table(batch: QuadratureBatch, params: ReconstructionParams, gamma: float) -> KernelTable:
-    u_max = float(max(batch.x.max(), -batch.x.min())) / math.sqrt(batch.noise.eta)
+    u_max = batch.x_abs_max / math.sqrt(batch.noise.eta)
     return KernelTable(gamma, params.h, t_max=params.extent * math.sqrt(2.0) + u_max + 1.0)
 
 
@@ -452,16 +456,17 @@ def _resolution(r: float, h: float) -> tuple[int, int]:
     return 512 * sharp, 2048 * sharp
 
 
-def _geometry(batch: QuadratureBatch, members) -> _Lattice:
+def _geometry(batch, members) -> _Lattice:
     """The lattice at `_resolution(r_max, 1 / c_max)` of the parameter set `members`
-    that covers every member's grid and every sample offset, without kernel values."""
+    that covers every member's grid and every sample offset of `batch` (a
+    `QuadratureBatch` or a scanned batch file), without kernel values."""
     r = max(p.r for p in members)
     phi_bins, n_s = _resolution(r, min(p.h for p in members))
     delta = 2.0 * r / (n_s - 9)
     s0 = -delta * (n_s - 1) / 2.0
 
     # max|x| / sqrt(eta) is max|u|, as dividing by sqrt(eta) is monotone
-    u_abs_max = max(batch.x.max(), -batch.x.min()) / math.sqrt(batch.noise.eta)
+    u_abs_max = batch.x_abs_max / math.sqrt(batch.noise.eta)
     half_u = math.ceil((u_abs_max + 2.0 * delta) / delta)
     n_u = 2 * half_u + 1
     if (n_u - n_s) % 2:
@@ -481,17 +486,21 @@ def _with_kernel(lat: _Lattice, gamma: float, h: float) -> _Lattice:
 
 
 # Samples per binning pass and phase rows per FFT block.  The binned field's
-# working memory is the lattice, the field and one chunk's shares (2 MiB) or
-# one block's transforms (under 1 MiB), whatever n is.  Medians of five at
-# n = 4e6 on a 512 x 6974 lattice (2-core Xeon), three runs: `add.at` over
-# 2^15-sample chunks took 0.31-0.45 s against 0.42-0.49 s at 2^17, and 8-row
-# blocks 0.10-0.13 s against 0.12-0.15 s for the whole lattice at once.
-_BIN_CHUNK = 1 << 15
+# working memory is the lattice, the field and one block's shares (256 KiB)
+# or one FFT block's transforms (under 1 MiB), whatever n is.  A block's
+# temporaries stay near glibc's 128 KiB mmap threshold: the one pass over a
+# batch file at n = 1.6e7 took 0.92-1.25 s in a fresh process with 2^12-sample
+# blocks, against 1.54-2.40 s with 2^13-2^15, whose 256 KiB-1 MiB share
+# arrays were mapped afresh for every block (1.4-1.6 M page faults against 10 k;
+# 2-core Xeon, two runs of three).  8-row FFT blocks took 0.10-0.13 s against
+# 0.12-0.15 s for a 512 x 6974 lattice at once.
+_BIN_CHUNK = 1 << 12
 _FFT_ROWS = 8
 
 
-def _shares(batch: QuadratureBatch, lat: _Lattice, part=slice(None)):
-    """Flat lattice indices and weights of the four bilinear shares of each sample in `part`.
+def _shares(x, phi, eta: float, lat: _Lattice):
+    """Flat lattice indices and weights of the four bilinear shares of each
+    sample (x, phi) at efficiency eta.
 
     The lattice is (phi-bin, offset-bin), flattened row-major.  Phase
     spreading respects the half-turn identity (phi + pi, u) ~ (phi, -u): a
@@ -500,8 +509,8 @@ def _shares(batch: QuadratureBatch, lat: _Lattice, part=slice(None)):
     symmetric about 0), so no first-order error appears at the phase seam.
     """
     n_u, size = lat.n_u, lat.phi_bins * lat.n_u
-    pos = batch.phi[part] / (math.pi / lat.phi_bins) - 0.5
-    upos = (batch.x[part] / math.sqrt(batch.noise.eta) - lat.u0) / lat.delta
+    pos = phi / (math.pi / lat.phi_bins) - 0.5
+    upos = (x / math.sqrt(eta) - lat.u0) / lat.delta
     row, col = np.floor(pos), np.floor(upos)
     w_phi, w_u = pos - row, upos - col  # weights of row + 1 and col + 1
     base = (row * n_u + np.clip(col, 0, n_u - 2)).astype(np.int64)
@@ -516,13 +525,24 @@ def _shares(batch: QuadratureBatch, lat: _Lattice, part=slice(None)):
     return flat.ravel(), weight.ravel()
 
 
-def _bin_counts(batch: QuadratureBatch, lat: _Lattice) -> np.ndarray:
-    """Lattice counts[k, j]: the batch's shares summed by `add.at` in sample
-    order, `_BIN_CHUNK` samples per pass, so no bit depends on the chunk."""
+def _bin_counts(batch, lat: _Lattice, wanted: np.ndarray):
+    """Lattice counts[k, j] of `batch`, and the (x, phi) rows of its samples
+    at the sorted indices `wanted`, from one pass over its blocks.
+
+    The shares are summed by `add.at` in sample order, one block of
+    `_BIN_CHUNK` samples per call, so no bit depends on the blocks.  `batch`
+    is a `QuadratureBatch` or a scanned batch file: anything whose
+    `blocks(size)` yields its samples in order.
+    """
     counts = np.zeros((lat.phi_bins, lat.n_u))
-    for lo in range(0, batch.n, _BIN_CHUNK):
-        np.add.at(counts.reshape(-1), *_shares(batch, lat, slice(lo, lo + _BIN_CHUNK)))
-    return counts
+    picked = np.empty((2, wanted.size))
+    lo = 0
+    for x, phi in batch.blocks(_BIN_CHUNK):
+        np.add.at(counts.reshape(-1), *_shares(x, phi, batch.noise.eta, lat))
+        a, b = np.searchsorted(wanted, (lo, lo + x.size))
+        picked[0, a:b], picked[1, a:b] = x[wanted[a:b] - lo], phi[wanted[a:b] - lo]
+        lo += x.size
+    return counts, picked
 
 
 def _fast_field(counts: np.ndarray, lat: _Lattice):
@@ -608,15 +628,15 @@ def _linear(pos: np.ndarray):
 
 
 def _probe_sums(batch: QuadratureBatch, lat: _Lattice, qs, ps):
-    """`_interp_grid(_fast_field(_bin_counts(batch, lat), lat), ...)` at a few
-    nodes (qs, ps), without the FFT.
+    """`_interp_grid(_fast_field(counts, lat), ...)` of the batch's lattice
+    counts at a few nodes (qs, ps), without the FFT.
 
     The field is linear in the lattice counts, G[k, i] = sum_j counts[k, j]
     kv[i - j + n_u - 1], so each sample's four shares, in cells (k, j), are
     summed directly against the on-grid kernel values with the linear
     weights of their phase bin, which carry the same (c delta)^2 / 8 bound.
     """
-    flat, weight = _shares(batch, lat)
+    flat, weight = _shares(batch.x, batch.phi, batch.noise.eta, lat)
     k, j = np.divmod(flat, lat.n_u)
     phi_k = (k + 0.5) * (math.pi / lat.phi_bins)
     i0, w = _linear((qs[:, None] * np.cos(phi_k) + ps[:, None] * np.sin(phi_k) - lat.s0) / lat.delta)
@@ -628,13 +648,18 @@ class BinnedBatch:
     """A batch binned once for a set of parameters, on the lattice `_resolution`
     gives the set's largest radius and cutoff, within every member's bound.
 
-    The first `reconstruct_fast` call bins the counts and later members reuse
-    them.  At several betas of `ReconstructionParams.for_experiment`, the
-    smallest beta sets the lattice, so its grid is bit for bit the one
-    `reconstruct_fast(batch, params)` gives.
+    `batch` is a `QuadratureBatch` or a scanned batch file
+    (`sampling._BatchFile`), which is read in blocks and never held whole.
+    The first `reconstruct_fast` call makes the one pass over its samples
+    (`_bin_counts`): it fills the counts and gathers every member's
+    self-check samples, whose indices are drawn beforehand (`_check_draws`).
+    Later members reuse both.  At several betas of
+    `ReconstructionParams.for_experiment`, the smallest beta sets the
+    lattice, so its grid is bit for bit the one `reconstruct_fast(batch,
+    params)` gives.
     """
 
-    def __init__(self, batch: QuadratureBatch, params_seq):
+    def __init__(self, batch, params_seq):
         if batch.n == 0:
             raise ValueError("cannot reconstruct from an empty batch")
         self.batch = batch
@@ -642,8 +667,17 @@ class BinnedBatch:
         self.lattice = _geometry(batch, self.params)  # kv is None: each member sets its own
 
     @functools.cached_property
-    def counts(self) -> np.ndarray:
-        return _bin_counts(self.batch, self.lattice)
+    def counts_and_checks(self):
+        """The lattice counts, and each member's self-check probe nodes and samples."""
+        draws = {p: _check_draws(self.batch.n, np.count_nonzero(_disk_nodes(p.axis(), p.r)[0]))
+                 for p in self.params}
+        wanted = np.unique(np.concatenate([sub for _, sub in draws.values()]))
+        counts, picked = _bin_counts(self.batch, self.lattice, wanted)
+        b = self.batch
+        checks = {p: (probe, QuadratureBatch(*picked[:, np.searchsorted(wanted, sub)], b.state, b.noise,
+                                             seed=b.seed, replicate=b.replicate))
+                  for p, (probe, sub) in draws.items()}
+        return counts, checks
 
 
 def reconstruct_fast(batch: QuadratureBatch | BinnedBatch, params: ReconstructionParams,
@@ -670,9 +704,11 @@ def reconstruct_fast(batch: QuadratureBatch | BinnedBatch, params: Reconstructio
 
     mask, qs, ps = _disk_nodes(params.axis(), params.r)
     lat = _with_kernel(binned.lattice, gamma, params.h)
-    values = _interp_grid(_fast_field(binned.counts, lat), params.axis(), mask, lat) / batch.n
+    counts, checks = binned.counts_and_checks
+    values = _interp_grid(_fast_field(counts, lat), params.axis(), mask, lat) / batch.n
     if self_check:
-        _fast_self_check(batch, params, lat, qs, ps, values)
+        probe, sub = checks[params]
+        _fast_self_check(sub, batch.n, params, lat, qs[probe], ps[probe], values)
     return WignerGrid(values, extent=params.extent, r=params.r,
                       meta=_grid_meta(batch, params, "fast"))
 
@@ -683,29 +719,31 @@ _CHECK_SAMPLES = 2048
 _CHECK_PROBES = 24
 
 
-def _fast_self_check(batch, params, lat: _Lattice, qs, ps, fast_values) -> None:
-    """Compare the binned evaluation against the direct kernel sum at probe nodes;
-    raise `RuntimeError` naming the lattice if they differ by more than the budget.
+def _check_draws(n: int, nodes: int):
+    """The self-check's probes, min(24, nodes) of the `nodes` inside-disk
+    grid nodes, then its min(n, 2048) of the n samples, both without
+    replacement and in that order from one fixed stream."""
+    rng = np.random.default_rng(618)
+    probe = rng.choice(nodes, size=min(_CHECK_PROBES, nodes), replace=False)
+    return probe, rng.choice(n, size=min(n, _CHECK_SAMPLES), replace=False)
 
-    Both sums run over the same m samples: the whole batch when n <= 8 * 2048,
-    else a subsample of m = 2048, with the tolerance widened by sqrt(n / m).
-    Per-sample binning errors are oscillatory, so their full-batch average is
-    no larger than the subsample average, while systematic components sit far
-    below tolerance by construction.  `fast_values` sets the scale, max|grid|.
+
+def _fast_self_check(sub: QuadratureBatch, n: int, params, lat: _Lattice, pq, pp, fast_values) -> None:
+    """Compare the binned evaluation against the direct kernel sum at the probe
+    nodes (pq, pp); raise `RuntimeError` naming the lattice if they differ by
+    more than the budget.
+
+    Both sums run over the same m = min(n, 2048) samples `sub` of the n
+    (`_check_draws`), with the tolerance widened by sqrt(n / m).  Per-sample
+    binning errors are oscillatory, so their full-batch average is no larger
+    than the subsample average, while systematic components sit far below
+    tolerance by construction.  `fast_values` sets the scale, max|grid|.
     """
     scale = np.max(np.abs(fast_values))  # max|grid|, as the grid is zero outside the disk
     if scale == 0.0:
         return
-    rng = np.random.default_rng(618)
-    probe = rng.choice(qs.size, size=min(_CHECK_PROBES, qs.size), replace=False)
-    pq, pp = qs[probe], ps[probe]
-    sub = batch
-    if batch.n > 8 * _CHECK_SAMPLES:
-        sub_idx = rng.choice(batch.n, size=_CHECK_SAMPLES, replace=False)
-        sub = QuadratureBatch(batch.x[sub_idx], batch.phi[sub_idx], batch.state, batch.noise,
-                              seed=batch.seed, replicate=batch.replicate)
     binned = _probe_sums(sub, lat, pq, pp) / sub.n
-    budget = _CHECK_TOL * scale * math.sqrt(batch.n / sub.n)
+    budget = _CHECK_TOL * scale * math.sqrt(n / sub.n)
     dev = np.max(np.abs(binned - estimate_at_points(sub, params, pq, pp)))
     if not dev <= budget:
         raise RuntimeError(

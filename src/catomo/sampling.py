@@ -14,25 +14,33 @@ SeedSequence(seed, spawn_key=(replicate, chunk)), so identical
 (seed, replicate, n) reproduce batches bit-exactly and replicates are
 statistically independent.  Chunk boundaries are fixed (independent of how
 generation is scheduled), which keeps output deterministic under sharding
-and lets two threads sample two chunks at once: a batch of several chunks
-is sampled on a pool of two threads, a batch of one chunk on the calling
-thread.  The calling thread allocates every chunk-sized array: the batch
-and one round workspace per thread.  Each rejection round draws into the
-workspace with `out=` and is evaluated in 2^15-sample blocks, the phase
-trigonometry redone per block from phi.
+and lets two threads sample two chunks at once.  `_sample_chunks` is the
+one producer: it yields the chunks of a batch in order, sampled on a pool
+of two threads (a batch of one chunk on the calling thread), each chunk in
+one of two slots, a round workspace and a chunk buffer that the calling
+thread allocates and reuses.  Each rejection round draws into the workspace
+with `out=` and is evaluated in 2^15-sample blocks, the phase trigonometry
+redone per block from phi.  `generate_batch` samples the chunks into a
+whole batch, or hands each to a batch writer as soon as it is done, so the
+`sample` stage writes a batch file while holding two chunks of it.
 
 Batch files are a small JSON header followed by raw little-endian float64
-(x, phi) pairs; a CSV export with 17 significant digits is also provided.
+(x, phi) pairs, written and read `_IO_PAIRS` pairs at a time: `_BatchFile`
+is the one reader, and `read_batch` gathers its blocks into a batch.  A CSV
+export with 17 significant digits is also provided.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import itertools
 import json
 import math
 import os
 import sys
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -62,6 +70,10 @@ CHUNK_SIZE = 1 << 20
 _POOL_THREADS = 2
 # Samples per block of a rejection round; a block's temporaries take 256 KiB each.
 _BLOCK = 1 << 15
+# Pairs per block when a batch file is written or read, 512 KiB: a stage that
+# streams a batch holds one block of its file, far less than the 8 MB of a
+# desk batch (2^20-pair blocks raised perfbench's desk peak RSS from 69 to 76 MB).
+_IO_PAIRS = 1 << 15
 
 # Held around each call of `quadrature_density`, so one sampler thread at a
 # time is inside it.  The function is looked up as a module attribute on
@@ -72,6 +84,7 @@ _BLOCK = 1 << 15
 _DENSITY_LOCK = threading.Lock()
 
 BATCH_MAGIC = b"CATQB1\n"
+_BATCH_KEYS = ("alpha1", "alpha2", "eta", "n", "seed", "replicate")  # required in a batch header
 _MAX_ROUNDS = 10_000  # rejection rounds before `_reject_into` gives up
 
 
@@ -92,15 +105,31 @@ class QuadratureBatch:
         self.phi = np.asarray(self.phi, dtype=np.float64)
         if self.x.shape != self.phi.shape or self.x.ndim != 1:
             raise ValueError("x and phi must be 1-D arrays of equal length")
-        for name, values in (("x", self.x), ("phi", self.phi)):
-            if not np.all(np.isfinite(values)):
-                raise ValueError(f"{name} holds non-finite values (NaN or inf)")
-        if self.x.size and (self.phi.min() < 0.0 or self.phi.max() > np.pi):
-            raise ValueError("phases must lie in [0, pi]")
+        _check_pairs(self.x, self.phi)
 
     @property
     def n(self) -> int:
         return self.x.size
+
+    @property
+    def x_abs_max(self) -> float:
+        """max|x|, 0 for an empty batch."""
+        return float(max(self.x.max(), -self.x.min())) if self.n else 0.0
+
+    def blocks(self, size: int):
+        """(x, phi) of successive blocks of up to `size` samples, in sample
+        order, as `_BatchFile.blocks` yields those of a batch file."""
+        for lo in range(0, self.n, size):
+            yield self.x[lo:lo + size], self.phi[lo:lo + size]
+
+
+def _check_pairs(x, phi) -> None:
+    """Refuse non-finite values and phases outside [0, pi], naming the column."""
+    for name, values in (("x", x), ("phi", phi)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} holds non-finite values (NaN or inf)")
+    if phi.size and (phi.min() < 0.0 or phi.max() > np.pi):
+        raise ValueError("phases must lie in [0, pi]")
 
 
 def _stream(seed: int, replicate: int, chunk: int) -> np.random.Generator:
@@ -133,8 +162,9 @@ def _envelope_const(state: CatState, a_neg):
 
 
 def _workspace(size: int):
-    """Round arrays for `size` samples: proposals, uniforms and active indices."""
-    return np.empty(size), np.empty(size), np.empty(size, dtype=np.intp)
+    """Round arrays for `size` samples: proposals, uniforms and active indices,
+    int32 as a chunk holds far fewer than 2^31 samples."""
+    return np.empty(size), np.empty(size), np.empty(size, dtype=np.int32)
 
 
 def _reject_into(state: CatState, phi, out, rng: np.random.Generator, work) -> None:
@@ -213,152 +243,275 @@ def _sample_chunk(state: CatState, noise: NoiseModel, rng: np.random.Generator, 
     x += y
 
 
+def _sample_chunks(state: CatState, noise: NoiseModel, n: int, seed: int, replicate: int, dest=None):
+    """The (x, phi) views of each chunk of a batch of n, yielded in chunk order.
+
+    Chunk c draws from `_stream(seed, replicate, c)` alone.  A batch of one
+    chunk is sampled on the calling thread.  Otherwise a pool of
+    `_POOL_THREADS` threads samples that many chunks at once, and chunk
+    c + _POOL_THREADS starts once chunk c has been taken, into c's slot: a
+    round workspace plus, unless `dest` = (x, phi) arrays of length n take
+    the chunks in place, a chunk buffer, valid until the next chunk is asked
+    for.  The calling thread allocates every slot: chunk-sized buffers freed
+    by a pool thread would stay resident in its malloc arena.
+    """
+    chunks = -(-n // CHUNK_SIZE)
+    slots, size = min(_POOL_THREADS, chunks), min(n, CHUNK_SIZE)
+    works = [_workspace(size) for _ in range(slots)]
+    bufs = None if dest else [(np.empty(size), np.empty(size)) for _ in range(slots)]
+
+    def sample(chunk: int):
+        lo, hi = chunk * CHUNK_SIZE, min((chunk + 1) * CHUNK_SIZE, n)
+        x, phi = [a[lo:hi] for a in dest] if dest else [b[:hi - lo] for b in bufs[chunk % slots]]
+        _sample_chunk(state, noise, _stream(seed, replicate, chunk), phi, x, works[chunk % slots])
+        return x, phi
+
+    if slots == 1:
+        yield sample(0)
+        return
+    with ThreadPoolExecutor(slots) as pool:
+        running = deque(pool.submit(sample, chunk) for chunk in range(slots))
+        for chunk in range(chunks):
+            yield running.popleft().result()
+            if chunk + slots < chunks:
+                running.append(pool.submit(sample, chunk + slots))
+
+
 def generate_batch(
     state: CatState,
     noise: NoiseModel,
     n: int,
     seed: int,
     replicate: int = 0,
-) -> QuadratureBatch:
+    out=None,
+):
     """Generate n i.i.d. (x, phi) pairs; bit-identical for identical arguments.
 
-    Chunk c draws from `_stream(seed, replicate, c)` alone, so the chunks of
-    a batch of several are sampled on `_POOL_THREADS` threads, thread t taking
-    chunks t, t + _POOL_THREADS, ...  A one-chunk batch runs on the calling
-    thread.  Each thread fills its chunks through a workspace allocated here,
-    on the calling thread: chunk-sized buffers freed by a pool thread would
-    stay resident in its malloc arena.
+    The chunks come from `_sample_chunks`.  Without `out` they are sampled in
+    place into a `QuadratureBatch`, which is returned.  `out`, a writer from
+    `_batch_writer` opened for the same n, instead takes each chunk as soon
+    as it is sampled and is returned, so the batch is never held whole.
     """
     if n < 1:
         raise ValueError("batch size n must be >= 1")
-    x, phi = np.empty(n), np.empty(n)
-    chunks = -(-n // CHUNK_SIZE)
-    threads = min(_POOL_THREADS, chunks)
-    works = [_workspace(min(n, CHUNK_SIZE)) for _ in range(threads)]
-
-    def run(thread: int) -> None:
-        for chunk in range(thread, chunks, threads):
-            part = slice(chunk * CHUNK_SIZE, min((chunk + 1) * CHUNK_SIZE, n))
-            _sample_chunk(state, noise, _stream(seed, replicate, chunk), phi[part], x[part], works[thread])
-
-    if threads == 1:
-        run(0)
-    else:
-        with ThreadPoolExecutor(threads) as pool:
-            list(pool.map(run, range(threads)))
-    return QuadratureBatch(x=x, phi=phi, state=state, noise=noise, seed=seed, replicate=replicate)
+    dest = (np.empty(n), np.empty(n)) if out is None else None
+    with contextlib.closing(_sample_chunks(state, noise, n, seed, replicate, dest)) as chunks:
+        for x, phi in chunks:
+            if out is not None:
+                out.write(x, phi)
+    if out is not None:
+        return out
+    return QuadratureBatch(x=dest[0], phi=dest[1], state=state, noise=noise, seed=seed, replicate=replicate)
 
 
 # ---------------------------------------------------------------------------
 # persistence
 # ---------------------------------------------------------------------------
 
-def _batch_header(batch: QuadratureBatch) -> dict:
+def _batch_header(state: CatState, noise: NoiseModel, n: int, seed: int, replicate: int,
+                  source_sha256: str | None) -> dict:
     return {
-        "alpha1": batch.state.alpha1,
-        "alpha2": batch.state.alpha2,
-        "eta": batch.noise.eta,
-        "n": batch.n,
-        "seed": batch.seed,
-        "replicate": batch.replicate,
-        "source_sha256": batch.source_sha256,
+        "alpha1": state.alpha1,
+        "alpha2": state.alpha2,
+        "eta": noise.eta,
+        "n": n,
+        "seed": seed,
+        "replicate": replicate,
+        "source_sha256": source_sha256,
     }
 
 
-def _atomic_bytes(path: str, parts) -> None:
-    """Write the bytes-like items of the iterable `parts` in order to a synced temp
-    file, then rename it to `path`; a lazy `parts` is written as it yields."""
+@contextlib.contextmanager
+def _atomic_file(path: str):
+    """A temp file beside `path`, open for writing; synced and renamed to
+    `path` when the block ends, and removed if the block raises."""
     tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def _atomic_bytes(path: str, parts) -> None:
+    """Write the bytes-like items of the iterable `parts` in order to `path`
+    through `_atomic_file`; a lazy `parts` is written as it yields."""
+    with _atomic_file(path) as fh:
         fh.writelines(parts)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+
+
+def _frame_head(magic: bytes, header: dict) -> bytes:
+    """`magic + length + JSON header` of a framed file; the header gains
+    `schema: 1`, the version `_read_header` accepts."""
+    hbytes = json.dumps({**header, "schema": 1}, sort_keys=True).encode("utf-8")
+    return magic + len(hbytes).to_bytes(4, "little") + hbytes
 
 
 def _write_framed(path: str, magic: bytes, header: dict, payload) -> None:
-    """Write `magic + length + JSON header` and then each float64 array of the
-    iterable `payload`, little-endian, atomically; the header gains
-    `schema: 1`, the version `_read_framed` accepts."""
-    hbytes = json.dumps({**header, "schema": 1}, sort_keys=True).encode("utf-8")
-    _atomic_bytes(path, itertools.chain((magic, len(hbytes).to_bytes(4, "little"), hbytes),
+    """Write the framed header and then each float64 array of the iterable
+    `payload`, little-endian, atomically."""
+    _atomic_bytes(path, itertools.chain((_frame_head(magic, header),),
                                         (np.ascontiguousarray(values, "<f8") for values in payload)))
 
 
+class _PairWriter:
+    """Appends (x, phi) pairs to an open batch file, interleaved `_IO_PAIRS`
+    at a time in one reused buffer; `n` is the count its header declares."""
+
+    def __init__(self, fh, n: int):
+        self.n, self.written, self._fh = n, 0, fh
+        self._block = np.empty((min(n, _IO_PAIRS), 2), "<f8")
+
+    def write(self, x, phi) -> None:
+        for lo in range(0, len(x), _IO_PAIRS):
+            block = self._block[:min(_IO_PAIRS, len(x) - lo)]
+            block[:, 0], block[:, 1] = x[lo:lo + len(block)], phi[lo:lo + len(block)]
+            self._fh.write(block)
+        self.written += len(x)
+
+
+@contextlib.contextmanager
+def _batch_writer(path: str, header: dict):
+    """A `_PairWriter` for the batch file `path` behind its framed `header`,
+    written through `_atomic_file`: the file appears only if the block ends
+    after exactly the header's n pairs."""
+    with _atomic_file(path) as fh:
+        fh.write(_frame_head(BATCH_MAGIC, header))
+        out = _PairWriter(fh, header["n"])
+        yield out
+        if out.written != out.n:
+            raise ValueError(f"{path}: {out.written} pairs written, the header declares {out.n}")
+
+
 def write_batch(batch: QuadratureBatch, path: str) -> None:
-    """Write header + interleaved little-endian float64 (x, phi) pairs atomically.
+    """Write header + interleaved little-endian float64 (x, phi) pairs
+    atomically, through the writer `generate_batch` streams chunks to."""
+    header = _batch_header(batch.state, batch.noise, batch.n, batch.seed, batch.replicate, batch.source_sha256)
+    with _batch_writer(path, header) as out:
+        out.write(batch.x, batch.phi)
 
-    The pairs are interleaved one `CHUNK_SIZE` slice at a time into one reused
-    buffer, each written before the next is made, so writing copies one chunk
-    of the batch, not all of it.
+
+def _read_header(fh, path: str, magic: bytes, kind: str, required: tuple[str, ...]) -> dict:
+    """Header dict of the open `magic + length + JSON header + payload` file
+    `fh`, which is left at the payload.
+
+    Checks the magic, a header length within the file, `schema == 1`, the
+    `required` header keys, each of which must hold a finite number, a whole
+    one for the counts n, seed, replicate and grid_size, and a payload of
+    whole float64 values; every failure is a ValueError whose message starts
+    with the path.
     """
-    pairs = np.empty((min(batch.n, CHUNK_SIZE), 2))
-
-    def chunks():
-        for lo in range(0, batch.n, CHUNK_SIZE):
-            part = slice(lo, min(lo + CHUNK_SIZE, batch.n))
-            yield np.stack([batch.x[part], batch.phi[part]], axis=1, out=pairs[:part.stop - lo])
-
-    _write_framed(path, BATCH_MAGIC, _batch_header(batch), chunks())
+    size = os.fstat(fh.fileno()).st_size
+    if fh.read(len(magic)) != magic:
+        raise ValueError(f"{path}: not a {kind} file")
+    hlen = int.from_bytes(fh.read(4), "little")
+    if hlen > size - fh.tell():
+        raise ValueError(f"{path}: header length {hlen} exceeds the {size - fh.tell()} bytes left in the file")
+    raw = fh.read(hlen)
+    try:
+        header = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: unreadable header ({exc})") from exc
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: header is not a JSON object")
+    if header.get("schema") != 1:
+        raise ValueError(f"{path}: header schema is {header.get('schema')!r}, expected 1")
+    missing = [key for key in required if key not in header]
+    if missing:
+        raise ValueError(f"{path}: header lacks the required key {missing[0]!r}")
+    for key in required:
+        value = header[key]  # compared, not converted, so a huge JSON int is refused here
+        if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+            raise ValueError(f"{path}: header key {key!r} holds {value!r}, not a finite number")
+        if key in ("n", "seed", "replicate", "grid_size") and value != int(value):
+            raise ValueError(f"{path}: header key {key!r} holds {value!r}, not a whole number")
+    nbytes = size - fh.tell()
+    if nbytes % 8:
+        raise ValueError(f"{path}: payload of {nbytes} bytes is not a whole number of float64 values")
+    return header
 
 
 def _read_framed(path: str, magic: bytes, kind: str, required: tuple[str, ...]):
-    """Header dict and writable float64 payload of a `magic + length + JSON header + payload` file.
-
-    Checks the magic, a header length within the file, `schema == 1` and the
-    `required` header keys, each of which must hold a finite number, a whole
-    one for the counts n, seed, replicate and grid_size; every failure is a
-    ValueError whose message starts with the path.
-    """
+    """Header dict (`_read_header`) and writable float64 payload of a framed file."""
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if fh.read(len(magic)) != magic:
-            raise ValueError(f"{path}: not a {kind} file")
-        hlen = int.from_bytes(fh.read(4), "little")
-        if hlen > size - fh.tell():
-            raise ValueError(f"{path}: header length {hlen} exceeds the {size - fh.tell()} bytes left in the file")
-        raw = fh.read(hlen)
-        try:
-            header = json.loads(raw.decode("utf-8"))
-        except ValueError as exc:
-            raise ValueError(f"{path}: unreadable header ({exc})") from exc
-        if not isinstance(header, dict):
-            raise ValueError(f"{path}: header is not a JSON object")
-        if header.get("schema") != 1:
-            raise ValueError(f"{path}: header schema is {header.get('schema')!r}, expected 1")
-        missing = [key for key in required if key not in header]
-        if missing:
-            raise ValueError(f"{path}: header lacks the required key {missing[0]!r}")
-        for key in required:
-            value = header[key]  # compared, not converted, so a huge JSON int is refused here
-            if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-                raise ValueError(f"{path}: header key {key!r} holds {value!r}, not a finite number")
-            if key in ("n", "seed", "replicate", "grid_size") and value != int(value):
-                raise ValueError(f"{path}: header key {key!r} holds {value!r}, not a whole number")
-        nbytes = size - fh.tell()
-        if nbytes % 8:
-            raise ValueError(f"{path}: payload of {nbytes} bytes is not a whole number of float64 values")
+        header = _read_header(fh, path, magic, kind, required)
         return header, np.fromfile(fh, dtype="<f8")
 
 
+class _BatchFile:
+    """A batch file read block by block, its pairs never held whole.
+
+    Opening it checks the header (`_read_header`), the payload size and the
+    state and noise the header declares.  `scan()` validates every pair as
+    `QuadratureBatch` does, sets `x_abs_max` and returns the file's SHA-256,
+    in one read; `blocks(size)` then yields the pairs again, in file order.
+    The batch's metadata sits under `QuadratureBatch`'s names, so the binned
+    estimator takes a scanned file in place of a batch.
+    """
+
+    def __init__(self, path: str):
+        with open(path, "rb") as fh:
+            header = _read_header(fh, path, BATCH_MAGIC, "quadrature batch", _BATCH_KEYS)
+            self._start = fh.tell()
+            nbytes = os.fstat(fh.fileno()).st_size - self._start
+        n = int(header["n"])
+        if nbytes != 16 * n:
+            raise ValueError(f"{path}: payload holds {nbytes // 16} pairs, header says {n}")
+        try:
+            self.state = CatState(header["alpha1"], header["alpha2"])
+            self.noise = NoiseModel(header["eta"])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+        self.path, self.header, self.n = path, header, n
+        self.seed, self.replicate = int(header["seed"]), int(header["replicate"])
+        self.source_sha256 = header.get("source_sha256")
+        self.x_abs_max = None  # set by `scan`
+
+    def blocks(self, size: int, digest=None):
+        """(x, phi) column views of successive blocks of up to `size` pairs,
+        read in file order into one reused buffer, so each holds until the
+        next is asked for; `digest`, if given, is fed every byte of the file."""
+        with open(self.path, "rb") as fh:
+            head = fh.read(self._start)
+            if digest is not None:
+                digest.update(head)
+            buf = np.empty((min(self.n, size), 2), "<f8")
+            for lo in range(0, self.n, size):
+                block = buf[:min(size, self.n - lo)]
+                if fh.readinto(block) != block.nbytes:
+                    raise ValueError(f"{self.path}: file ends before its {self.n} pairs")
+                if digest is not None:
+                    digest.update(block)
+                yield block[:, 0], block[:, 1]
+
+    def scan(self) -> str:
+        """Validate every pair, set `x_abs_max` and return the file's SHA-256, in one read."""
+        digest, top = hashlib.sha256(), 0.0
+        for x, phi in self.blocks(_IO_PAIRS, digest):
+            try:
+                _check_pairs(x, phi)
+            except ValueError as exc:
+                raise ValueError(f"{self.path}: {exc}") from exc
+            top = max(top, x.max(), -x.min())
+        self.x_abs_max = float(top)
+        return digest.hexdigest()
+
+
 def read_batch(path: str) -> QuadratureBatch:
-    """Read a batch file written by `write_batch`."""
-    header, payload = _read_framed(path, BATCH_MAGIC, "quadrature batch",
-                                   ("alpha1", "alpha2", "eta", "n", "seed", "replicate"))
-    n = int(header["n"])
-    if payload.size != 2 * n:
-        raise ValueError(f"{path}: payload holds {payload.size // 2} pairs, header says {n}")
-    pairs = payload.reshape(n, 2)
+    """Read a batch file written by `write_batch`: `_BatchFile`'s blocks
+    gathered into one (n, 2) array, whose columns are the batch's x and phi."""
+    source = _BatchFile(path)
+    pairs = np.empty((source.n, 2))
+    for lo, (x, phi) in zip(range(0, source.n, _IO_PAIRS), source.blocks(_IO_PAIRS)):
+        pairs[lo:lo + x.size, 0], pairs[lo:lo + x.size, 1] = x, phi
     try:
-        return QuadratureBatch(
-            x=pairs[:, 0],
-            phi=pairs[:, 1],
-            state=CatState(header["alpha1"], header["alpha2"]),
-            noise=NoiseModel(header["eta"]),
-            seed=int(header["seed"]),
-            replicate=int(header["replicate"]),
-            source_sha256=header.get("source_sha256"),
-        )
+        return QuadratureBatch(x=pairs[:, 0], phi=pairs[:, 1], state=source.state, noise=source.noise,
+                               seed=source.seed, replicate=source.replicate, source_sha256=source.source_sha256)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

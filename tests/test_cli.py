@@ -2,11 +2,15 @@
 
 import json
 import os
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from catomo import estimator as est
+from catomo import sampling
 from catomo import ReconstructionParams, read_batch, read_grid, reconstruct_fast
 from catomo.estimator import GRID_MAGIC
 from catomo.sampling import BATCH_MAGIC
@@ -164,6 +168,25 @@ class TestSample:
         b1 = read_batch(os.path.join(cfg.output_dir, "batches", "batch_r01.qb"))
         assert not np.array_equal(b0.x, b1.x)
 
+    def test_failed_sampling_leaves_no_batch(self, tmp_path, capsys, monkeypatch):
+        # chunks are written as they are sampled, so a sampler failure in the
+        # middle of a file must take the partial temp file with it
+        cfg, path = tiny_config(tmp_path)
+        monkeypatch.setattr(sampling, "CHUNK_SIZE", 500)
+        sample_chunk, calls = sampling._sample_chunk, []
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise RuntimeError("rejection sampler exceeded 10000 rounds; proposal envelope is broken")
+            sample_chunk(*args)
+
+        monkeypatch.setattr(sampling, "_sample_chunk", failing)
+        capsys.readouterr()
+        assert main(["sample", "--config", path]) == EXIT_NUMERIC
+        assert "rejection sampler" in capsys.readouterr().err
+        assert os.listdir(os.path.join(cfg.output_dir, "batches")) == []
+
 
 class TestReconstruct:
     def test_grid_counting_contract(self, tmp_path):
@@ -198,6 +221,20 @@ class TestReconstruct:
         err = capsys.readouterr().err
         assert "provenance mismatch" in err and "'seed': 3" in err and "'seed': 4" in err
         assert not os.path.exists(os.path.join(cfg.output_dir, "grids", "beta_0.1", "grid_r00.wg"))
+
+    def test_batch_of_another_replicate_refused(self, tmp_path, capsys):
+        # replicate 0's batch copied over replicate 1's would give its grid twice
+        # and an average of replicate 0 with itself
+        cfg, path = tiny_config(tmp_path)
+        assert main(["sample", "--config", path]) == 0
+        batches = os.path.join(cfg.output_dir, "batches")
+        shutil.copy(os.path.join(batches, "batch_r00.qb"), os.path.join(batches, "batch_r01.qb"))
+        capsys.readouterr()
+        assert main(["reconstruct", "--config", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "provenance mismatch" in err and "batch_r01.qb" in err
+        assert "'replicate': 0" in err and "'replicate': 1" in err
+        assert not os.path.exists(os.path.join(cfg.output_dir, "grids", "beta_0.1", "grid_avg.wg"))
 
     def test_missing_batches_refused(self, tmp_path):
         _, path = tiny_config(tmp_path)
@@ -517,3 +554,25 @@ class TestWorkers:
                               for beta in os.listdir(gdir) for name in os.listdir(os.path.join(gdir, beta))}
         assert len(grids[1]) == 6
         assert grids[1] == grids[2]
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from Linux's /proc")
+def test_stage_peaks_at_paper_n(tmp_path):
+    # at the paper's n = 1.6e7 (a 256 MB batch file) neither stage holds the
+    # batch: in fresh interpreters `sample` peaked at 140 MB and `reconstruct`
+    # (both betas, 201^2) at 130 MB on a 2-core Xeon, against 375 and 385 MB
+    # when each held it whole.  Each stage reports VmHWM, the peak RSS of its
+    # own image: its ru_maxrss would also count the pytest process it was
+    # started from, several hundred MB after the acceptance tests
+    cfg, path = tiny_config(tmp_path, n=16_000_000, replicates=1, betas=(0.05, 0.1), grid_size=201)
+    src = os.path.dirname(os.path.dirname(est.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for stage, limit_mb in (("sample", 300), ("reconstruct", 256)):
+        code = (f"from catomo.cli import main\n"
+                f"assert main([{stage!r}, '--config', {path!r}]) == 0\n"
+                f"with open('/proc/self/status') as fh:\n"
+                f"    print(next(line.split()[1] for line in fh if line.startswith('VmHWM:')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        peak_mb = int(out.stdout.split()[-1]) / 1024
+        assert peak_mb <= limit_mb, f"{stage} peaked at {peak_mb:.0f} MB"

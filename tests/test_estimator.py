@@ -34,10 +34,13 @@ from catomo import (
     reconstruct_fast,
     wigner_fourier,
     wigner_true,
+    write_batch,
     write_grid,
 )
 from catomo import estimator as est
-from test_sampling import read_text, rewrite_header
+from catomo import sampling
+from catomo.sampling import _BatchFile
+from test_sampling import read_text, rewrite_header, stream_to_file
 
 GAMMA_045 = 11.0 / 36.0
 H_REF = 1.0 / 4.8297
@@ -394,7 +397,7 @@ def lone_lattice(batch, params, gamma):
 
 def binned_field(batch, lat):
     """`_fast_field` of the batch binned on `lat`."""
-    return est._fast_field(est._bin_counts(batch, lat), lat)
+    return est._fast_field(est._bin_counts(batch, lat, np.empty(0, np.intp))[0], lat)
 
 
 class AddAtCounter:
@@ -417,7 +420,7 @@ class AddAtCounter:
 def field_reference(batch, lat):
     """`binned_field` in one shot: a single `bincount` over every sample's shares,
     then one FFT correlation over the whole lattice."""
-    counts = np.bincount(*est._shares(batch, lat), minlength=lat.phi_bins * lat.n_u)
+    counts = np.bincount(*est._shares(batch.x, batch.phi, batch.noise.eta, lat), minlength=lat.phi_bins * lat.n_u)
     size = est._next_fast_len(lat.n_u + lat.n_s - 1)
     spectrum = np.fft.rfft(counts.reshape(lat.phi_bins, lat.n_u), size, axis=1) * np.fft.rfft(lat.kv, size)
     return np.fft.irfft(spectrum, size, axis=1)[:, lat.n_u - 1:lat.n_u - 1 + lat.n_s]
@@ -746,12 +749,80 @@ class TestReconstructFast:
         assert peak < lattice + 8 * 2**20, f"peak {peak / 2**20:.1f} MiB, lattice and field {lattice / 2**20:.1f} MiB"
         assert g_field.flags.owndata
 
+    @pytest.mark.parametrize("n", [500, 2048, 16384])
+    def test_coarse_lattice_refuses_at_small_n(self, cat, noise, monkeypatch, n):
+        # the self-check sums the min(n, 2048) samples `_check_draws` picks at
+        # every n, the whole batch in a drawn order up to 2048; a 32 x 256
+        # lattice misses the budget by 1.4-4x here, the sqrt(n / m) widening included
+        batch = generate_batch(cat, noise, n, seed=77)
+        params = ReconstructionParams.for_experiment(n, 0.1, noise, grid_size=21)
+        monkeypatch.setattr(est, "_resolution", lambda r, h: (32, 256))
+        probe_sums, used = est._probe_sums, []
+        monkeypatch.setattr(est, "_probe_sums", lambda sub, *args: used.append(sub) or probe_sums(sub, *args))
+        with pytest.raises(RuntimeError, match=r"32 x 256, .* exceeds the budget"):
+            reconstruct_fast(batch, params)
+        _, idx = est._check_draws(n, np.count_nonzero(est._disk_nodes(params.axis(), params.r)[0]))
+        (sub,) = used
+        assert sub.n == min(n, 2048) and sub.x.tobytes() == batch.x[idx].tobytes()
+
+    def test_capped_lattice_refuses_high_efficiency_small_beta(self, cat):
+        # eta = 0.95 and beta = 0.03 at n = 2e5 need r/h = 217, past the s <= 4
+        # cap: the 2048 x 8192 lattice misses the budget, and the grid is refused
+        nm = NoiseModel(0.95)
+        batch = generate_batch(cat, nm, 200_000, seed=1)
+        params = ReconstructionParams.for_experiment(200_000, 0.03, nm, grid_size=41)
+        with pytest.raises(RuntimeError, match=r"2048 x 8192, .* exceeds the budget"):
+            reconstruct_fast(batch, params)
+
     def test_self_check_can_be_disabled(self, cat, noise, monkeypatch):
         batch = generate_batch(cat, noise, 4000, seed=77)
         params = ReconstructionParams.for_experiment(4000, 0.1, noise, grid_size=21)
         monkeypatch.setattr(est, "_resolution", lambda r, h: (8, 128))
         grid = reconstruct_fast(batch, params, self_check=False)
         assert grid.meta["route"] == "binned" and np.all(np.isfinite(grid.values))
+
+
+class TestStreamedRead:
+    """A scanned batch file bins block by block, as its batch does, never held whole."""
+
+    def test_batch_file_bins_as_its_batch(self, cat, noise, tmp_path):
+        # five bin blocks; both members' grids, and the self-check samples
+        # gathered during the pass, match those of the batch in memory
+        n = 5 * est._BIN_CHUNK - 17
+        batch = generate_batch(cat, noise, n, seed=92)
+        path = str(tmp_path / "batch.qb")
+        write_batch(batch, path)
+        source = _BatchFile(path)
+        source.scan()
+        members = (small_params(n, beta=0.1), small_params(n, beta=0.05))
+        from_file, in_memory = est.BinnedBatch(source, members), est.BinnedBatch(batch, members)
+        for params in members:
+            assert np.array_equal(reconstruct_fast(from_file, params).values,
+                                  reconstruct_fast(in_memory, params).values)
+            (probe, sub), (probe_ref, sub_ref) = (b.counts_and_checks[1][params] for b in (from_file, in_memory))
+            assert np.array_equal(probe, probe_ref) and sub.n == 2048
+            assert sub.x.tobytes() == sub_ref.x.tobytes() and sub.phi.tobytes() == sub_ref.phi.tobytes()
+
+    def test_memory_flat_in_chunks(self, cat, noise, tmp_path, monkeypatch):
+        # the binning pass over a batch file holds the lattice counts and one
+        # block, so 6 chunks peak as 3 do; the 6-chunk batch starts with the
+        # 3-chunk one, so its lattice is at most a few offset columns wider
+        monkeypatch.setattr(sampling, "CHUNK_SIZE", 1 << 16)
+        params = small_params(4_000_000)
+        peaks = []
+        for chunks in (3, 6):
+            path = str(tmp_path / f"c{chunks}.qb")
+            stream_to_file(cat, noise, chunks << 16, 7, path)
+            source = _BatchFile(path)
+            source.scan()
+            binned = est.BinnedBatch(source, (params,))
+            tracemalloc.start()
+            try:
+                binned.counts_and_checks
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.01 * peaks[0], f"peaks {peaks[0] / 2**20:.2f} -> {peaks[1] / 2**20:.2f} MiB"
 
 
 class TestMeanOracle:

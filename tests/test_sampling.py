@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import os
 import re
 import sys
 import threading
@@ -30,7 +31,16 @@ from catomo import (
     write_grid,
 )
 from catomo import sampling
-from catomo.sampling import BATCH_MAGIC, CHUNK_SIZE, _batch_header, _envelope_const, _stream, _write_framed
+from catomo.sampling import (
+    BATCH_MAGIC,
+    CHUNK_SIZE,
+    _batch_header,
+    _batch_writer,
+    _BatchFile,
+    _envelope_const,
+    _stream,
+    _write_framed,
+)
 
 
 def chi2_pvalue(samples, density, lo, hi, bins=100):
@@ -211,8 +221,8 @@ class TestMatchesReferenceLoop:
         assert got.phi.tobytes() == phi.tobytes()
 
     def test_chunk_memory(self, cat, noise):
-        # one chunk on the calling thread peaks at 54 MiB: 16 MiB of batch, a
-        # 24 MiB round workspace, 8 MiB of round components and the block
+        # one chunk on the calling thread peaks at 50.5 MiB: 16 MiB of batch, a
+        # 20 MiB round workspace, 8 MiB of round components and the block
         # temporaries; a loop that allocated its round arrays per chunk
         # peaked at 128 MiB
         tracemalloc.start()
@@ -274,17 +284,84 @@ class TestChunkPool:
         assert threading.active_count() == before
 
     def test_two_chunk_memory(self, cat, noise):
-        # 103.8-106.8 MiB over 12 seeds: 32 MiB of batch, two 24 MiB round
-        # workspaces allocated by the caller, each thread's 8 MiB of round
-        # components and its block temporaries; sampling the chunks one after
-        # the other with per-chunk round arrays peaked at 144 MiB
+        # 95.4 MiB at seed 7: 32 MiB of batch, two 20 MiB round workspaces
+        # (int32 indices) allocated by the caller, each thread's 8 MiB of round
+        # components and its block temporaries; 103.8-106.8 MiB over 12 seeds
+        # with int64 indices, and sampling the chunks one after the other with
+        # per-chunk round arrays peaked at 144 MiB
         tracemalloc.start()
         try:
             generate_batch(cat, noise, 2 * CHUNK_SIZE, seed=7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 112 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        assert peak <= 104 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def stream_to_file(state, noise, n, seed, path, replicate=0):
+    """`generate_batch` streamed into the batch file `path` through `_batch_writer`."""
+    with _batch_writer(path, _batch_header(state, noise, n, seed, replicate, None)) as out:
+        assert generate_batch(state, noise, n, seed, replicate=replicate, out=out) is out
+
+
+class TestStreamedBatch:
+    """`generate_batch(..., out=writer)` writes each chunk as it is sampled, holding two."""
+
+    def test_file_bytes_match_whole_batch(self, cat, noise, tmp_path, monkeypatch):
+        # chunk c + 2 reuses chunk c's buffer once c is written; with threads
+        # switching every 10 us, a chunk overwritten before its write would show
+        monkeypatch.setattr(sampling, "CHUNK_SIZE", 5000)
+        n = 7 * 5000 + 77
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            stream_to_file(cat, noise, n, 9, str(tmp_path / "streamed.qb"), replicate=2)
+        finally:
+            sys.setswitchinterval(interval)
+        write_batch(generate_batch(cat, noise, n, seed=9, replicate=2), str(tmp_path / "whole.qb"))
+        assert read_bytes(str(tmp_path / "streamed.qb")) == read_bytes(str(tmp_path / "whole.qb"))
+
+    def test_memory_flat_in_chunks(self, cat, noise, tmp_path, monkeypatch):
+        # two slots of a chunk buffer, a round workspace and round components,
+        # plus one write block: 10.9 MiB at 2^16-sample chunks, 3 or 6 of them
+        monkeypatch.setattr(sampling, "CHUNK_SIZE", 1 << 16)
+        peaks = []
+        for chunks in (3, 6):
+            tracemalloc.start()
+            try:
+                stream_to_file(cat, noise, chunks << 16, 7, str(tmp_path / f"c{chunks}.qb"))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.01 * peaks[0], f"peaks {peaks[0] / 2**20:.2f} -> {peaks[1] / 2**20:.2f} MiB"
+        assert peaks[1] < 12 * 2**20
+
+    def test_failed_chunk_leaves_no_file(self, cat, noise, tmp_path, monkeypatch):
+        # a sampler failure in the middle of the file removes the temp file,
+        # and the pool thread still running is joined before the error surfaces
+        monkeypatch.setattr(sampling, "CHUNK_SIZE", 1000)
+        sample_chunk, calls = sampling._sample_chunk, []
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise RuntimeError("rejection sampler exceeded 10000 rounds; proposal envelope is broken")
+            sample_chunk(*args)
+
+        monkeypatch.setattr(sampling, "_sample_chunk", failing)
+        before = threading.active_count()
+        path = str(tmp_path / "batch.qb")
+        with pytest.raises(RuntimeError, match="rejection sampler"):
+            stream_to_file(cat, noise, 5500, 7, path)
+        assert threading.active_count() == before
+        assert os.listdir(tmp_path) == []
+
+    def test_short_file_refused(self, cat, noise, tmp_path):
+        path = str(tmp_path / "batch.qb")
+        with pytest.raises(ValueError, match="99 pairs written, the header declares 100"):
+            with _batch_writer(path, _batch_header(cat, noise, 100, 7, 0, None)) as out:
+                out.write(np.zeros(99), np.zeros(99))
+        assert os.listdir(tmp_path) == []
 
 
 class TestDetectionNoise:
@@ -398,8 +475,9 @@ class TestBatchIO:
         assert read_bytes(p1) == read_bytes(p2)
 
     def test_chunked_write_matches_one_copy(self, cat, noise, tmp_path):
-        # pairs are interleaved one chunk at a time into a reused buffer; the bytes
-        # are those of interleaving the whole batch at once, and the copy is one chunk
+        # pairs are interleaved one I/O block at a time into a reused buffer; the
+        # bytes are those of interleaving the whole batch at once, and the copy
+        # is one block
         n = 2 * CHUNK_SIZE + 5
         rng = np.random.default_rng(88)
         b = QuadratureBatch(rng.normal(0.0, 2.0, n), rng.uniform(0.0, math.pi, n), cat, noise, seed=4)
@@ -409,9 +487,46 @@ class TestBatchIO:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        _write_framed(str(tmp_path / "whole.qb"), BATCH_MAGIC, _batch_header(b), [np.column_stack([b.x, b.phi])])
+        header = _batch_header(b.state, b.noise, b.n, b.seed, b.replicate, b.source_sha256)
+        _write_framed(str(tmp_path / "whole.qb"), BATCH_MAGIC, header, [np.column_stack([b.x, b.phi])])
         assert (tmp_path / "chunked.qb").read_bytes() == (tmp_path / "whole.qb").read_bytes()
-        assert peak < 16 * CHUNK_SIZE + 2**20, f"peak {peak / 2**20:.1f} MiB"
+        assert peak < 16 * sampling._IO_PAIRS + 2**16, f"peak {peak / 2**10:.0f} KiB"
+
+    def test_failed_write_leaves_no_temp_file(self, cat, noise, tmp_path):
+        def parts():
+            yield b"partial"
+            raise OSError("disk full")
+
+        path = str(tmp_path / "out.bin")
+        with pytest.raises(OSError, match="disk full"):
+            sampling._atomic_bytes(path, parts())
+        assert os.listdir(tmp_path) == []
+
+    def test_batch_file_scan(self, cat, noise, tmp_path, monkeypatch):
+        # one read validates, hashes and finds max|x|; the blocks give the pairs back
+        monkeypatch.setattr(sampling, "_IO_PAIRS", 64)
+        b = generate_batch(cat, noise, 1000, seed=5, replicate=3)
+        path = str(tmp_path / "batch.qb")
+        write_batch(b, path)
+        source = _BatchFile(path)
+        assert (source.n, source.seed, source.replicate, source.state, source.noise) == (1000, 5, 3, cat, noise)
+        assert source.scan() == hashlib.sha256(read_bytes(path)).hexdigest()
+        assert source.x_abs_max == np.max(np.abs(b.x))
+        blocks = [(x.copy(), phi.copy()) for x, phi in source.blocks(300)]  # each block reuses one buffer
+        assert [x.size for x, _ in blocks] == [300, 300, 300, 100]
+        x, phi = (np.concatenate(column) for column in zip(*blocks))
+        assert x.tobytes() == b.x.tobytes() and phi.tobytes() == b.phi.tobytes()
+
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_batch_file_scan_refuses_non_finite(self, cat, noise, tmp_path, monkeypatch, column):
+        monkeypatch.setattr(sampling, "_IO_PAIRS", 64)
+        b = generate_batch(cat, noise, 1000, seed=5)
+        (b.x, b.phi)[column][700] = np.nan
+        path = str(tmp_path / "batch.qb")
+        write_batch(b, path)
+        name = ("x", "phi")[column]
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {name} holds non-finite values")):
+            _BatchFile(path).scan()
 
     def test_golden_bytes(self, tmp_path):
         # hand-built values (no RNG, no libm) pin the framed layout of batches and grids
