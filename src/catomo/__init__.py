@@ -22,12 +22,9 @@ from .states import (
 )
 from .sampling import (
     QuadratureBatch,
-    add_detection_noise,
     batch_to_csv,
     generate_batch,
     read_batch,
-    sample_ideal_quadrature,
-    sample_phase,
     write_batch,
 )
 from .estimator import (

@@ -51,7 +51,7 @@ from .estimator import (
     reconstruct_fast,
     write_grid,
 )
-from .sampling import _atomic_bytes, _batch_header, _batch_writer, _BatchFile, generate_batch, read_batch
+from .sampling import _atomic_bytes, _batch_header, _batch_writer, _BatchFile, generate_batch
 from .states import CatState, NoiseModel
 
 EXIT_OK = 0
@@ -285,10 +285,11 @@ def _reconstruct_one(cfg: ExperimentConfig, rep: int) -> list[str]:
     """Every beta's grid of replicate `rep`, its batch file read in blocks.
 
     The header and its provenance are checked first; one read then validates
-    the pairs, hashes the file and finds max|x| (`_BatchFile.scan`).  The
-    fast path bins the file in a second blocked read, once for every beta,
-    on the lattice of the smallest beta (`BinnedBatch`), so no whole batch
-    is held; the exact path's direct sum reads the whole batch.
+    the pairs, hashes the file and finds max|x| (`_BatchFile.scan`).  Both
+    paths then read the scanned file in blocks, so no whole batch is held:
+    the fast path bins it once for every beta, on the lattice of the
+    smallest beta (`BinnedBatch`), and the exact path's direct sum reads it
+    once per beta.
     """
     path = _batch_path(cfg, rep)
     if not os.path.exists(path):
@@ -296,12 +297,9 @@ def _reconstruct_one(cfg: ExperimentConfig, rep: int) -> list[str]:
     try:
         batch = _BatchFile(path)
         _check_provenance(path, batch.header, cfg, replicate=rep)
-        sha = batch.scan()
-        if cfg.path == "exact":
-            batch = read_batch(path)
+        batch.source_sha256 = batch.scan()
     except ValueError as exc:
         raise ConfigError(f"invalid batch file: {exc}") from exc
-    batch.source_sha256 = sha
     members = [ReconstructionParams.for_experiment(cfg.n, beta, cfg.noise, grid_size=cfg.grid_size)
                for beta in cfg.betas]
     fast = cfg.path == "fast"
@@ -344,10 +342,10 @@ def _load_replicate_grids(cfg: ExperimentConfig, beta: float, batch_shas: set[st
             f"declares {cfg.replicates} replicates (first missing: {missing[0]})"
         )
     grids = []
-    for path in paths:
+    for rep, path in enumerate(paths):
         grid = _read_grid_file(path)
         _check_provenance(path, {**grid.meta, "grid_size": grid.grid_size}, cfg,
-                          beta=beta, grid_size=cfg.grid_size, method=cfg.path)
+                          beta=beta, grid_size=cfg.grid_size, method=cfg.path, replicate=rep)
         if batch_shas and grid.meta.get("source_sha256") not in batch_shas:
             raise ConfigError(f"provenance mismatch: {path} does not descend from the current batches")
         grids.append((path, grid))

@@ -28,11 +28,12 @@ four mirror images of it (`_interp_grid`) and whose error the cutoff bounds
 (`_resolution`); a self-check against the direct sum at a few nodes raises
 `RuntimeError`, pointing to the exact path, if the lattice is too coarse.  A
 `BinnedBatch` bins a batch once for a set of parameters: one lattice, set
-by their largest radius and cutoff, serves every member's grid.  The route
-is linear in the samples and bins them in sample order, block by block, so
-it also takes a batch file that is never held whole: the `reconstruct`
-stage scans the file once (validation, hash, max|x|) and bins it in a
-second read, which also gathers the self-check's samples.  A
+by their largest radius and cutoff, serves every member's grid.  Both
+routes are linear in the samples and take them in sample order, block by
+block, so both also take a batch file that is never held whole: the
+`reconstruct` stage scans the file once (validation, hash, max|x|), then
+the binned route bins it in a second read, which also gathers the
+self-check's samples, and the direct route reads it again for each grid.  A
 deterministic mean-value oracle (the exact expectation of the estimator, one
 radial Bessel integral per point) supports bias tests without Monte Carlo.
 """
@@ -323,8 +324,7 @@ def _default_table(batch: QuadratureBatch, params: ReconstructionParams, gamma: 
 _NODE_BLOCK = 256
 
 
-def estimate_at_points(batch: QuadratureBatch, params: ReconstructionParams, q, p,
-                       sample_block: int = 64):
+def estimate_at_points(batch, params: ReconstructionParams, q, p, sample_block: int = 64):
     """Raw estimator values (no disk truncation) at arbitrary points.
 
     Per-sample kernel sums through the batch's `KernelTable` (within
@@ -338,6 +338,13 @@ def estimate_at_points(batch: QuadratureBatch, params: ReconstructionParams, q, 
     table's t_max takes `kernel` there.  A node's value does not depend
     on the other points of the call.  q and p broadcast against each other;
     the result is flat, one value per broadcast point.
+
+    `batch` is a `QuadratureBatch` or a scanned batch file
+    (`sampling._BatchFile`): its samples are read by `blocks(size)`, each
+    block the most whole `sample_block`s within `_BIN_CHUNK` samples (one if
+    a sample block is larger), and each node keeps its compensated sum across
+    them, so the batch is never held whole and the sum is the same for
+    either source.
     """
     if batch.n == 0:
         raise ValueError("cannot reconstruct from an empty batch")
@@ -346,42 +353,42 @@ def estimate_at_points(batch: QuadratureBatch, params: ReconstructionParams, q, 
     q = np.broadcast_to(np.asarray(q, dtype=float), shape).ravel()
     p = np.broadcast_to(np.asarray(p, dtype=float), shape).ravel()
 
-    # offset of node (q, p) from sample l in table units: [q, p, 1] @ cols[:, l]
-    cols = np.empty((3, batch.n))
-    np.cos(batch.phi, out=cols[0])
-    np.sin(batch.phi, out=cols[1])
-    np.multiply(batch.x, 1.0 / math.sqrt(batch.noise.eta), out=cols[2])  # u
-    u_max = float(max(cols[2].max(), -cols[2].min()))
-    cols[2] += table.t0
-    cols[:2] /= table.step
-    cols[2] /= -table.step
-
     # numpy sends a one-row product to gemv, which rounds differently, so zero
-    # rows pad a block to a multiple of 16; each row then rounds as in a full block
-    nodes = np.zeros((_NODE_BLOCK, 3))
-    nodes[:, 2] = 1.0
+    # rows pad the last block to a multiple of 16; each row then rounds as in a full block
+    nodes = np.zeros((-(-q.size // 16) * 16, 3))
+    nodes[:q.size, 0], nodes[:q.size, 1], nodes[:, 2] = q, p, 1.0
+    # max|x| (1/sqrt(eta)) is max|u| = max|x (1/sqrt(eta))|, as rounding is monotone
+    u_max = batch.x_abs_max * (1.0 / math.sqrt(batch.noise.eta))
+    size = sample_block * max(1, _BIN_CHUNK // sample_block)
+    cols = np.empty((3, min(size, batch.n)))
     buf = np.empty((_NODE_BLOCK, sample_block))
-    out = np.empty(q.size)
-    for a in range(0, q.size, _NODE_BLOCK):
-        k = min(_NODE_BLOCK, q.size - a)
-        rows = -(-k // 16) * 16
-        nodes[:k, 0], nodes[:k, 1] = q[a:a + k], p[a:a + k]
-        nodes[k:, :2] = 0.0
-        # |t| <= |(q, p)| + max|u|, which `_default_table` keeps below t_max inside
-        # the grid's square, so only a block of farther nodes needs `kernel` itself
-        far = np.max(np.hypot(q[a:a + k], p[a:a + k])) + u_max > table.t_max
-        sums = np.zeros(k)
-        comp = np.zeros(k)
-        for lo in range(0, batch.n, sample_block):
-            sl = slice(lo, min(lo + sample_block, batch.n))
-            pos = np.matmul(nodes[:rows], cols[:, sl], out=buf[:rows, :sl.stop - lo])[:k]
-            block = (table(pos * table.step + table.t0) if far else table.lookup(pos)).sum(axis=1)
-            y = block - comp
-            tot = sums + y
-            comp = (tot - sums) - y
-            sums = tot
-        out[a:a + k] = sums
-    return out / batch.n
+    sums, comp = np.zeros(q.size), np.zeros(q.size)
+    for x, phi in batch.blocks(size):
+        # offset of node (q, p) from sample l in table units: [q, p, 1] @ col[:, l]
+        col = cols[:, :x.size]
+        np.cos(phi, out=col[0])
+        np.sin(phi, out=col[1])
+        np.multiply(x, 1.0 / math.sqrt(batch.noise.eta), out=col[2])  # u
+        col[2] += table.t0
+        col[:2] /= table.step
+        col[2] /= -table.step
+        for a in range(0, q.size, _NODE_BLOCK):
+            k = min(_NODE_BLOCK, q.size - a)
+            rows = nodes[a:a + -(-k // 16) * 16]
+            # |t| <= |(q, p)| + max|u|, which `_default_table` keeps below t_max inside
+            # the grid's square, so only a block of farther nodes needs `kernel` itself
+            far = np.max(np.hypot(q[a:a + k], p[a:a + k])) + u_max > table.t_max
+            s, c = sums[a:a + k], comp[a:a + k]
+            for lo in range(0, x.size, sample_block):
+                hi = min(lo + sample_block, x.size)
+                pos = np.matmul(rows, col[:, lo:hi], out=buf[:len(rows), :hi - lo])[:k]
+                block = (table(pos * table.step + table.t0) if far else table.lookup(pos)).sum(axis=1)
+                y = block - c
+                tot = s + y
+                c = (tot - s) - y
+                s = tot
+            sums[a:a + k], comp[a:a + k] = s, c
+    return sums / batch.n
 
 
 def _grid_meta(batch: QuadratureBatch, params: ReconstructionParams, method: str) -> dict:
@@ -412,8 +419,12 @@ def _disk_nodes(ax: np.ndarray, r: float):
     return mask, Q[mask], P[mask]
 
 
-def reconstruct_exact(batch: QuadratureBatch, params: ReconstructionParams) -> WignerGrid:
-    """Authoritative slow path: direct kernel sum at every inside-disk node."""
+def reconstruct_exact(batch, params: ReconstructionParams) -> WignerGrid:
+    """Authoritative slow path: direct kernel sum at every inside-disk node.
+
+    `batch` is a `QuadratureBatch` or a scanned batch file, which
+    `estimate_at_points` reads in blocks.
+    """
     mask, qs, ps = _disk_nodes(params.axis(), params.r)
     values = np.zeros(mask.shape)
     values[mask] = estimate_at_points(batch, params, qs, ps)

@@ -50,9 +50,6 @@ from .states import CatState, NoiseModel, phase_amplitudes, quadrature_density
 
 __all__ = [
     "QuadratureBatch",
-    "sample_phase",
-    "sample_ideal_quadrature",
-    "add_detection_noise",
     "generate_batch",
     "write_batch",
     "read_batch",
@@ -138,11 +135,6 @@ def _stream(seed: int, replicate: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def sample_phase(rng: np.random.Generator, size=None):
-    """Local-oscillator phase(s), uniform on [0, pi]."""
-    return rng.uniform(0.0, np.pi, size=size)
-
-
 def _proposal_density(x, m):
     """Equal-weight mixture of N(+m, 1/2), N(-m, 1/2), N(0, 1/2)."""
     return (np.exp(-((x - m) ** 2)) + np.exp(-((x + m) ** 2)) + np.exp(-x * x)) / (3.0 * SQRT_PI)
@@ -206,36 +198,15 @@ def _reject_into(state: CatState, phi, out, rng: np.random.Generator, work) -> N
     raise RuntimeError(f"rejection sampler exceeded {_MAX_ROUNDS} rounds; proposal envelope is broken")
 
 
-def sample_ideal_quadrature(state: CatState, phi, rng: np.random.Generator):
-    """Noise-free quadrature value(s) distributed as quadrature_density(., phi).
-
-    Rejection sampling against the three-Gaussian proposal, in a workspace
-    allocated for this call.
-    """
-    phi_arr = np.atleast_1d(np.asarray(phi, dtype=float))
-    if phi_arr.min() < 0.0 or phi_arr.max() > np.pi:
-        raise ValueError("quadrature phase phi must lie in [0, pi]")
-    out = np.empty(phi_arr.shape, dtype=np.float64)
-    _reject_into(state, phi_arr, out, rng, _workspace(phi_arr.size))
-    return out if np.ndim(phi) else float(out[0])
-
-
-def add_detection_noise(x, noise: NoiseModel, rng: np.random.Generator):
-    """Measured value sqrt(eta) x + sqrt((1-eta)/2) y with y a unit normal draw."""
-    x = np.asarray(x, dtype=float)
-    y = rng.standard_normal(size=x.shape)
-    return np.sqrt(noise.eta) * x + np.sqrt((1.0 - noise.eta) / 2.0) * y
-
-
 def _sample_chunk(state: CatState, noise: NoiseModel, rng: np.random.Generator, phi, x, work) -> None:
     """Fill the chunk views `phi` and `x` from `rng`: phases, ideal values, then noise.
 
-    Draws what `sample_phase`, `sample_ideal_quadrature` and
-    `add_detection_noise` draw, with the same arithmetic, into the given
-    arrays and `work`, so it allocates no chunk-sized array.
+    Draws phi uniform on [0, pi], ideal values by `_reject_into`, then the
+    measured values sqrt(eta) x + sqrt((1 - eta) / 2) y, y unit normal, into
+    the given arrays and `work`, so it allocates no chunk-sized array.
     """
     rng.random(out=phi)
-    phi *= np.pi  # the bits of sample_phase(rng, phi.size)
+    phi *= np.pi  # the bits of rng.uniform(0.0, np.pi, phi.size)
     _reject_into(state, phi, x, rng, work)
     y = rng.standard_normal(out=work[0][:x.size])
     x *= np.sqrt(noise.eta)
@@ -450,8 +421,8 @@ class _BatchFile:
     state and noise the header declares.  `scan()` validates every pair as
     `QuadratureBatch` does, sets `x_abs_max` and returns the file's SHA-256,
     in one read; `blocks(size)` then yields the pairs again, in file order.
-    The batch's metadata sits under `QuadratureBatch`'s names, so the binned
-    estimator takes a scanned file in place of a batch.
+    The batch's metadata sits under `QuadratureBatch`'s names, so both
+    estimator routes take a scanned file in place of a batch.
     """
 
     def __init__(self, path: str):

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -347,6 +348,19 @@ class TestAnalyze:
         write_grid(grid, os.path.join(gdir, "grid_r01.wg"))
         assert main(["analyze", "--config", path]) == EXIT_CONFIG
 
+    def test_grid_of_another_replicate_refused(self, pipeline, capsys):
+        # replicate 0's grid copied over replicate 1's would score replicate 0
+        # twice: equal errors, witness sd 0 and `separated` true
+        cfg, path = pipeline
+        gdir = os.path.join(cfg.output_dir, "grids", "beta_0.1")
+        shutil.copy(os.path.join(gdir, "grid_r00.wg"), os.path.join(gdir, "grid_r01.wg"))
+        capsys.readouterr()
+        assert main(["analyze", "--config", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "provenance mismatch" in err and "grid_r01.wg" in err
+        assert "'replicate': 0" in err and "'replicate': 1" in err
+        assert not os.path.exists(os.path.join(cfg.output_dir, "analysis", "beta_0.1", "error_report.json"))
+
     def test_truncated_grid_refused(self, pipeline, capsys):
         cfg, path = pipeline
         gpath = os.path.join(cfg.output_dir, "grids", "beta_0.1", "grid_r01.wg")
@@ -559,20 +573,24 @@ class TestWorkers:
 @pytest.mark.slow
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from Linux's /proc")
 def test_stage_peaks_at_paper_n(tmp_path):
-    # at the paper's n = 1.6e7 (a 256 MB batch file) neither stage holds the
-    # batch: in fresh interpreters `sample` peaked at 140 MB and `reconstruct`
-    # (both betas, 201^2) at 130 MB on a 2-core Xeon, against 375 and 385 MB
-    # when each held it whole.  Each stage reports VmHWM, the peak RSS of its
-    # own image: its ru_maxrss would also count the pytest process it was
+    # at the paper's n = 1.6e7 (a 256 MB batch file) no stage holds the
+    # batch: in fresh interpreters `sample` peaked at 140 MB, `reconstruct`
+    # (both betas, 201^2) at 132 MB and `reconstruct --exact` (one beta, 3^2)
+    # at 40 MB on a 2-core Xeon, against 375, 385 and 666 MB when each held
+    # it whole.  Each stage reports VmHWM, the peak RSS of its own
+    # image: its ru_maxrss would also count the pytest process it was
     # started from, several hundred MB after the acceptance tests
     cfg, path = tiny_config(tmp_path, n=16_000_000, replicates=1, betas=(0.05, 0.1), grid_size=201)
+    exact_path = str(tmp_path / "exact.ini")  # same batches, direct sum at the 5 nodes of a 3^2 grid
+    save_config(replace(cfg, betas=(0.1,), grid_size=3, path="exact"), exact_path)
     src = os.path.dirname(os.path.dirname(est.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    for stage, limit_mb in (("sample", 300), ("reconstruct", 256)):
+    for argv, limit_mb in ((["sample", "--config", path], 300), (["reconstruct", "--config", path], 256),
+                           (["reconstruct", "--config", exact_path], 256)):
         code = (f"from catomo.cli import main\n"
-                f"assert main([{stage!r}, '--config', {path!r}]) == 0\n"
+                f"assert main({argv!r}) == 0\n"
                 f"with open('/proc/self/status') as fh:\n"
                 f"    print(next(line.split()[1] for line in fh if line.startswith('VmHWM:')))")
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         peak_mb = int(out.stdout.split()[-1]) / 1024
-        assert peak_mb <= limit_mb, f"{stage} peaked at {peak_mb:.0f} MB"
+        assert peak_mb <= limit_mb, f"{' '.join(argv)} peaked at {peak_mb:.0f} MB"

@@ -29,6 +29,7 @@ from catomo import (
     kernel,
     mean_grid,
     optimal_bandwidth,
+    read_batch,
     read_grid,
     reconstruct_exact,
     reconstruct_fast,
@@ -783,7 +784,7 @@ class TestReconstructFast:
 
 
 class TestStreamedRead:
-    """A scanned batch file bins block by block, as its batch does, never held whole."""
+    """A scanned batch file bins and sums block by block, as its batch does, never held whole."""
 
     def test_batch_file_bins_as_its_batch(self, cat, noise, tmp_path):
         # five bin blocks; both members' grids, and the self-check samples
@@ -819,6 +820,47 @@ class TestStreamedRead:
             tracemalloc.start()
             try:
                 binned.counts_and_checks
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.01 * peaks[0], f"peaks {peaks[0] / 2**20:.2f} -> {peaks[1] / 2**20:.2f} MiB"
+
+    def test_batch_file_sums_as_its_batch(self, cat, noise, tmp_path, monkeypatch):
+        # five source blocks, the last ragged: the direct sum of the scanned
+        # file is bit for bit that of the batch in memory, of the file read
+        # whole, and of the whole batch taken as one block
+        n = 5 * est._BIN_CHUNK - 17
+        batch = generate_batch(cat, noise, n, seed=93)
+        path = str(tmp_path / "batch.qb")
+        write_batch(batch, path)
+        source = _BatchFile(path)
+        source.scan()
+        params = small_params(n, grid_size=21)  # two node blocks, the second padded
+        whole = read_batch(path)
+        grids = [reconstruct_exact(b, params).values for b in (source, whole, batch)]
+        assert grids[0].tobytes() == grids[1].tobytes() == grids[2].tobytes()
+        _, qs, ps = est._disk_nodes(params.axis(), params.r)
+        values = [estimate_at_points(b, params, qs, ps, sample_block=4096) for b in (source, whole, batch)]
+        assert values[0].tobytes() == values[1].tobytes() == values[2].tobytes()
+        monkeypatch.setattr(est, "_BIN_CHUNK", 1 << 30)
+        assert reconstruct_exact(batch, params).values.tobytes() == grids[0].tobytes()
+        assert estimate_at_points(batch, params, qs, ps, sample_block=4096).tobytes() == values[0].tobytes()
+
+    @pytest.mark.slow
+    def test_direct_sum_memory_flat_in_chunks(self, cat, noise, tmp_path, monkeypatch):
+        # the direct sum over a batch file holds one block of it and its
+        # columns, so 6 chunks peak as 3 do
+        monkeypatch.setattr(sampling, "CHUNK_SIZE", 1 << 16)
+        params = small_params(4_000_000, grid_size=3)
+        peaks = []
+        for chunks in (3, 6):
+            path = str(tmp_path / f"c{chunks}.qb")
+            stream_to_file(cat, noise, chunks << 16, 7, path)
+            source = _BatchFile(path)
+            source.scan()
+            tracemalloc.start()
+            try:
+                reconstruct_exact(source, params)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

@@ -10,8 +10,7 @@ PUBLIC = {
     "noisy_quadrature_density", "pure_witness_mean", "quadrature_density", "radon_oracle",
     "wigner_fourier", "wigner_true", "witness_phase_fn",
     # sampling
-    "QuadratureBatch", "add_detection_noise", "batch_to_csv", "generate_batch", "read_batch",
-    "sample_ideal_quadrature", "sample_phase", "write_batch",
+    "QuadratureBatch", "batch_to_csv", "generate_batch", "read_batch", "write_batch",
     # estimator
     "BinnedBatch", "KernelTable", "ReconstructionParams", "WignerGrid", "estimate_at_points",
     "estimator_mean_oracle", "grid_to_csv", "kernel", "mean_grid", "optimal_bandwidth",
