@@ -646,13 +646,18 @@ def _probe_sums(batch: QuadratureBatch, lat: _Lattice, qs, ps):
     kv[i - j + n_u - 1], so each sample's four shares, in cells (k, j), are
     summed directly against the on-grid kernel values with the linear
     weights of their phase bin, which carry the same (c delta)^2 / 8 bound.
+    One node at a time, so the temporaries are share-sized, not node x share.
     """
     flat, weight = _shares(batch.x, batch.phi, batch.noise.eta, lat)
     k, j = np.divmod(flat, lat.n_u)
     phi_k = (k + 0.5) * (math.pi / lat.phi_bins)
-    i0, w = _linear((qs[:, None] * np.cos(phi_k) + ps[:, None] * np.sin(phi_k) - lat.s0) / lat.delta)
-    base = i0 + (lat.n_u - 1) - j  # kv index of G[k, i0]
-    return (w[0] * lat.kv[base] + w[1] * lat.kv[base + 1]) @ weight
+    cos_k, sin_k = np.cos(phi_k), np.sin(phi_k)
+    sums = np.empty(len(qs))
+    for m, (q, p) in enumerate(zip(qs, ps)):
+        i0, w = _linear((q * cos_k + p * sin_k - lat.s0) / lat.delta)
+        base = i0 + (lat.n_u - 1) - j  # kv index of G[k, i0]
+        sums[m] = (w[0] * lat.kv[base] + w[1] * lat.kv[base + 1]) @ weight
+    return sums
 
 
 class BinnedBatch:

@@ -18,11 +18,12 @@ and lets two threads sample two chunks at once.  `_sample_chunks` is the
 one producer: it yields the chunks of a batch in order, sampled on a pool
 of two threads (a batch of one chunk on the calling thread), each chunk in
 one of two slots, a round workspace and a chunk buffer that the calling
-thread allocates and reuses.  Each rejection round draws into the workspace
-with `out=` and is evaluated in 2^15-sample blocks, the phase trigonometry
-redone per block from phi.  `generate_batch` samples the chunks into a
-whole batch, or hands each to a batch writer as soon as it is done, so the
-`sample` stage writes a batch file while holding two chunks of it.
+thread allocates and reuses.  The first rejection round proposes into the
+chunk itself, later ones into the workspace, and each is evaluated in
+2^15-sample blocks, the phase trigonometry redone per block from phi.
+`generate_batch` samples the chunks into a whole batch, or hands each to a
+batch writer as soon as it is done, so the `sample` stage writes a batch
+file while holding two chunks of it.
 
 Batch files are a small JSON header followed by raw little-endian float64
 (x, phi) pairs, written and read `_IO_PAIRS` pairs at a time: `_BatchFile`
@@ -154,9 +155,9 @@ def _envelope_const(state: CatState, a_neg):
 
 
 def _workspace(size: int):
-    """Round arrays for `size` samples: proposals, uniforms and active indices,
-    int32 as a chunk holds far fewer than 2^31 samples."""
-    return np.empty(size), np.empty(size), np.empty(size, dtype=np.int32)
+    """Round arrays for `size` samples: uniforms and active indices, int32 as
+    a chunk holds far fewer than 2^31 samples."""
+    return np.empty(size), np.empty(size, dtype=np.int32)
 
 
 def _reject_into(state: CatState, phi, out, rng: np.random.Generator, work) -> None:
@@ -164,34 +165,38 @@ def _reject_into(state: CatState, phi, out, rng: np.random.Generator, work) -> N
 
     Rejection sampling; the proposal envelope is valid by construction, so the
     round cap only guards against implementation regressions.  A round draws,
-    for its k active samples in order, k proposal components, k normals into
-    `prop` and k uniforms into `u` of `work = _workspace(>= phi.size)`.  It is
-    then evaluated block by block: each block's proposals are accepted into
-    `out` and its rejected indices are compacted forward in `active`, which
-    keeps their order for the next round.
+    for its k active samples in order, k proposal components, k normals
+    and k uniforms (into `u` of `work = _workspace(>= phi.size)`).  Round 1
+    covers every sample and draws its normals straight into `out`, which must
+    be contiguous; a later round stages them in `u` and scatters them to its
+    active positions.  Evaluated block by block, the proposals stay in or go
+    back to `out`, so the accepted ones are final, and the rejected positions
+    are compacted forward in `active`, keeping their order for the next round.
     """
-    prop, u, active = work
+    u, active = work
     k = phi.size
-    active[:k] = np.arange(k)
-    for _ in range(_MAX_ROUNDS):
+    for rnd in range(_MAX_ROUNDS):
         if k == 0:
             return
-        comp = rng.integers(0, 3, size=k)
-        rng.standard_normal(out=prop[:k])
-        prop[:k] *= INV_SQRT2  # the bits of rng.normal(0.0, INV_SQRT2, size=k)
+        comp = rng.integers(0, 3, size=k).astype(np.int8)  # held as 1 byte, not 8, during the blocks
+        prop = rng.standard_normal(out=u[:k] if rnd else out)
+        prop *= INV_SQRT2  # the bits of rng.normal(0.0, INV_SQRT2, size=k)
+        if rnd:
+            out[active[:k]] = prop
         rng.random(out=u[:k])
         kept = 0
         for lo in range(0, k, _BLOCK):
             hi = min(lo + _BLOCK, k)
-            idx = active[lo:hi]
+            idx = active[lo:hi] if rnd else slice(lo, hi)
             m, a_neg, b_neg = phase_amplitudes(state, phi[idx])
-            x, c = prop[lo:hi], comp[lo:hi]
+            x, c = out[idx], comp[lo:hi]  # a view of `out` in round 1, a copy later
             x += np.where(c == 0, m, np.where(c == 1, -m, 0.0))
             with _DENSITY_LOCK:
                 target = quadrature_density(state, x, amplitudes=(m, a_neg, b_neg))
             accept = u[lo:hi] * (_envelope_const(state, a_neg) * _proposal_density(x, m)) <= target
-            out[idx[accept]] = x[accept]
-            rest = idx[~accept]
+            if rnd:
+                out[idx] = x
+            rest = idx[~accept] if rnd else np.flatnonzero(~accept) + lo
             active[kept:kept + rest.size] = rest
             kept += rest.size
         k = kept
@@ -203,7 +208,8 @@ def _sample_chunk(state: CatState, noise: NoiseModel, rng: np.random.Generator, 
 
     Draws phi uniform on [0, pi], ideal values by `_reject_into`, then the
     measured values sqrt(eta) x + sqrt((1 - eta) / 2) y, y unit normal, into
-    the given arrays and `work`, so it allocates no chunk-sized array.
+    the given arrays and `work` (y into its uniforms), so that of chunk size
+    it allocates only each round's components: drawn as int64, held as int8.
     """
     rng.random(out=phi)
     phi *= np.pi  # the bits of rng.uniform(0.0, np.pi, phi.size)

@@ -226,17 +226,19 @@ class TestMatchesReferenceLoop:
         assert got.phi.tobytes() == phi.tobytes()
 
     def test_chunk_memory(self, cat, noise):
-        # one chunk on the calling thread peaks at 50.5 MiB: 16 MiB of batch, a
-        # 20 MiB round workspace, 8 MiB of round components and the block
-        # temporaries; a loop that allocated its round arrays per chunk
-        # peaked at 128 MiB
+        # one chunk on the calling thread peaks at 37.7 MiB: 16 MiB of batch, a
+        # 12 MiB round workspace (uniforms, int32 indices) and a round's
+        # components as drawn, 8 MiB, beside their 1 MiB int8 copy.  Holding
+        # the int64 draws through the blocks took 42.6 MiB, a proposal buffer
+        # in the workspace as well 50.5 MiB, and a loop that allocated its
+        # round arrays per chunk 128 MiB
         tracemalloc.start()
         try:
             generate_batch(cat, noise, CHUNK_SIZE, seed=7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 132 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        assert peak <= 41 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestChunkPool:
@@ -289,18 +291,20 @@ class TestChunkPool:
         assert threading.active_count() == before
 
     def test_two_chunk_memory(self, cat, noise):
-        # 95.4 MiB at seed 7: 32 MiB of batch, two 20 MiB round workspaces
-        # (int32 indices) allocated by the caller, each thread's 8 MiB of round
-        # components and its block temporaries; 103.8-106.8 MiB over 12 seeds
-        # with int64 indices, and sampling the chunks one after the other with
-        # per-chunk round arrays peaked at 144 MiB
+        # 73.0-74.0 MiB at seed 7, 66.0-74.0 MiB over 12 seeds: 32 MiB of
+        # batch, two 12 MiB round workspaces allocated by the caller, and each
+        # thread's 9 MiB of components as drawn and held, or 6 MiB of held
+        # components and block temporaries.  Holding the int64 draws took
+        # 79.3-82.1 MiB, a proposal buffer in each workspace as well 95.4 MiB
+        # at seed 7, and sampling the chunks one after the other with
+        # per-chunk round arrays 144 MiB
         tracemalloc.start()
         try:
             generate_batch(cat, noise, 2 * CHUNK_SIZE, seed=7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 104 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        assert peak <= 78 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def stream_to_file(state, noise, n, seed, path, replicate=0):
@@ -328,10 +332,10 @@ class TestStreamedBatch:
 
     def test_memory_flat_in_chunks(self, cat, noise, tmp_path, monkeypatch):
         # two slots of a chunk buffer, a round workspace and round components,
-        # plus one write block: 8.4 MiB at 2^16-sample chunks, 3 or 6 of them,
+        # plus one write block: 6.8 MiB at 2^16-sample chunks, 3 or 6 of them,
         # when the two pool threads take turns.  Sampling at once, they add up
         # to 3.3 MiB of block temporaries, as their rounds happen to overlap:
-        # 10.1-11.7 MiB over runs of either length, too wide for a 1 % bound
+        # 8.9-10.1 MiB over runs of 6 chunks, too wide for a 1 % bound
         monkeypatch.setattr(sampling, "CHUNK_SIZE", 1 << 16)
 
         def peak(chunks):
