@@ -20,8 +20,9 @@ alone; only the mean oracle imports scipy, when it is called.
 
 Two evaluation routes are provided, one per path.  `reconstruct_exact`
 sums the kernel per sample and per node with compensated accumulation (the
-authoritative slow path).  `reconstruct_fast` linearly bins samples on a
-(phase x offset) lattice, turns each phase bin into a 1-D FFT correlation
+authoritative slow path).  `reconstruct_fast` spreads samples onto a
+(phase x offset) lattice, quadratically over three phase bins and linearly
+over two offset bins, turns each phase bin into a 1-D FFT correlation
 against kernel values at the lattice offsets (`numpy.fft`), and maps grid nodes
 through linear interpolation, whose weights at one quadrant of nodes serve all
 four mirror images of it (`_interp_grid`) and whose error the cutoff bounds
@@ -433,7 +434,7 @@ def reconstruct_exact(batch, params: ReconstructionParams) -> WignerGrid:
 
 
 # ---------------------------------------------------------------------------
-# fast path: linear binning + FFT correlation + linear node interpolation
+# fast path: quadratic x linear binning + FFT correlation + linear node interpolation
 # ---------------------------------------------------------------------------
 
 class _Lattice(NamedTuple):
@@ -453,18 +454,25 @@ class _Lattice(NamedTuple):
 def _resolution(r: float, h: float) -> tuple[int, int]:
     """Phase bins and node offsets of the binned lattice for radius r and cutoff c = 1/h.
 
-    Binning errors grow like (r/h * step)^2, so the lattice has 512 s phase
-    bins and 2048 s node offsets, s = ceil(r / (24 h)) capped at 4 to bound its
-    memory (past the cap the self-check may refuse the grid; the exact path
-    serves it).  The offset spacing delta = 2 r / (2048 s - 9) keeps
-    c delta <= 48/2039, so linear interpolation of a phase row, band-limited to
-    c, is within (c delta)^2 / 8 <= 7e-5 of its maximum (Bernstein's inequality).
+    The lattice has 256 min(8, s) phase bins and 2048 min(4, s) node offsets,
+    s = ceil(r c / 24); the caps bound its memory (past them the self-check may
+    refuse the grid; the exact path serves it).  A sample's response at a node,
+    K(q cos phi + p sin phi - u), changes in phi through the offset alone, of
+    phi-derivative at most r, so each phi-derivative brings down at most r c
+    to leading order.  Quadratic spreading over the nearest three phase bins
+    (`_shares`), of step dphi = pi / phi_bins, is then within
+    dphi^3 / (9 sqrt 3) max|d^3/dphi^3| <= (dphi r c)^3 / (9 sqrt 3) <= 1.7e-3
+    of the response's maximum, as dphi r c <= 24 pi / 256 below the phase cap.
+    Below the offset cap the spacing delta = 2 r / (2048 s - 9) keeps
+    c delta <= 48/2039, so linear interpolation of a phase row, band-limited
+    to c, is within (c delta)^2 / 8 <= 7e-5 of its maximum (Bernstein's
+    inequality).
     A set of parameters shares the lattice of r = r_max and c = c_max, the
     largest radius and cutoff among its members: every member, of r <= r_max
-    and c <= c_max, then has c delta <= 48/2039 and r c <= 24 s below the cap.
+    and c <= c_max, then has c delta <= 48/2039 and r c <= 24 s below the caps.
     """
-    sharp = max(1, min(4, math.ceil(r / (24.0 * h))))
-    return 512 * sharp, 2048 * sharp
+    sharp = max(1, math.ceil(r / (24.0 * h)))
+    return 256 * min(8, sharp), 2048 * min(4, sharp)
 
 
 def _geometry(batch, members) -> _Lattice:
@@ -497,42 +505,48 @@ def _with_kernel(lat: _Lattice, gamma: float, h: float) -> _Lattice:
 
 
 # Samples per binning pass and phase rows per FFT block.  The binned field's
-# working memory is the lattice, the field and one block's shares (256 KiB)
+# working memory is the lattice, the field and one block's shares (384 KiB)
 # or one FFT block's transforms (under 1 MiB), whatever n is.  A block's
-# temporaries stay near glibc's 128 KiB mmap threshold: the one pass over a
-# batch file at n = 1.6e7 took 0.92-1.25 s in a fresh process with 2^12-sample
-# blocks, against 1.54-2.40 s with 2^13-2^15, whose 256 KiB-1 MiB share
-# arrays were mapped afresh for every block (1.4-1.6 M page faults against 10 k;
-# 2-core Xeon, two runs of three).  8-row FFT blocks took 0.10-0.13 s against
+# temporaries stay near glibc's 128 KiB mmap threshold: with four shares per
+# sample the one pass over a batch file at n = 1.6e7 took 0.92-1.25 s in a
+# fresh process with 2^12-sample blocks, against 1.54-2.40 s with 2^13-2^15,
+# whose 256 KiB-1 MiB share arrays were mapped afresh for every block
+# (1.4-1.6 M page faults against 10 k; 2-core Xeon, two runs of three).  With
+# six shares, 192 KiB per array, a fresh `reconstruct` of both betas at that
+# n made 11 k page faults in all.  8-row FFT blocks took 0.10-0.13 s against
 # 0.12-0.15 s for a 512 x 6974 lattice at once.
 _BIN_CHUNK = 1 << 12
 _FFT_ROWS = 8
 
 
 def _shares(x, phi, eta: float, lat: _Lattice):
-    """Flat lattice indices and weights of the four bilinear shares of each
-    sample (x, phi) at efficiency eta.
+    """Flat lattice indices and weights of the six shares of each sample
+    (x, phi) at efficiency eta, sample by sample.
 
-    The lattice is (phi-bin, offset-bin), flattened row-major.  Phase
-    spreading respects the half-turn identity (phi + pi, u) ~ (phi, -u): a
-    share in row -1 or phi_bins re-enters at the opposite edge row with its
-    offset column mirrored, i -> n_u - 1 - i (exact, as the offset lattice is
-    symmetric about 0), so no first-order error appears at the phase seam.
+    In phase a sample spreads onto its nearest bin k and onto k -+ 1 with
+    the quadratic Lagrange weights of f = pos - k in [-1/2, 1/2]; in offset
+    onto the two bins on either side of it with linear weights.  The indices
+    run row-major over the (phi-bin, offset-bin) lattice with a ghost row
+    beyond each end of the phase range: rows -1 to phi_bins + 1 (phi = pi
+    rounds to row phi_bins, so its third tap is row phi_bins + 1), flattened
+    from row -1.  `_bin_counts` folds the ghost rows back.
     """
-    n_u, size = lat.n_u, lat.phi_bins * lat.n_u
+    n_u = lat.n_u
     pos = phi / (math.pi / lat.phi_bins) - 0.5
     upos = (x / math.sqrt(eta) - lat.u0) / lat.delta
-    row, col = np.floor(pos), np.floor(upos)
-    w_phi, w_u = pos - row, upos - col  # weights of row + 1 and col + 1
-    base = (row * n_u + np.clip(col, 0, n_u - 2)).astype(np.int64)
-    flat = base[:, None] + (0, 1, n_u, n_u + 1)
-    low, high = np.flatnonzero(row < 0), np.flatnonzero(row == lat.phi_bins - 1)
-    flat[low, :2] = (size - 1 - n_u) - flat[low, :2]
-    flat[high, 2:] = (size - 1 + n_u) - flat[high, 2:]
-    w_phi_lo, w_u_lo = 1.0 - w_phi, 1.0 - w_u
-    weight = np.empty((base.size, 4))
-    for m, (a, b) in enumerate(((w_phi_lo, w_u_lo), (w_phi_lo, w_u), (w_phi, w_u_lo), (w_phi, w_u))):
-        np.multiply(a, b, out=weight[:, m])
+    row, col = np.rint(pos), np.floor(upos)
+    f, w_u = pos - row, upos - col  # f in [-1/2, 1/2]; w_u the weight of col + 1
+    base = (row * n_u + np.clip(col, 0, n_u - 2)).astype(np.int64)  # cell (k - 1, col), rows from -1
+    flat = np.empty((base.size, 6), np.int64)
+    for m, step in enumerate((0, 1, n_u, n_u + 1, 2 * n_u, 2 * n_u + 1)):
+        np.add(base, step, out=flat[:, m])
+    half_f = 0.5 * f
+    w_phi = (half_f * (f - 1.0), 1.0 - f * f, half_f * (f + 1.0))  # rows k - 1, k, k + 1
+    w_u_lo = 1.0 - w_u
+    weight = np.empty((base.size, 6))
+    for m, a in enumerate(w_phi):
+        np.multiply(a, w_u_lo, out=weight[:, 2 * m])
+        np.multiply(a, w_u, out=weight[:, 2 * m + 1])
     return flat.ravel(), weight.ravel()
 
 
@@ -543,9 +557,15 @@ def _bin_counts(batch, lat: _Lattice, wanted: np.ndarray):
     The shares are summed by `add.at` in sample order, one block of
     `_BIN_CHUNK` samples per call, so no bit depends on the blocks.  `batch`
     is a `QuadratureBatch` or a scanned batch file: anything whose
-    `blocks(size)` yields its samples in order.
+    `blocks(size)` yields its samples in order.  Phase spreading respects the
+    half-turn identity (phi + pi, u) ~ (phi, -u): after the pass the ghost
+    rows -1, phi_bins and phi_bins + 1 of `_shares` are added to rows
+    phi_bins - 1, 0 and 1 with their offset columns mirrored,
+    j -> n_u - 1 - j (exact, as the offset lattice is symmetric about 0), so
+    no error appears at the phase seam.
     """
-    counts = np.zeros((lat.phi_bins, lat.n_u))
+    bins = lat.phi_bins
+    counts = np.zeros((bins + 3, lat.n_u))  # rows -1 to bins + 1
     picked = np.empty((2, wanted.size))
     lo = 0
     for x, phi in batch.blocks(_BIN_CHUNK):
@@ -553,7 +573,9 @@ def _bin_counts(batch, lat: _Lattice, wanted: np.ndarray):
         a, b = np.searchsorted(wanted, (lo, lo + x.size))
         picked[0, a:b], picked[1, a:b] = x[wanted[a:b] - lo], phi[wanted[a:b] - lo]
         lo += x.size
-    return counts, picked
+    for ghost, row in ((0, bins), (bins + 1, 1), (bins + 2, 2)):
+        counts[row] += counts[ghost, ::-1]
+    return counts[1:bins + 1], picked
 
 
 def _fast_field(counts: np.ndarray, lat: _Lattice):
@@ -643,20 +665,29 @@ def _probe_sums(batch: QuadratureBatch, lat: _Lattice, qs, ps):
     counts at a few nodes (qs, ps), without the FFT.
 
     The field is linear in the lattice counts, G[k, i] = sum_j counts[k, j]
-    kv[i - j + n_u - 1], so each sample's four shares, in cells (k, j), are
+    kv[i - j + n_u - 1], so each sample's six shares, in cells (k, j), are
     summed directly against the on-grid kernel values with the linear
     weights of their phase bin, which carry the same (c delta)^2 / 8 bound.
-    One node at a time, so the temporaries are share-sized, not node x share.
+    A share in a ghost row of `_shares` is summed at that row's own phase,
+    outside [0, pi]: as s(q, p, phi - pi) = -s(q, p, phi), this is the sum
+    at the mirrored cell its fold in `_bin_counts` gives.
+    One node at a time, so the temporaries are share-sized, not node x share;
+    the products are summed by `np.sum`, as a `@` over 6 x 2048 shares would
+    pass OpenBLAS's threshold for a threaded dot product and spend CPU on a
+    second thread to save no time.
     """
     flat, weight = _shares(batch.x, batch.phi, batch.noise.eta, lat)
-    k, j = np.divmod(flat, lat.n_u)
-    phi_k = (k + 0.5) * (math.pi / lat.phi_bins)
-    cos_k, sin_k = np.cos(phi_k), np.sin(phi_k)
+    k, j = np.divmod(flat, lat.n_u)  # phase row k - 1
+    phi_k = (np.arange(lat.phi_bins + 3) - 0.5) * (math.pi / lat.phi_bins)
+    cos_k, sin_k = np.cos(phi_k)[k], np.sin(phi_k)[k]
     sums = np.empty(len(qs))
     for m, (q, p) in enumerate(zip(qs, ps)):
         i0, w = _linear((q * cos_k + p * sin_k - lat.s0) / lat.delta)
         base = i0 + (lat.n_u - 1) - j  # kv index of G[k, i0]
-        sums[m] = (w[0] * lat.kv[base] + w[1] * lat.kv[base + 1]) @ weight
+        terms = w[0] * lat.kv[base]
+        terms += w[1] * lat.kv[base + 1]
+        terms *= weight
+        sums[m] = np.sum(terms)
     return sums
 
 
@@ -667,8 +698,9 @@ class BinnedBatch:
     `batch` is a `QuadratureBatch` or a scanned batch file
     (`sampling._BatchFile`), which is read in blocks and never held whole.
     The first `reconstruct_fast` call makes the one pass over its samples
-    (`_bin_counts`): it fills the counts and gathers every member's
-    self-check samples, whose indices are drawn beforehand (`_check_draws`).
+    (`_bin_counts`): it adds each sample's six shares (`_shares`) to the
+    counts and gathers every member's self-check samples, whose indices are
+    drawn beforehand (`_check_draws`).
     Later members reuse both.  At several betas of
     `ReconstructionParams.for_experiment`, the smallest beta sets the
     lattice, so its grid is bit for bit the one `reconstruct_fast(batch,
@@ -701,7 +733,8 @@ def reconstruct_fast(batch: QuadratureBatch | BinnedBatch, params: Reconstructio
     """Accelerated estimator: identical contract to `reconstruct_exact` within
     a nodewise tolerance of 1e-3 * max|grid| at the lattice resolutions.
 
-    Samples are spread linearly onto a (phase x offset) lattice, each phase
+    Samples are spread onto a (phase x offset) lattice, quadratically in
+    phase and linearly in offset (`_shares`), each phase
     bin becomes one FFT correlation against an on-grid kernel table, and grid
     nodes interpolate the result.  A subsample self-check compares that
     against the direct evaluation and raises `RuntimeError` if the

@@ -1,12 +1,12 @@
 """Kernel, bandwidth rule, reconstruction paths, and the deterministic mean oracle."""
 
+import functools
 import math
 import os
 import re
 import subprocess
 import sys
 import tracemalloc
-import types
 import warnings
 
 import numpy as np
@@ -407,7 +407,8 @@ class AddAtCounter:
 
     def __init__(self, monkeypatch):
         self.calls = 0
-        self.add = types.SimpleNamespace(at=self._add_at)
+        self.add = functools.partial(np.add)
+        self.add.at = self._add_at
         monkeypatch.setattr(est, "np", self)
 
     def _add_at(self, *args):
@@ -421,9 +422,12 @@ class AddAtCounter:
 def field_reference(batch, lat):
     """`binned_field` in one shot: a single `bincount` over every sample's shares,
     then one FFT correlation over the whole lattice."""
-    counts = np.bincount(*est._shares(batch.x, batch.phi, batch.noise.eta, lat), minlength=lat.phi_bins * lat.n_u)
+    bins = lat.phi_bins
+    counts = np.bincount(*est._shares(batch.x, batch.phi, batch.noise.eta, lat),
+                         minlength=(bins + 3) * lat.n_u).reshape(bins + 3, lat.n_u)
+    counts[[bins, 1, 2]] += counts[[0, bins + 1, bins + 2], ::-1]  # ghost rows folded at the seam
     size = est._next_fast_len(lat.n_u + lat.n_s - 1)
-    spectrum = np.fft.rfft(counts.reshape(lat.phi_bins, lat.n_u), size, axis=1) * np.fft.rfft(lat.kv, size)
+    spectrum = np.fft.rfft(counts[1:bins + 1], size, axis=1) * np.fft.rfft(lat.kv, size)
     return np.fft.irfft(spectrum, size, axis=1)[:, lat.n_u - 1:lat.n_u - 1 + lat.n_s]
 
 
@@ -640,14 +644,48 @@ class TestReconstructFast:
         # the cutoff terms alone reach nearly their share of the bound at the origin
         assert dev[ax.size // 2, ax.size // 2] > 0.5 * per_unit * lat.phi_bins
 
+    @pytest.mark.parametrize("n, beta", [(500_000, 0.1), (4_000_000, 0.05), (4_000_000, 0.1), (16_000_000, 0.05)],
+                             ids=["desk", "headline-0.05", "headline-0.1", "paper-0.05"])
+    def test_phase_spreading_within_bound(self, cat, noise, n, beta):
+        # a response K(q cos phi + p sin phi - u) changes in phi at up to r c times
+        # its size per derivative, so a cosine in phase of frequency w = r c stands
+        # for it: the shares of a sample at phi, summed against the cosine at their
+        # rows' phases, are within (dphi w)^3 / (9 sqrt 3) of its value at phi,
+        # dphi = pi / phi_bins; ghost rows lie at their own phases beyond [0, pi]
+        params = small_params(n, beta=beta, grid_size=41)
+        x = np.linspace(-6.0, 6.0, 64)
+        lat = lone_lattice(QuadratureBatch(x, np.zeros(64), cat, noise, seed=0), params, noise.gamma)
+        dphi, w = math.pi / lat.phi_bins, params.r / params.h
+        assert dphi * w <= 24.0 * math.pi / 256.0
+        bound = (dphi * w) ** 3 / (9.0 * math.sqrt(3.0))
+        rng = np.random.default_rng(93)
+        phi = np.concatenate([[0.0, math.pi], rng.uniform(0.0, 1e-3, 64), math.pi - rng.uniform(0.0, 1e-3, 64),
+                              rng.uniform(0.0, math.pi, 4096)])
+        mid = rng.integers(0, lat.phi_bins + 1, 64) * dphi  # halfway between two rows' phases
+        # at the midway phases the third derivative is at its largest, w^3
+        for shift, at in [(rng.uniform(0.0, 2.0 * math.pi), phi), (math.pi / 2.0 - w * mid, mid)]:
+            flat, weight = est._shares(rng.uniform(-4.0, 4.0, at.size), at, noise.eta, lat)
+            row_phi = ((flat // lat.n_u).reshape(at.size, 6) - 0.5) * dphi
+            spread = np.sum(weight.reshape(at.size, 6) * np.cos(w * row_phi + np.reshape(shift, (-1, 1))), axis=1)
+            dev = np.abs(spread - np.cos(w * at + shift))
+            assert np.max(dev) <= bound
+        # there |f (f^2 - 1)| / 6 = 1/16 against 1 / (9 sqrt 3) = 0.064
+        assert np.min(dev) > 0.9 * bound
+
     def test_resolution_keeps_offset_spacing_within_bound(self, cat, noise):
-        # c delta = 2 (r/h) / (n_s - 9) <= 48/2039 wherever the cap s <= 4 does not bind
-        for r_over_h in np.linspace(0.5, 96.0, 400):
-            _, n_s = est._resolution(r_over_h, 1.0)
-            assert 2.0 * r_over_h / (n_s - 9) <= 48.0 / 2039.0 * (1.0 + 1e-12)
+        # c delta = 2 (r/h) / (n_s - 9) <= 48/2039 wherever the offset cap s <= 4 does
+        # not bind, and dphi r c <= 24 pi / 256 wherever the phase cap s <= 8 does not
+        for r_over_h in np.linspace(0.5, 240.0, 1000):
+            phi_bins, n_s = est._resolution(r_over_h, 1.0)
+            sharp = max(1, math.ceil(r_over_h / 24.0))
+            assert (phi_bins, n_s) == (256 * min(8, sharp), 2048 * min(4, sharp))
+            if sharp <= 4:
+                assert 2.0 * r_over_h / (n_s - 9) <= 48.0 / 2039.0 * (1.0 + 1e-12)
+            if sharp <= 8:
+                assert math.pi / phi_bins * r_over_h <= 24.0 * math.pi / 256.0 * (1.0 + 1e-12)
         # a set of members shares the lattice of its largest r and its largest
         # c = 1/h, which may belong to different members; each member keeps
-        # c delta <= 48/2039 and r c <= 24 s below the cap
+        # c delta <= 48/2039 and r c <= 24 s below the caps
         batch = QuadratureBatch(np.linspace(-5.0, 5.0, 64), np.zeros(64), cat, noise, seed=0)
         rng = np.random.default_rng(90)
         split = 0
@@ -656,17 +694,17 @@ class TestReconstructFast:
                        for _ in range(rng.integers(1, 5))]
             split += np.argmax([p.r for p in members]) != np.argmin([p.h for p in members])
             lat = est._geometry(batch, members)
-            sharp = lat.n_s // 2048
-            assert lat.phi_bins == 512 * sharp and lat.kv is None
-            assert lat.delta == 2.0 * max(p.r for p in members) / (lat.n_s - 9)
-            if max(p.r for p in members) * max(1.0 / p.h for p in members) > 96.0:
-                assert sharp == 4
+            r_max = max(p.r for p in members)
+            sharp = max(1, math.ceil(r_max / (24.0 * min(p.h for p in members))))
+            assert (lat.phi_bins, lat.n_s) == (256 * min(8, sharp), 2048 * min(4, sharp)) and lat.kv is None
+            assert lat.delta == 2.0 * r_max / (lat.n_s - 9)
+            if sharp > 4:
                 continue
             for p in members:
                 assert lat.delta / p.h <= 48.0 / 2039.0 * (1.0 + 1e-12)
                 assert p.r / p.h <= 24.0 * sharp * (1.0 + 1e-12)
         assert split > 100  # sets whose r_max and c_max come from different members
-        # one member: the lattice `reconstruct_fast(batch, params)` has always built
+        # one member: the lattice `reconstruct_fast(batch, params)` builds
         for beta in (0.05, 0.1):
             params = small_params(16_000_000, beta=beta)
             sharp = max(1, min(4, math.ceil(params.r / (24.0 * params.h))))
@@ -675,7 +713,7 @@ class TestReconstructFast:
             n_u = 2 * half_u + 1 + (2 * half_u + 1 - 2048 * sharp) % 2
             half_k = (n_u + 2048 * sharp) // 2 - 1
             lat = lone_lattice(batch, params, noise.gamma)
-            assert lat[:6] == (512 * sharp, delta, -delta * (2048 * sharp - 1) / 2.0, 2048 * sharp,
+            assert lat[:6] == (256 * sharp, delta, -delta * (2048 * sharp - 1) / 2.0, 2048 * sharp,
                                -delta * (n_u - 1) / 2.0, n_u)
             assert np.array_equal(lat.kv, kernel(delta * np.arange(-half_k, half_k + 1), noise.gamma, params.h))
 
@@ -706,8 +744,8 @@ class TestReconstructFast:
         monkeypatch.setattr(est, "_BIN_CHUNK", 1000)
         assert np.array_equal(binned_field(batch, lat), whole)
 
-    # s = 1 is the 512 x 2048 lattice of beta = 0.1; beta = 0.05 at n = 1.6e7 needs s = 2
-    @pytest.mark.parametrize("n_rule, beta, phi_bins", [(4_000_000, 0.1, 512), (16_000_000, 0.05, 1024)])
+    # s = 1 is the 256 x 2048 lattice of beta = 0.1; beta = 0.05 at n = 1.6e7 needs s = 2
+    @pytest.mark.parametrize("n_rule, beta, phi_bins", [(4_000_000, 0.1, 256), (16_000_000, 0.05, 512)])
     @pytest.mark.parametrize("chunk, rows", [(None, None), (1000, 7)])
     def test_field_matches_one_shot_reference(self, monkeypatch, n_rule, beta, phi_bins, chunk, rows):
         # counts are summed in sample order and each phase row transforms alone,
@@ -783,14 +821,21 @@ class TestReconstructFast:
         (sub,) = used
         assert sub.n == min(n, 2048) and sub.x.tobytes() == batch.x[idx].tobytes()
 
-    def test_capped_lattice_refuses_high_efficiency_small_beta(self, cat):
-        # eta = 0.95 and beta = 0.03 at n = 2e5 need r/h = 217, past the s <= 4
-        # cap: the 2048 x 8192 lattice misses the budget, and the grid is refused
+    def test_capped_lattice_builds_high_efficiency_small_beta(self, cat):
+        # eta = 0.95 and beta = 0.03 at n = 2e5 need r/h = 217, past both caps:
+        # the 2048 x 8192 lattice of quadratic phase spreading passes the
+        # self-check, and the grid lies within 1e-3 max|grid| of the direct sum
         nm = NoiseModel(0.95)
         batch = generate_batch(cat, nm, 200_000, seed=1)
         params = ReconstructionParams.for_experiment(200_000, 0.03, nm, grid_size=41)
-        with pytest.raises(RuntimeError, match=r"2048 x 8192, .* exceeds the budget"):
-            reconstruct_fast(batch, params)
+        assert params.r / params.h > 24.0 * 8
+        lat = est._geometry(batch, (params,))
+        assert (lat.phi_bins, lat.n_s) == (2048, 8192)
+        grid = reconstruct_fast(batch, params)
+        mask, qs, ps = est._disk_nodes(params.axis(), params.r)
+        pick = np.random.default_rng(92).choice(qs.size, 48, replace=False)
+        direct = estimate_at_points(batch, params, qs[pick], ps[pick])
+        assert np.max(np.abs(grid.values[mask][pick] - direct)) <= 1e-3 * np.max(np.abs(grid.values))
 
     def test_self_check_can_be_disabled(self, cat, noise, monkeypatch):
         batch = generate_batch(cat, noise, 4000, seed=77)
