@@ -44,7 +44,6 @@ from .estimator import (
     write_grid,
 )
 from .analysis import (
-    ErrorReport,
     WitnessStats,
     delta_terms,
     error_upper_bound,

@@ -23,7 +23,7 @@ standard deviation, and the interference test declares separation when
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from .states import (
 )
 
 __all__ = [
-    "ErrorReport",
     "WitnessStats",
     "l2_error",
     "mean_square_error",
@@ -52,19 +51,6 @@ __all__ = [
     "witness_mean_oracle",
     "witness_stats",
 ]
-
-
-@dataclass
-class ErrorReport:
-    """Measured mean square L2 error next to its closed-form upper bound."""
-
-    delta_numeric: float
-    delta_bound: float
-    term_variance: float
-    term_tail: float
-    term_bias: float
-    params: dict = field(default_factory=dict)
-    m: int = 0
 
 
 @dataclass

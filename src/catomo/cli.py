@@ -32,7 +32,6 @@ from functools import partial
 import numpy as np
 
 from .analysis import (
-    ErrorReport,
     delta_terms,
     l2_error,
     mean_square_error,
@@ -360,25 +359,23 @@ def _analyze_beta(cfg: ExperimentConfig, beta: float, batch_shas: set[str]) -> d
     means = [witness_mean_from_grid(grid, state) for _, grid in grids]
     stats = witness_stats(means, state)
     r, _ = optimal_bandwidth(cfg.n, beta, cfg.noise.gamma)
-    core = ErrorReport(
-        delta_numeric=mean_square_error(errors),
-        delta_bound=tv + tt + tb,
-        term_variance=tv,
-        term_tail=tt,
-        term_bias=tb,
-        m=cfg.replicates,
-        params={
+    # the measured mean square L2 error next to its closed-form bound and that bound's terms
+    report = {
+        "delta_numeric": mean_square_error(errors),
+        "delta_bound": tv + tt + tb,
+        "term_variance": tv,
+        "term_tail": tt,
+        "term_bias": tb,
+        "m": cfg.replicates,
+        "params": {
             "alpha1": cfg.alpha1, "alpha2": cfg.alpha2, "eta": cfg.eta,
             "beta": beta, "n": cfg.n, "r": r, "h": 1.0 / r,
             "grid_size": cfg.grid_size, "path": cfg.path, "seed": cfg.seed,
         },
-    )
-    report = asdict(core)
-    report.update({
         "per_replicate_errors": errors,
         "config_sha256": config_sha(cfg),
         "grid_sha256": [file_sha(p) for p, _ in grids],
-    })
+    }
     adir = _analysis_dir(cfg, beta)
     os.makedirs(adir, exist_ok=True)
     # the hashed report goes last: `_analyzed_report` vouches for the witness stats by it
@@ -389,15 +386,31 @@ def _analyze_beta(cfg: ExperimentConfig, beta: float, batch_shas: set[str]) -> d
     return {"beta": beta, "report": report, "witness": stats}
 
 
+def _read_analysis(path: str, keys) -> dict:
+    """The JSON object `analyze` wrote to `path`; unreadable JSON, another
+    value than an object or a missing one of `keys` is refused with a
+    ConfigError naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # malformed JSON or bytes that are not UTF-8
+            raise ConfigError(f"invalid analysis file {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"invalid analysis file {path}: holds a JSON {type(data).__name__}, not an object")
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise ConfigError(f"invalid analysis file {path}: no {missing[0]!r} key")
+    return data
+
+
 def _analyzed_report(cfg: ExperimentConfig, beta: float) -> dict | None:
     """The error report `analyze` wrote for `beta`, or None if there is none; a report
     written under another config is refused, and with it the witness stats beside it."""
     rpath = os.path.join(_analysis_dir(cfg, beta), "error_report.json")
     if not os.path.exists(rpath):
         return None
-    with open(rpath, "r", encoding="utf-8") as fh:
-        report = json.load(fh)
-    if report.get("config_sha256") != config_sha(cfg):
+    report = _read_analysis(rpath, ("config_sha256", "delta_numeric"))
+    if report["config_sha256"] != config_sha(cfg):
         raise ConfigError(f"provenance mismatch: {rpath} was analyzed under another config; "
                           f"run `analyze` with this one first")
     return report
@@ -444,8 +457,7 @@ def cmd_sweep_beta(cfg: ExperimentConfig, points: int = 23) -> int:
         av = sd = separated = ""
         if _analyzed_report(cfg, row["beta"]) is not None:
             wpath = os.path.join(_analysis_dir(cfg, row["beta"]), "witness_stats.json")
-            with open(wpath, "r", encoding="utf-8") as fh:
-                stats = json.load(fh)
+            stats = _read_analysis(wpath, ("av", "sd", "separated"))
             av = f"{stats['av']:.17g}"
             sd = f"{stats['sd']:.17g}"
             separated = str(stats["separated"]).lower()

@@ -29,14 +29,16 @@ four mirror images of it (`_interp_grid`) and whose error the cutoff bounds
 (`_resolution`); a self-check against the direct sum at a few nodes raises
 `RuntimeError`, pointing to the exact path, if the lattice is too coarse.  A
 `BinnedBatch` bins a batch once for a set of parameters: one lattice, set
-by their largest radius and cutoff, serves every member's grid.  Both
-routes are linear in the samples and take them in sample order, block by
-block, so both also take a batch file that is never held whole: the
-`reconstruct` stage scans the file once (validation, hash, max|x|), then
-the binned route bins it in a second read, which also gathers the
-self-check's samples, and the direct route reads it again for each grid.  A
-deterministic mean-value oracle (the exact expectation of the estimator, one
-radial Bessel integral per point) supports bias tests without Monte Carlo.
+by their largest radius and cutoff, serves every member's grid, each with
+its own kernel values, and one self-check sample serves every member's
+check.  Both routes are linear in the samples and take them in sample
+order, block by block, so both also take a batch file that is never held
+whole: the `reconstruct` stage scans the file once (validation, hash,
+max|x|), then the binned route bins it in a second read, which also
+gathers the self-check's sample, and the direct route reads it again for
+each grid.  A deterministic mean-value oracle (the exact expectation of the
+estimator, one radial Bessel integral per point) supports bias tests without
+Monte Carlo.
 """
 
 from __future__ import annotations
@@ -335,10 +337,11 @@ def estimate_at_points(batch, params: ReconstructionParams, q, p, sample_block: 
     dynamic range.  Offsets are formed in table units, (t - t0) / step, by
     one product per block of up to 256 node rows [q, p, 1], zero-padded to a
     multiple of 16, against per-sample columns [cos phi, sin phi, -(u + t0)] / step,
-    then looked up by `KernelTable.lookup`; a node block reaching past the
-    table's t_max takes `kernel` there.  A node's value does not depend
-    on the other points of the call.  q and p broadcast against each other;
-    the result is flat, one value per broadcast point.
+    then looked up by `KernelTable.lookup`; in a node block reaching past the
+    table's t_max, the offsets beyond it take `kernel` instead.  A node's
+    value does not depend on the other points of the call.  q and p
+    broadcast against each other; the result is flat, one value per
+    broadcast point.
 
     `batch` is a `QuadratureBatch` or a scanned batch file
     (`sampling._BatchFile`): its samples are read by `blocks(size)`, each
@@ -383,7 +386,12 @@ def estimate_at_points(batch, params: ReconstructionParams, q, p, sample_block: 
             for lo in range(0, x.size, sample_block):
                 hi = min(lo + sample_block, x.size)
                 pos = np.matmul(rows, col[:, lo:hi], out=buf[:len(rows), :hi - lo])[:k]
-                block = (table(pos * table.step + table.t0) if far else table.lookup(pos)).sum(axis=1)
+                t = pos * table.step + table.t0 if far else None
+                values = table.lookup(pos)
+                if far:
+                    outside = np.abs(t) > table.t_max
+                    values[outside] = kernel(t[outside], table.gamma, table.h)
+                block = values.sum(axis=1)
                 y = block - c
                 tot = s + y
                 c = (tot - s) - y
@@ -438,9 +446,8 @@ def reconstruct_exact(batch, params: ReconstructionParams) -> WignerGrid:
 # ---------------------------------------------------------------------------
 
 class _Lattice(NamedTuple):
-    """Binned-route lattice: phi_bins phase bins, node offsets s0 + i delta (i < n_s),
-    sample offsets u0 + j delta (j < n_u) and the kernel kv at every difference of the two
-    (None on the geometry a `BinnedBatch` shares, before a member's kernel is set)."""
+    """Binned-route lattice: phi_bins phase bins, node offsets s0 + i delta (i < n_s)
+    and sample offsets u0 + j delta (j < n_u)."""
 
     phi_bins: int
     delta: float
@@ -448,7 +455,6 @@ class _Lattice(NamedTuple):
     n_s: int
     u0: float
     n_u: int
-    kv: np.ndarray | None
 
 
 def _resolution(r: float, h: float) -> tuple[int, int]:
@@ -478,7 +484,7 @@ def _resolution(r: float, h: float) -> tuple[int, int]:
 def _geometry(batch, members) -> _Lattice:
     """The lattice at `_resolution(r_max, 1 / c_max)` of the parameter set `members`
     that covers every member's grid and every sample offset of `batch` (a
-    `QuadratureBatch` or a scanned batch file), without kernel values."""
+    `QuadratureBatch` or a scanned batch file)."""
     r = max(p.r for p in members)
     phi_bins, n_s = _resolution(r, min(p.h for p in members))
     delta = 2.0 * r / (n_s - 9)
@@ -491,17 +497,7 @@ def _geometry(batch, members) -> _Lattice:
     if (n_u - n_s) % 2:
         n_u += 1
     u0 = -delta * (n_u - 1) / 2.0
-    return _Lattice(phi_bins, delta, s0, n_s, u0, n_u, None)
-
-
-def _with_kernel(lat: _Lattice, gamma: float, h: float) -> _Lattice:
-    """`lat` with the kernel of cutoff 1/h at every node-sample offset difference.
-
-    s_i - u_j = (i - j + (n_u - n_s) / 2) delta: whole multiples of delta,
-    symmetric about 0, so `kernel` evaluates each |offset| once.
-    """
-    half_k = (lat.n_u + lat.n_s) // 2 - 1
-    return lat._replace(kv=kernel(lat.delta * np.arange(-half_k, half_k + 1), gamma, h))
+    return _Lattice(phi_bins, delta, s0, n_s, u0, n_u)
 
 
 # Samples per binning pass and phase rows per FFT block.  The binned field's
@@ -552,7 +548,8 @@ def _shares(x, phi, eta: float, lat: _Lattice):
 
 def _bin_counts(batch, lat: _Lattice, wanted: np.ndarray):
     """Lattice counts[k, j] of `batch`, and the (x, phi) rows of its samples
-    at the sorted indices `wanted`, from one pass over its blocks.
+    at the sorted indices `wanted` (a `BinnedBatch`'s self-check sample),
+    from one pass over its blocks.
 
     The shares are summed by `add.at` in sample order, one block of
     `_BIN_CHUNK` samples per call, so no bit depends on the blocks.  `batch`
@@ -578,15 +575,16 @@ def _bin_counts(batch, lat: _Lattice, wanted: np.ndarray):
     return counts[1:bins + 1], picked
 
 
-def _fast_field(counts: np.ndarray, lat: _Lattice):
-    """Per-phase-bin kernel response G[k, i] = sum_j counts[k, j] K(s_i - u_j).
+def _fast_field(counts: np.ndarray, lat: _Lattice, kv: np.ndarray):
+    """Per-phase-bin kernel response G[k, i] = sum_j counts[k, j] K(s_i - u_j),
+    from the kernel values kv[i - j + n_u - 1] = K(s_i - u_j).
 
     Each phase row transforms alone, so the field does not depend on `_FFT_ROWS`.
     """
     # a circular correlation of length >= n_u + n_s - 1 leaves the n_s wanted
     # entries of the full one unaliased
     size = _next_fast_len(lat.n_u + lat.n_s - 1)
-    kv_spectrum = np.fft.rfft(lat.kv, size)
+    kv_spectrum = np.fft.rfft(kv, size)
     out = np.empty((lat.phi_bins, lat.n_s))
     # rows zero-padded to `size` in place: numpy.fft pads a short input by a
     # slower copy of its own (8 ms more per 512 x 5625 field on a 2-core Xeon)
@@ -660,8 +658,8 @@ def _linear(pos: np.ndarray):
     return i0, (1.0 - tau, tau)
 
 
-def _probe_sums(batch: QuadratureBatch, lat: _Lattice, qs, ps):
-    """`_interp_grid(_fast_field(counts, lat), ...)` of the batch's lattice
+def _probe_sums(batch: QuadratureBatch, lat: _Lattice, kv: np.ndarray, qs, ps):
+    """`_interp_grid(_fast_field(counts, lat, kv), ...)` of the batch's lattice
     counts at a few nodes (qs, ps), without the FFT.
 
     The field is linear in the lattice counts, G[k, i] = sum_j counts[k, j]
@@ -684,8 +682,8 @@ def _probe_sums(batch: QuadratureBatch, lat: _Lattice, qs, ps):
     for m, (q, p) in enumerate(zip(qs, ps)):
         i0, w = _linear((q * cos_k + p * sin_k - lat.s0) / lat.delta)
         base = i0 + (lat.n_u - 1) - j  # kv index of G[k, i0]
-        terms = w[0] * lat.kv[base]
-        terms += w[1] * lat.kv[base + 1]
+        terms = w[0] * kv[base]
+        terms += w[1] * kv[base + 1]
         terms *= weight
         sums[m] = np.sum(terms)
     return sums
@@ -699,12 +697,12 @@ class BinnedBatch:
     (`sampling._BatchFile`), which is read in blocks and never held whole.
     The first `reconstruct_fast` call makes the one pass over its samples
     (`_bin_counts`): it adds each sample's six shares (`_shares`) to the
-    counts and gathers every member's self-check samples, whose indices are
-    drawn beforehand (`_check_draws`).
-    Later members reuse both.  At several betas of
-    `ReconstructionParams.for_experiment`, the smallest beta sets the
-    lattice, so its grid is bit for bit the one `reconstruct_fast(batch,
-    params)` gives.
+    counts and gathers the self-check's sample, min(n, 2048) of the n
+    samples drawn without replacement from a fixed stream, in sample order.
+    Later members reuse both, so every member checks the same sample.  At
+    several betas of `ReconstructionParams.for_experiment`, the smallest beta
+    sets the lattice, so its grid is bit for bit the one
+    `reconstruct_fast(batch, params)` gives.
     """
 
     def __init__(self, batch, params_seq):
@@ -712,20 +710,16 @@ class BinnedBatch:
             raise ValueError("cannot reconstruct from an empty batch")
         self.batch = batch
         self.params = tuple(params_seq)
-        self.lattice = _geometry(batch, self.params)  # kv is None: each member sets its own
+        self.lattice = _geometry(batch, self.params)
 
     @functools.cached_property
-    def counts_and_checks(self):
-        """The lattice counts, and each member's self-check probe nodes and samples."""
-        draws = {p: _check_draws(self.batch.n, np.count_nonzero(_disk_nodes(p.axis(), p.r)[0]))
-                 for p in self.params}
-        wanted = np.unique(np.concatenate([sub for _, sub in draws.values()]))
-        counts, picked = _bin_counts(self.batch, self.lattice, wanted)
+    def counts_and_sample(self):
+        """The lattice counts, and the self-check's sample of the batch."""
         b = self.batch
-        checks = {p: (probe, QuadratureBatch(*picked[:, np.searchsorted(wanted, sub)], b.state, b.noise,
-                                             seed=b.seed, replicate=b.replicate))
-                  for p, (probe, sub) in draws.items()}
-        return counts, checks
+        draw = np.random.default_rng(_SAMPLE_SEED).choice(b.n, min(b.n, _CHECK_SAMPLES), replace=False)
+        wanted = np.sort(draw)
+        counts, picked = _bin_counts(b, self.lattice, wanted)
+        return counts, QuadratureBatch(*picked, b.state, b.noise, seed=b.seed, replicate=b.replicate)
 
 
 def reconstruct_fast(batch: QuadratureBatch | BinnedBatch, params: ReconstructionParams,
@@ -752,46 +746,45 @@ def reconstruct_fast(batch: QuadratureBatch | BinnedBatch, params: Reconstructio
     gamma = _check_gamma(batch, params)
 
     mask, qs, ps = _disk_nodes(params.axis(), params.r)
-    lat = _with_kernel(binned.lattice, gamma, params.h)
-    counts, checks = binned.counts_and_checks
-    values = _interp_grid(_fast_field(counts, lat), params.axis(), mask, lat) / batch.n
+    lat = binned.lattice
+    # s_i - u_j = (i - j + (n_u - n_s) / 2) delta: whole multiples of delta,
+    # symmetric about 0, so `kernel` evaluates each |offset| once
+    half_k = (lat.n_u + lat.n_s) // 2 - 1
+    kv = kernel(lat.delta * np.arange(-half_k, half_k + 1), gamma, params.h)
+    counts, sub = binned.counts_and_sample
+    values = _interp_grid(_fast_field(counts, lat, kv), params.axis(), mask, lat) / batch.n
     if self_check:
-        probe, sub = checks[params]
-        _fast_self_check(sub, batch.n, params, lat, qs[probe], ps[probe], values)
+        probe = np.random.default_rng(_PROBE_SEED).choice(qs.size, min(_CHECK_PROBES, qs.size), replace=False)
+        _fast_self_check(sub, batch.n, params, lat, kv, qs[probe], ps[probe], values)
     return WignerGrid(values, extent=params.extent, r=params.r,
                       meta=_grid_meta(batch, params, "fast"))
 
 
-# Self-check tolerance relative to max|grid|, subsample size and probe-node count.
+# Self-check tolerance relative to max|grid|, subsample size and probe-node
+# count, and the seeds of the fixed streams that draw each.
 _CHECK_TOL = 1e-3
 _CHECK_SAMPLES = 2048
 _CHECK_PROBES = 24
+_SAMPLE_SEED, _PROBE_SEED = 619, 618
 
 
-def _check_draws(n: int, nodes: int):
-    """The self-check's probes, min(24, nodes) of the `nodes` inside-disk
-    grid nodes, then its min(n, 2048) of the n samples, both without
-    replacement and in that order from one fixed stream."""
-    rng = np.random.default_rng(618)
-    probe = rng.choice(nodes, size=min(_CHECK_PROBES, nodes), replace=False)
-    return probe, rng.choice(n, size=min(n, _CHECK_SAMPLES), replace=False)
+def _fast_self_check(sub: QuadratureBatch, n: int, params, lat: _Lattice, kv: np.ndarray,
+                     pq, pp, fast_values) -> None:
+    """Compare the binned evaluation on `lat` with kernel values `kv` against
+    the direct kernel sum at the probe nodes (pq, pp); raise `RuntimeError`
+    naming the lattice if they differ by more than the budget.
 
-
-def _fast_self_check(sub: QuadratureBatch, n: int, params, lat: _Lattice, pq, pp, fast_values) -> None:
-    """Compare the binned evaluation against the direct kernel sum at the probe
-    nodes (pq, pp); raise `RuntimeError` naming the lattice if they differ by
-    more than the budget.
-
-    Both sums run over the same m = min(n, 2048) samples `sub` of the n
-    (`_check_draws`), with the tolerance widened by sqrt(n / m).  Per-sample
-    binning errors are oscillatory, so their full-batch average is no larger
-    than the subsample average, while systematic components sit far below
-    tolerance by construction.  `fast_values` sets the scale, max|grid|.
+    Both sums run over the same m = min(n, 2048) samples `sub` of the n, the
+    sample every member of a `BinnedBatch` shares, with the tolerance widened
+    by sqrt(n / m).  Per-sample binning errors are oscillatory, so their
+    full-batch average is no larger than the subsample average, while
+    systematic components sit far below tolerance by construction.
+    `fast_values` sets the scale, max|grid|.
     """
     scale = np.max(np.abs(fast_values))  # max|grid|, as the grid is zero outside the disk
     if scale == 0.0:
         return
-    binned = _probe_sums(sub, lat, pq, pp) / sub.n
+    binned = _probe_sums(sub, lat, kv, pq, pp) / sub.n
     budget = _CHECK_TOL * scale * math.sqrt(n / sub.n)
     dev = np.max(np.abs(binned - estimate_at_points(sub, params, pq, pp)))
     if not dev <= budget:

@@ -543,6 +543,33 @@ class TestSweepAndTable:
         assert os.path.join(cfg.output_dir, "analysis", "beta_0.1", "error_report.json") in err
 
 
+    @pytest.mark.parametrize("name, key, commands", [
+        ("error_report.json", "delta_numeric", ("table1", "sweep-beta")),
+        ("witness_stats.json", "sd", ("sweep-beta",)),
+    ])
+    def test_corrupt_analysis_file_refused(self, tmp_path, capsys, name, key, commands):
+        # a truncated file, a JSON value other than an object, or an object
+        # without a key the command reads is invalid input: exit 2, naming the file
+        cfg, path = tiny_config(tmp_path)
+        for command in ("sample", "reconstruct", "analyze"):
+            assert main([command, "--config", path]) == 0
+        fpath = os.path.join(cfg.output_dir, "analysis", "beta_0.1", name)
+        good = read_text(fpath)
+        pruned = json.loads(good)
+        del pruned[key]
+        for bad, reason in ((good[:len(good) // 2], "line "), ("[]", "not an object"),
+                            (json.dumps(pruned), repr(key))):
+            write_file(fpath, bad)
+            for command in commands:
+                capsys.readouterr()
+                assert main([command, "--config", path]) == EXIT_CONFIG
+                err = capsys.readouterr().err
+                assert err.startswith(f"error: invalid analysis file {fpath}: ") and reason in err
+        write_file(fpath, good)
+        for command in commands:
+            assert main([command, "--config", path]) == 0
+
+
 class TestWorkers:
     def test_parallel_sampling_matches_serial(self, tmp_path):
         cfg, path = tiny_config(tmp_path, n=400)

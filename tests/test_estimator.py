@@ -359,17 +359,21 @@ class TestEstimateAtPoints:
 
     def test_node_beyond_table_takes_closed_form(self, cat, noise):
         # offsets from (3r, 0) pass t_max, where a clipped lookup would return
-        # the end interval's cubic instead of K(t)
+        # the end interval's cubic instead of K(t); the grid's nodes in its
+        # node block keep the bits they have without it
         batch = generate_batch(cat, noise, 1000, seed=44)
         params = small_params(1000, grid_size=21)
-        q, p = np.array([0.5, 3.0 * params.r]), np.array([0.2, 0.0])
+        _, qs, ps = est._disk_nodes(params.axis(), params.r)
+        q, p = np.append(qs, 3.0 * params.r), np.append(ps, 0.0)
         table = est._default_table(batch, params, noise.gamma)
         u = batch.x / math.sqrt(noise.eta)
-        assert np.max(np.abs(q[1] * np.cos(batch.phi) - u)) > table.t_max
-        ref = direct_sum_reference(batch, params, q, p)
+        assert np.max(np.abs(q[-1] * np.cos(batch.phi) - u)) > table.t_max
+        ref = direct_sum_reference(batch, params, q[-2:], p[-2:])
         for k in (1, 2):  # the far node alone and beside a near one
             got = estimate_at_points(batch, params, q[-k:], p[-k:])
             np.testing.assert_allclose(got, ref[-k:], rtol=0.0, atol=1e-12 * np.max(np.abs(ref)))
+        beside = estimate_at_points(batch, params, q, p)[:-1]
+        assert beside.tobytes() == estimate_at_points(batch, params, qs, ps).tobytes()
 
 
 def small_params(n, beta=0.1, eta=0.45, grid_size=41):
@@ -390,15 +394,23 @@ def interp_nodes_reference(g_field, qs, ps, lat):
     return acc
 
 
-def lone_lattice(batch, params, gamma):
+def lone_lattice(batch, params):
     """The binned lattice that `reconstruct_fast(batch, params)` builds: the
-    geometry of the one-member set {params}, with its kernel values."""
-    return est._with_kernel(est._geometry(batch, (params,)), gamma, params.h)
+    geometry of the one-member set {params}."""
+    return est._geometry(batch, (params,))
 
 
-def binned_field(batch, lat):
-    """`_fast_field` of the batch binned on `lat`."""
-    return est._fast_field(est._bin_counts(batch, lat, np.empty(0, np.intp))[0], lat)
+def lattice_kernel(lat, params):
+    """The kernel values `reconstruct_fast` correlates with `lat`'s phase rows
+    for `params`: K at every node-sample offset difference s_i - u_j, the
+    whole multiples of delta up to (n_u + n_s) / 2 - 1 either side of 0."""
+    half_k = (lat.n_u + lat.n_s) // 2 - 1
+    return kernel(lat.delta * np.arange(-half_k, half_k + 1), params.gamma, params.h)
+
+
+def binned_field(batch, lat, kv):
+    """`_fast_field` of the batch binned on `lat`, against kernel values kv."""
+    return est._fast_field(est._bin_counts(batch, lat, np.empty(0, np.intp))[0], lat, kv)
 
 
 class AddAtCounter:
@@ -419,7 +431,7 @@ class AddAtCounter:
         return getattr(np, name)
 
 
-def field_reference(batch, lat):
+def field_reference(batch, lat, kv):
     """`binned_field` in one shot: a single `bincount` over every sample's shares,
     then one FFT correlation over the whole lattice."""
     bins = lat.phi_bins
@@ -427,7 +439,7 @@ def field_reference(batch, lat):
                          minlength=(bins + 3) * lat.n_u).reshape(bins + 3, lat.n_u)
     counts[[bins, 1, 2]] += counts[[0, bins + 1, bins + 2], ::-1]  # ghost rows folded at the seam
     size = est._next_fast_len(lat.n_u + lat.n_s - 1)
-    spectrum = np.fft.rfft(counts[1:bins + 1], size, axis=1) * np.fft.rfft(lat.kv, size)
+    spectrum = np.fft.rfft(counts[1:bins + 1], size, axis=1) * np.fft.rfft(kv, size)
     return np.fft.irfft(spectrum, size, axis=1)[:, lat.n_u - 1:lat.n_u - 1 + lat.n_s]
 
 
@@ -520,7 +532,7 @@ class TestReconstructFast:
         nm = NoiseModel(0.95)
         batch = generate_batch(CatState(2.0, 0.3), nm, 6000, seed=314)
         params = ReconstructionParams.for_experiment(6000, 0.05, nm, grid_size=41)
-        assert lone_lattice(batch, params, nm.gamma).phi_bins > 512
+        assert lone_lattice(batch, params).phi_bins > 512
         fast = reconstruct_fast(batch, params)
         assert fast.meta["route"] == "binned"
         exact = reconstruct_exact(batch, params)
@@ -547,14 +559,15 @@ class TestReconstructFast:
     def test_probe_sums_match_fft_field(self, cat, noise):
         batch = generate_batch(cat, noise, 2048, seed=79)
         params = small_params(2048, grid_size=21)
-        lat = lone_lattice(batch, params, noise.gamma)
+        lat = lone_lattice(batch, params)
+        kv = lattice_kernel(lat, params)
         ax = params.axis()
         qq, pp = np.meshgrid(ax, ax, indexing="ij")
         inside = qq**2 + pp**2 <= params.r**2
         pick = np.random.default_rng(80).choice(np.count_nonzero(inside), 24, replace=False)
         qs, ps = qq[inside][pick], pp[inside][pick]
-        ref = est._interp_grid(binned_field(batch, lat), ax, inside, lat)[inside][pick]
-        ours = est._probe_sums(batch, lat, qs, ps)
+        ref = est._interp_grid(binned_field(batch, lat, kv), ax, inside, lat)[inside][pick]
+        ours = est._probe_sums(batch, lat, kv, qs, ps)
         assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_probe_sums_memory(self, cat, noise):
@@ -563,12 +576,13 @@ class TestReconstructFast:
         # temporaries all at once peaked at 10.8 MiB
         batch = generate_batch(cat, noise, 2048, seed=79)
         params = small_params(500_000, grid_size=101)
-        lat = lone_lattice(batch, params, noise.gamma)
+        lat = lone_lattice(batch, params)
+        kv = lattice_kernel(lat, params)
         _, qs, ps = est._disk_nodes(params.axis(), params.r)
         pick = np.random.default_rng(81).choice(qs.size, 24, replace=False)
         tracemalloc.start()
         try:
-            est._probe_sums(batch, lat, qs[pick], ps[pick])
+            est._probe_sums(batch, lat, kv, qs[pick], ps[pick])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -581,8 +595,8 @@ class TestReconstructFast:
         # written to the wrong quadrant, or a bin paired with the wrong partner, shows
         batch = generate_batch(CatState(1.5, 0.7), noise, 3000, seed=84)
         params = small_params(3000, grid_size=grid_size)
-        lat = lone_lattice(batch, params, noise.gamma)._replace(phi_bins=phi_bins)
-        g_field = binned_field(batch, lat)
+        lat = lone_lattice(batch, params)._replace(phi_bins=phi_bins)
+        g_field = binned_field(batch, lat, lattice_kernel(lat, params))
         ax = params.axis()
         mask, qs, ps = est._disk_nodes(ax, params.r)
         ref = np.zeros(mask.shape)
@@ -600,7 +614,7 @@ class TestReconstructFast:
         monkeypatch.setattr(est, "_resolution", lambda r, h: (512, 4096))
         params = small_params(4_000_000, grid_size=201)
         x = np.linspace(-6.0, 6.0, 64)
-        lat = lone_lattice(QuadratureBatch(x, np.zeros(64), cat, noise, seed=0), params, noise.gamma)
+        lat = lone_lattice(QuadratureBatch(x, np.zeros(64), cat, noise, seed=0), params)
         g_field = np.random.default_rng(85).normal(size=(lat.phi_bins, lat.n_s))
         ax = params.axis()
         mask = est._disk_nodes(ax, params.r)[0]
@@ -618,7 +632,7 @@ class TestReconstructFast:
         # offset sits halfway between two entries, where the bound is nearly met
         params = small_params(n, beta=beta, grid_size=41)
         x = np.linspace(-6.0, 6.0, 64)
-        lat = lone_lattice(QuadratureBatch(x, np.zeros(64), cat, noise, seed=0), params, noise.gamma)
+        lat = lone_lattice(QuadratureBatch(x, np.zeros(64), cat, noise, seed=0), params)
         c = 1.0 / params.h
         assert c * lat.delta <= 48.0 / 2039.0
         rng = np.random.default_rng(88)
@@ -654,7 +668,7 @@ class TestReconstructFast:
         # dphi = pi / phi_bins; ghost rows lie at their own phases beyond [0, pi]
         params = small_params(n, beta=beta, grid_size=41)
         x = np.linspace(-6.0, 6.0, 64)
-        lat = lone_lattice(QuadratureBatch(x, np.zeros(64), cat, noise, seed=0), params, noise.gamma)
+        lat = lone_lattice(QuadratureBatch(x, np.zeros(64), cat, noise, seed=0), params)
         dphi, w = math.pi / lat.phi_bins, params.r / params.h
         assert dphi * w <= 24.0 * math.pi / 256.0
         bound = (dphi * w) ** 3 / (9.0 * math.sqrt(3.0))
@@ -672,7 +686,7 @@ class TestReconstructFast:
         # there |f (f^2 - 1)| / 6 = 1/16 against 1 / (9 sqrt 3) = 0.064
         assert np.min(dev) > 0.9 * bound
 
-    def test_resolution_keeps_offset_spacing_within_bound(self, cat, noise):
+    def test_resolution_keeps_offset_spacing_within_bound(self, cat, noise, monkeypatch):
         # c delta = 2 (r/h) / (n_s - 9) <= 48/2039 wherever the offset cap s <= 4 does
         # not bind, and dphi r c <= 24 pi / 256 wherever the phase cap s <= 8 does not
         for r_over_h in np.linspace(0.5, 240.0, 1000):
@@ -696,7 +710,7 @@ class TestReconstructFast:
             lat = est._geometry(batch, members)
             r_max = max(p.r for p in members)
             sharp = max(1, math.ceil(r_max / (24.0 * min(p.h for p in members))))
-            assert (lat.phi_bins, lat.n_s) == (256 * min(8, sharp), 2048 * min(4, sharp)) and lat.kv is None
+            assert (lat.phi_bins, lat.n_s) == (256 * min(8, sharp), 2048 * min(4, sharp))
             assert lat.delta == 2.0 * r_max / (lat.n_s - 9)
             if sharp > 4:
                 continue
@@ -704,7 +718,10 @@ class TestReconstructFast:
                 assert lat.delta / p.h <= 48.0 / 2039.0 * (1.0 + 1e-12)
                 assert p.r / p.h <= 24.0 * sharp * (1.0 + 1e-12)
         assert split > 100  # sets whose r_max and c_max come from different members
-        # one member: the lattice `reconstruct_fast(batch, params)` builds
+        # one member: the lattice `reconstruct_fast(batch, params)` builds, and
+        # the kernel values it correlates with the lattice's rows
+        field, kvs = est._fast_field, []
+        monkeypatch.setattr(est, "_fast_field", lambda counts, lat, kv: kvs.append(kv) or field(counts, lat, kv))
         for beta in (0.05, 0.1):
             params = small_params(16_000_000, beta=beta)
             sharp = max(1, min(4, math.ceil(params.r / (24.0 * params.h))))
@@ -712,10 +729,11 @@ class TestReconstructFast:
             half_u = math.ceil((5.0 / math.sqrt(noise.eta) + 2.0 * delta) / delta)
             n_u = 2 * half_u + 1 + (2 * half_u + 1 - 2048 * sharp) % 2
             half_k = (n_u + 2048 * sharp) // 2 - 1
-            lat = lone_lattice(batch, params, noise.gamma)
-            assert lat[:6] == (256 * sharp, delta, -delta * (2048 * sharp - 1) / 2.0, 2048 * sharp,
-                               -delta * (n_u - 1) / 2.0, n_u)
-            assert np.array_equal(lat.kv, kernel(delta * np.arange(-half_k, half_k + 1), noise.gamma, params.h))
+            lat = lone_lattice(batch, params)
+            assert lat == (256 * sharp, delta, -delta * (2048 * sharp - 1) / 2.0, 2048 * sharp,
+                           -delta * (n_u - 1) / 2.0, n_u)
+            reconstruct_fast(batch, params, self_check=False)
+            assert np.array_equal(kvs[-1], kernel(delta * np.arange(-half_k, half_k + 1), noise.gamma, params.h))
 
     def test_binned_batch_bins_once_for_all_members(self, cat, noise, monkeypatch):
         # beta = 0.05 has the larger r and c, so it sets the lattice of the set
@@ -737,12 +755,39 @@ class TestReconstructFast:
         with pytest.raises(ValueError, match=r"beta=0\.2 are not among"):
             reconstruct_fast(binned, small_params(n, beta=0.2))
 
+    def test_binned_batch_members_check_one_sample(self, cat, noise, monkeypatch):
+        # members of different grid sizes, so of different inside-disk node
+        # counts, check the one sample the binning pass gathers: 2048 sorted
+        # indices drawn from its own stream; each member's probes are the
+        # default_rng(618) draw of 24 of its nodes, and its check sums the
+        # kernel values its field was correlated with
+        n = 2 * est._BIN_CHUNK + 99
+        batch = generate_batch(cat, noise, n, seed=95)
+        members = (small_params(n, beta=0.1, grid_size=21), small_params(n, beta=0.05, grid_size=41))
+        field, check, kvs, checks = est._fast_field, est._fast_self_check, [], []
+        monkeypatch.setattr(est, "_fast_field", lambda *args: kvs.append(args[-1]) or field(*args))
+        monkeypatch.setattr(est, "_fast_self_check", lambda *args: checks.append(args) or check(*args))
+        binned = est.BinnedBatch(batch, members)
+        for params in members:
+            reconstruct_fast(binned, params)
+        idx = np.sort(np.random.default_rng(619).choice(n, 2048, replace=False))
+        subs = [args[0] for args in checks]
+        assert subs[0] is subs[1] and subs[0].n == 2048
+        assert subs[0].x.tobytes() == batch.x[idx].tobytes() and subs[0].phi.tobytes() == batch.phi[idx].tobytes()
+        for params, kv, (_, n_all, _, lat, kv_check, pq, pp, _) in zip(members, kvs, checks):
+            _, qs, ps = est._disk_nodes(params.axis(), params.r)
+            probe = np.random.default_rng(618).choice(qs.size, 24, replace=False)
+            assert n_all == n and lat == binned.lattice and kv_check is kv
+            assert np.array_equal(pq, qs[probe]) and np.array_equal(pp, ps[probe])
+
     def test_chunked_binning_matches_one_pass(self, cat, noise, monkeypatch):
         batch = generate_batch(cat, noise, 5000, seed=81)
-        lat = lone_lattice(batch, small_params(5000), noise.gamma)
-        whole = binned_field(batch, lat)
+        params = small_params(5000)
+        lat = lone_lattice(batch, params)
+        kv = lattice_kernel(lat, params)
+        whole = binned_field(batch, lat, kv)
         monkeypatch.setattr(est, "_BIN_CHUNK", 1000)
-        assert np.array_equal(binned_field(batch, lat), whole)
+        assert np.array_equal(binned_field(batch, lat, kv), whole)
 
     # s = 1 is the 256 x 2048 lattice of beta = 0.1; beta = 0.05 at n = 1.6e7 needs s = 2
     @pytest.mark.parametrize("n_rule, beta, phi_bins", [(4_000_000, 0.1, 256), (16_000_000, 0.05, 512)])
@@ -754,9 +799,11 @@ class TestReconstructFast:
             monkeypatch.setattr(est, "_BIN_CHUNK", chunk)
             monkeypatch.setattr(est, "_FFT_ROWS", rows)
         batch = seam_batch(3 * est._BIN_CHUNK + 321 if chunk is None else 3210, seed=86)
-        lat = lone_lattice(batch, small_params(n_rule, beta=beta), batch.noise.gamma)
+        params = small_params(n_rule, beta=beta)
+        lat = lone_lattice(batch, params)
+        kv = lattice_kernel(lat, params)
         assert lat.phi_bins == phi_bins
-        assert np.array_equal(binned_field(batch, lat), field_reference(batch, lat))
+        assert np.array_equal(binned_field(batch, lat, kv), field_reference(batch, lat, kv))
 
     def test_next_fast_len_is_smallest_5_smooth(self):
         targets = range(1, 20_001)
@@ -768,9 +815,11 @@ class TestReconstructFast:
         edge = np.where(np.arange(400) % 2, 0.0, math.pi)
         at_edge = QuadratureBatch(x, edge, cat, noise, seed=0)
         turned = QuadratureBatch(-x, math.pi - edge, cat, noise, seed=0)
-        lat = lone_lattice(at_edge, small_params(400), noise.gamma)
-        ref = binned_field(at_edge, lat)
-        assert np.max(np.abs(binned_field(turned, lat) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        params = small_params(400)
+        lat = lone_lattice(at_edge, params)
+        kv = lattice_kernel(lat, params)
+        ref = binned_field(at_edge, lat, kv)
+        assert np.max(np.abs(binned_field(turned, lat, kv) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_binning_memory_flat_in_n(self, noise):
         rng = np.random.default_rng(83)
@@ -778,11 +827,13 @@ class TestReconstructFast:
         big = QuadratureBatch(rng.uniform(-3.0, 3.0, n), rng.uniform(0.0, math.pi, n),
                               CatState(1.5), noise, seed=0)
         small = QuadratureBatch(big.x[:n // 4], big.phi[:n // 4], big.state, noise, seed=0)
-        lat = lone_lattice(big, small_params(n, grid_size=21), noise.gamma)
+        params = small_params(n, grid_size=21)
+        lat = lone_lattice(big, params)
+        kv = lattice_kernel(lat, params)
         peaks = []
         for batch in (small, big):
             tracemalloc.start()
-            binned_field(batch, lat)
+            binned_field(batch, lat, kv)
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
         assert peaks[1] < 1.05 * peaks[0], f"peak {peaks[0] / 2**20:.0f} -> {peaks[1] / 2**20:.0f} MB"
@@ -794,10 +845,12 @@ class TestReconstructFast:
         rng = np.random.default_rng(87)
         n = 3 * est._BIN_CHUNK
         batch = QuadratureBatch(rng.normal(0.0, 1.6, n), rng.uniform(0.0, math.pi, n), CatState(1.5), noise, seed=0)
-        lat = lone_lattice(batch, small_params(4_000_000, grid_size=201), noise.gamma)
+        params = small_params(4_000_000, grid_size=201)
+        lat = lone_lattice(batch, params)
+        kv = lattice_kernel(lat, params)
         tracemalloc.start()
         try:
-            g_field = binned_field(batch, lat)
+            g_field = binned_field(batch, lat, kv)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -807,9 +860,10 @@ class TestReconstructFast:
 
     @pytest.mark.parametrize("n", [500, 2048, 16384])
     def test_coarse_lattice_refuses_at_small_n(self, cat, noise, monkeypatch, n):
-        # the self-check sums the min(n, 2048) samples `_check_draws` picks at
-        # every n, the whole batch in a drawn order up to 2048; a 32 x 256
-        # lattice misses the budget by 1.4-4x here, the sqrt(n / m) widening included
+        # the self-check sums the min(n, 2048) samples the binning pass gathers
+        # at every n, at sorted indices drawn from their own stream, the whole
+        # batch up to 2048; a 32 x 256 lattice misses the budget by 3.8-15x
+        # here, the sqrt(n / m) widening included
         batch = generate_batch(cat, noise, n, seed=77)
         params = ReconstructionParams.for_experiment(n, 0.1, noise, grid_size=21)
         monkeypatch.setattr(est, "_resolution", lambda r, h: (32, 256))
@@ -817,7 +871,7 @@ class TestReconstructFast:
         monkeypatch.setattr(est, "_probe_sums", lambda sub, *args: used.append(sub) or probe_sums(sub, *args))
         with pytest.raises(RuntimeError, match=r"32 x 256, .* exceeds the budget"):
             reconstruct_fast(batch, params)
-        _, idx = est._check_draws(n, np.count_nonzero(est._disk_nodes(params.axis(), params.r)[0]))
+        idx = np.sort(np.random.default_rng(619).choice(n, min(n, 2048), replace=False))
         (sub,) = used
         assert sub.n == min(n, 2048) and sub.x.tobytes() == batch.x[idx].tobytes()
 
@@ -849,7 +903,7 @@ class TestStreamedRead:
     """A scanned batch file bins and sums block by block, as its batch does, never held whole."""
 
     def test_batch_file_bins_as_its_batch(self, cat, noise, tmp_path):
-        # five bin blocks; both members' grids, and the self-check samples
+        # five bin blocks; both members' grids, and the self-check sample
         # gathered during the pass, match those of the batch in memory
         n = 5 * est._BIN_CHUNK - 17
         batch = generate_batch(cat, noise, n, seed=92)
@@ -862,9 +916,9 @@ class TestStreamedRead:
         for params in members:
             assert np.array_equal(reconstruct_fast(from_file, params).values,
                                   reconstruct_fast(in_memory, params).values)
-            (probe, sub), (probe_ref, sub_ref) = (b.counts_and_checks[1][params] for b in (from_file, in_memory))
-            assert np.array_equal(probe, probe_ref) and sub.n == 2048
-            assert sub.x.tobytes() == sub_ref.x.tobytes() and sub.phi.tobytes() == sub_ref.phi.tobytes()
+        sub, sub_ref = (b.counts_and_sample[1] for b in (from_file, in_memory))
+        assert sub.n == 2048
+        assert sub.x.tobytes() == sub_ref.x.tobytes() and sub.phi.tobytes() == sub_ref.phi.tobytes()
 
     def test_memory_flat_in_chunks(self, cat, noise, tmp_path, monkeypatch):
         # the binning pass over a batch file holds the lattice counts and one
@@ -881,7 +935,7 @@ class TestStreamedRead:
             binned = est.BinnedBatch(source, (params,))
             tracemalloc.start()
             try:
-                binned.counts_and_checks
+                binned.counts_and_sample
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

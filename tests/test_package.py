@@ -16,7 +16,7 @@ PUBLIC = {
     "estimator_mean_oracle", "grid_to_csv", "kernel", "mean_grid", "optimal_bandwidth",
     "read_grid", "reconstruct_exact", "reconstruct_fast", "write_grid",
     # analysis
-    "ErrorReport", "WitnessStats", "delta_terms", "error_upper_bound", "l2_error",
+    "WitnessStats", "delta_terms", "error_upper_bound", "l2_error",
     "mean_square_error", "sweep_beta", "sweep_terms_csv", "witness_mean_from_grid",
     "witness_mean_oracle", "witness_stats",
 }
