@@ -15,14 +15,12 @@ from .states import (
     noisy_quadrature_density,
     pure_witness_mean,
     quadrature_density,
-    radon_oracle,
     wigner_fourier,
     wigner_true,
     witness_phase_fn,
 )
 from .sampling import (
     QuadratureBatch,
-    batch_to_csv,
     generate_batch,
     read_batch,
     write_batch,

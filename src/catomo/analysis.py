@@ -22,12 +22,13 @@ standard deviation, and the interference test declares separation when
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import ReconstructionParams, WignerGrid, optimal_bandwidth, _EXP_LIMIT, _leggauss
+from .estimator import ReconstructionParams, WignerGrid, optimal_bandwidth, _disk_rule, _EXP_LIMIT, _leggauss
 from .states import (
     CatState,
     NoiseModel,
@@ -78,8 +79,9 @@ def _check_grid_state(grid: WignerGrid, state: CatState) -> None:
         )
 
 
+@functools.cache
 def _tail_norm_sq(state: CatState, r: float) -> float:
-    """Integral of W^2 outside the disk of radius r, by polar Gauss-Legendre."""
+    """Integral of W^2 outside the disk of radius r, by polar Gauss-Legendre, once per (state, r)."""
     rho_hi = r + 9.0 + math.sqrt(2.0 * state.abs_alpha_sq)
     gx, gw = _leggauss(220)
     rho = 0.5 * (rho_hi + r) + 0.5 * (rho_hi - r) * gx
@@ -204,23 +206,17 @@ def witness_mean_oracle(state: CatState, params: ReconstructionParams) -> float:
     """Expected witness mean of the estimator: the witness paired with `estimator_mean_oracle`.
 
     E[W] is W with its spectrum cut to |w| <= c = 1/h, so by Parseval it is
-    (2 sqrt(pi) / 4 pi^2) Int_{|w| <= c} F[O] F[W] dw, where
+    (WITNESS_PAIRING / 4 pi^2) Int_{|w| <= c} F[O] F[W] dw, where
     F[O](w) = sqrt(pi) [e^{-|w - w0|^2/4} + e^{-|w + w0|^2/4}] / (2 (1 + e^{-2|alpha|^2}))
-    and w0 = 2 sqrt2 (alpha2, alpha1).  A polar rule evaluates it: 96
-    Gauss-Legendre radii up to min(c, |w0| + 16), past which F[O] < e^{-64},
-    times 512 periodic trapezoid angles.  Like the oracle it ignores the disk
-    truncation at r, where O < e^{-r^2}.
+    and w0 = 2 sqrt2 (-alpha2, alpha1).  It is evaluated on the nodes of
+    `estimator_mean_oracle` (`_disk_rule`).  Like that oracle it ignores the
+    disk truncation at r, where O < e^{-r^2}.
     """
-    w01, w02 = 2.0 * math.sqrt(2.0) * state.alpha2, 2.0 * math.sqrt(2.0) * state.alpha1
-    rho_hi = min(1.0 / params.h, math.hypot(w01, w02) + 16.0)
-    gx, gw = _leggauss(96)
-    rho = 0.5 * rho_hi * (gx + 1.0)
-    rho_w = 0.5 * rho_hi * gw * rho
-    theta = np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)
-    w1, w2 = rho[:, None] * np.cos(theta), rho[:, None] * np.sin(theta)
+    w1, w2, weight = _disk_rule(state, params)
+    w01, w02 = -2.0 * math.sqrt(2.0) * state.alpha2, 2.0 * math.sqrt(2.0) * state.alpha1
     shifted = np.exp(-((w1 - w01) ** 2 + (w2 - w02) ** 2) / 4.0) + np.exp(-((w1 + w01) ** 2 + (w2 + w02) ** 2) / 4.0)
-    total = rho_w @ (shifted * wigner_fourier(state, w1, w2)).sum(axis=1) * (2.0 * math.pi / theta.size)
     f_o_norm = math.sqrt(math.pi) / (2.0 * (1.0 + state.overlap))  # F[O] = f_o_norm * shifted
+    total = (weight * shifted) @ wigner_fourier(state, w1, w2)
     return float(WITNESS_PAIRING * f_o_norm * total / (4.0 * math.pi ** 2))
 
 

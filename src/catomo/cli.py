@@ -386,10 +386,10 @@ def _analyze_beta(cfg: ExperimentConfig, beta: float, batch_shas: set[str]) -> d
     return {"beta": beta, "report": report, "witness": stats}
 
 
-def _read_analysis(path: str, keys) -> dict:
-    """The JSON object `analyze` wrote to `path`; unreadable JSON, another
-    value than an object or a missing one of `keys` is refused with a
-    ConfigError naming the file."""
+def _read_analysis(path: str, keys: dict) -> dict:
+    """The JSON object `analyze` wrote to `path`; unreadable JSON, another value
+    than an object, or a key missing or not of the type `keys` maps it to (str,
+    bool, or float for a finite number) is refused with a ConfigError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -397,9 +397,14 @@ def _read_analysis(path: str, keys) -> dict:
             raise ConfigError(f"invalid analysis file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"invalid analysis file {path}: holds a JSON {type(data).__name__}, not an object")
-    missing = [key for key in keys if key not in data]
-    if missing:
-        raise ConfigError(f"invalid analysis file {path}: no {missing[0]!r} key")
+    for key, kind in keys.items():
+        if key not in data:
+            raise ConfigError(f"invalid analysis file {path}: no {key!r} key")
+        value = data[key]  # a finite number is an int or float, not a bool, within float range
+        if not (type(value) in (int, float) and abs(value) <= sys.float_info.max if kind is float
+                else type(value) is kind):
+            name = "finite number" if kind is float else kind.__name__
+            raise ConfigError(f"invalid analysis file {path}: key {key!r} holds {value!r}, not a {name}")
     return data
 
 
@@ -409,7 +414,7 @@ def _analyzed_report(cfg: ExperimentConfig, beta: float) -> dict | None:
     rpath = os.path.join(_analysis_dir(cfg, beta), "error_report.json")
     if not os.path.exists(rpath):
         return None
-    report = _read_analysis(rpath, ("config_sha256", "delta_numeric"))
+    report = _read_analysis(rpath, {"config_sha256": str, "delta_numeric": float})
     if report["config_sha256"] != config_sha(cfg):
         raise ConfigError(f"provenance mismatch: {rpath} was analyzed under another config; "
                           f"run `analyze` with this one first")
@@ -457,7 +462,7 @@ def cmd_sweep_beta(cfg: ExperimentConfig, points: int = 23) -> int:
         av = sd = separated = ""
         if _analyzed_report(cfg, row["beta"]) is not None:
             wpath = os.path.join(_analysis_dir(cfg, row["beta"]), "witness_stats.json")
-            stats = _read_analysis(wpath, ("av", "sd", "separated"))
+            stats = _read_analysis(wpath, {"av": float, "sd": float, "separated": bool})
             av = f"{stats['av']:.17g}"
             sd = f"{stats['sd']:.17g}"
             separated = str(stats["separated"]).lower()

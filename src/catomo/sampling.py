@@ -27,8 +27,7 @@ file while holding two chunks of it.
 
 Batch files are a small JSON header followed by raw little-endian float64
 (x, phi) pairs, written and read `_IO_PAIRS` pairs at a time: `_BatchFile`
-is the one reader, and `read_batch` gathers its blocks into a batch.  A CSV
-export with 17 significant digits is also provided.
+is the one reader, and `read_batch` gathers its blocks into a batch.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ __all__ = [
     "generate_batch",
     "write_batch",
     "read_batch",
-    "batch_to_csv",
     "BATCH_MAGIC",
 ]
 
@@ -141,16 +139,16 @@ def _proposal_density(x, m):
     return (np.exp(-((x - m) ** 2)) + np.exp(-((x + m) ** 2)) + np.exp(-x * x)) / (3.0 * SQRT_PI)
 
 
-def _envelope_const(state: CatState, a_neg):
+def _envelope_const(state: CatState, a):
     """Tight constant A(phi) with p(x, phi) <= A(phi) * proposal(x) for all x.
 
-    The interference term is bounded by 2 e^{-2 a(-phi)^2} times the central
-    Gaussian, giving A = 3 max(1, 2 e^{-2 a(-phi)^2}) / (2 (1 + e^{-2|alpha|^2})),
-    where `a_neg` = a(-phi) is the amplitude of `phase_amplitudes`.
+    The interference term is bounded by 2 e^{-2 a(phi)^2} times the central
+    Gaussian, giving A = 3 max(1, 2 e^{-2 a(phi)^2}) / (2 (1 + e^{-2|alpha|^2})),
+    where `a` = a(phi) is the amplitude of `phase_amplitudes`.
     Always <= 3; the mean acceptance 1/A averaged over phi exceeds 1/2 for
     well-separated states.
     """
-    suppress = 2.0 * np.exp(-2.0 * a_neg * a_neg)
+    suppress = 2.0 * np.exp(-2.0 * a * a)
     return 3.0 * np.maximum(1.0, suppress) / (2.0 * (1.0 + state.overlap))
 
 
@@ -188,12 +186,12 @@ def _reject_into(state: CatState, phi, out, rng: np.random.Generator, work) -> N
         for lo in range(0, k, _BLOCK):
             hi = min(lo + _BLOCK, k)
             idx = active[lo:hi] if rnd else slice(lo, hi)
-            m, a_neg, b_neg = phase_amplitudes(state, phi[idx])
+            m, a, b = phase_amplitudes(state, phi[idx])
             x, c = out[idx], comp[lo:hi]  # a view of `out` in round 1, a copy later
             x += np.where(c == 0, m, np.where(c == 1, -m, 0.0))
             with _DENSITY_LOCK:
-                target = quadrature_density(state, x, amplitudes=(m, a_neg, b_neg))
-            accept = u[lo:hi] * (_envelope_const(state, a_neg) * _proposal_density(x, m)) <= target
+                target = quadrature_density(state, x, amplitudes=(m, a, b))
+            accept = u[lo:hi] * (_envelope_const(state, a) * _proposal_density(x, m)) <= target
             if rnd:
                 out[idx] = x
             rest = idx[~accept] if rnd else np.flatnonzero(~accept) + lo
@@ -491,10 +489,3 @@ def read_batch(path: str) -> QuadratureBatch:
                                seed=source.seed, replicate=source.replicate, source_sha256=source.source_sha256)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-
-
-def batch_to_csv(batch: QuadratureBatch, path: str) -> None:
-    """Interchange export: `x,phi` rows with 17 significant digits."""
-    lines = ["x,phi"]
-    lines.extend(f"{x:.17g},{phi:.17g}" for x, phi in zip(batch.x, batch.phi))
-    _atomic_bytes(path, [("\n".join(lines) + "\n").encode("utf-8")])

@@ -5,7 +5,8 @@ with alpha = alpha1 + i*alpha2.  Everything observable about it under homodyne
 detection is available in closed form:
 
 * the Wigner function W(q, p): two Gaussian lobes displaced to
-  +-(sqrt(2)*alpha1, sqrt(2)*alpha2) plus an oscillatory interference ridge,
+  +-(sqrt(2)*alpha1, sqrt(2)*alpha2) plus an interference ridge whose fringes
+  run across the axis of the lobes,
 * its 2-D Fourier transform,
 * the quadrature probability density p(x, phi) (the Radon transform of W),
 * the same density degraded by Gaussian detection noise of efficiency eta,
@@ -13,8 +14,7 @@ detection is available in closed form:
   means for the pure superposition (1/2) and for any incoherent mixture.
 
 All functions are pure and accept numpy arrays in the phase-space / quadrature
-arguments (broadcasting applies).  A slow line-integral oracle `radon_oracle`
-is provided for cross-checking the analytic marginals in tests.
+arguments (broadcasting applies).
 
 Conventions: hbar = 1, quadrature x_phi = q cos(phi) + p sin(phi), and the
 Fourier transform F[f](w) = integral f(x) e^{-i w.x} dx.  The published form
@@ -38,7 +38,6 @@ __all__ = [
     "phase_amplitudes",
     "quadrature_density",
     "noisy_quadrature_density",
-    "radon_oracle",
     "witness_phase_fn",
     "incoherent_witness_mean",
     "pure_witness_mean",
@@ -108,16 +107,17 @@ def wigner_true(state: CatState, q, p):
     """Wigner function of the superposition at phase-space point(s) (q, p).
 
     W(q,p) = [ e^{-(q-sqrt2 a1)^2-(p-sqrt2 a2)^2} + e^{-(q+sqrt2 a1)^2-(p+sqrt2 a2)^2}
-               + 2 e^{-q^2-p^2} cos(2 sqrt2 (q a2 + p a1)) ] / (2 pi (1 + e^{-2|a|^2}))
+               + 2 e^{-q^2-p^2} cos(2 sqrt2 (p a1 - q a2)) ] / (2 pi (1 + e^{-2|a|^2}))
 
-    Takes the value 1/pi at the origin for every alpha.
+    The fringes run perpendicular to the lobe axis (a1, a2); 2 pi Int W^2 = 1,
+    as for every pure state.  Takes the value 1/pi at the origin for every alpha.
     """
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     a1, a2 = state.alpha1, state.alpha2
     lobe_plus = np.exp(-((q - SQRT2 * a1) ** 2) - (p - SQRT2 * a2) ** 2)
     lobe_minus = np.exp(-((q + SQRT2 * a1) ** 2) - (p + SQRT2 * a2) ** 2)
-    ridge = 2.0 * np.exp(-q * q - p * p) * np.cos(2.0 * SQRT2 * (q * a2 + p * a1))
+    ridge = 2.0 * np.exp(-q * q - p * p) * np.cos(2.0 * SQRT2 * (p * a1 - q * a2))
     return (lobe_plus + lobe_minus + ridge) / (math.pi * state.norm_const)
 
 
@@ -127,29 +127,29 @@ def wigner_fourier(state: CatState, w1, w2):
     Real-valued because W is symmetric under (q,p) -> (-q,-p); equals 1 at the
     origin (normalization).  The lobes map to an origin-centered oscillatory
     term while the interference ridge maps to Gaussians displaced to
-    +-(2 sqrt2 alpha2, 2 sqrt2 alpha1).
+    +-(-2 sqrt2 alpha2, 2 sqrt2 alpha1).
     """
     w1 = np.asarray(w1, dtype=float)
     w2 = np.asarray(w2, dtype=float)
     a1, a2 = state.alpha1, state.alpha2
     c = 2.0 * SQRT2
-    shift_plus = np.exp(-((w1 - c * a2) ** 2 + (w2 - c * a1) ** 2) / 4.0)
-    shift_minus = np.exp(-((w1 + c * a2) ** 2 + (w2 + c * a1) ** 2) / 4.0)
+    shift_plus = np.exp(-((w1 + c * a2) ** 2 + (w2 - c * a1) ** 2) / 4.0)
+    shift_minus = np.exp(-((w1 - c * a2) ** 2 + (w2 + c * a1) ** 2) / 4.0)
     center = 2.0 * np.exp(-(w1 * w1 + w2 * w2) / 4.0) * np.cos(SQRT2 * (w1 * a1 + w2 * a2))
     return (shift_plus + shift_minus + center) / (2.0 * (1.0 + state.overlap))
 
 
 def phase_amplitudes(state: CatState, phi):
-    """(sqrt2 a(phi), a(-phi), b(-phi)): the amplitudes `quadrature_density` needs at phase(s) phi.
+    """(sqrt2 a(phi), a(phi), b(phi)): the amplitudes `quadrature_density` needs at phase(s) phi.
 
     a(phi) = alpha1 cos(phi) + alpha2 sin(phi) is the component of alpha along
-    the measured quadrature and b(phi) = alpha2 cos(phi) - alpha1 sin(phi) the
-    one across it, so a^2 + b^2 = |alpha|^2.  All three come from one cos/sin
-    pair, as cos(-phi) == cos(phi) and sin(-phi) == -sin(phi) exactly.
+    the measured quadrature and b(phi) = alpha1 sin(phi) - alpha2 cos(phi) the
+    one across it, so a^2 + b^2 = |alpha|^2.
     """
     a1, a2 = state.alpha1, state.alpha2
     c, s = np.cos(phi), np.sin(phi)
-    return SQRT2 * (a1 * c + a2 * s), a1 * c - a2 * s, a2 * c + a1 * s
+    a = a1 * c + a2 * s
+    return SQRT2 * a, a, a1 * s - a2 * c
 
 
 def quadrature_density(state: CatState, x, phi=None, *, amplitudes=None):
@@ -158,7 +158,7 @@ def quadrature_density(state: CatState, x, phi=None, *, amplitudes=None):
     Two Gaussians of variance 1/2 centered at +-sqrt2 a(phi) plus the
     interference term
 
-        2 e^{-x^2 - 2 a(-phi)^2} cos(2 sqrt2 x b(-phi)),
+        2 e^{-x^2 - 2 a(phi)^2} cos(2 sqrt2 x b(phi)),
 
     normalized by 2 sqrt(pi) (1 + e^{-2|alpha|^2}), with the amplitudes a and b
     of `phase_amplitudes`.  Integrates to 1 for each phi.
@@ -171,9 +171,9 @@ def quadrature_density(state: CatState, x, phi=None, *, amplitudes=None):
         _check_phase(phi)
         amplitudes = phase_amplitudes(state, phi)
     x = np.asarray(x, dtype=float)
-    m, a_neg, b_neg = amplitudes
+    m, a, b = amplitudes
     humps = np.exp(-((x - m) ** 2)) + np.exp(-((x + m) ** 2))
-    ridge = 2.0 * np.exp(-x * x - 2.0 * a_neg * a_neg) * np.cos(2.0 * SQRT2 * x * b_neg)
+    ridge = 2.0 * np.exp(-x * x - 2.0 * a * a) * np.cos(2.0 * SQRT2 * x * b)
     return (humps + ridge) / (SQRT_PI * state.norm_const)
 
 
@@ -185,49 +185,23 @@ def noisy_quadrature_density(state: CatState, noise: NoiseModel, x, phi):
     variance 1/2 with centers rescaled to +-sqrt(2 eta) a(phi), and the
     interference term becomes
 
-        2 e^{-x^2 - 2|alpha|^2 + 2 eta b(-phi)^2} cos(2 sqrt(2 eta) x b(-phi)).
+        2 e^{-x^2 - 2|alpha|^2 + 2 eta b(phi)^2} cos(2 sqrt(2 eta) x b(phi)).
 
     That is `quadrature_density` at the amplitudes (sqrt(2 eta) a(phi),
-    sqrt(|alpha|^2 - eta b(-phi)^2), sqrt(eta) b(-phi)), with a and b those of
+    sqrt(|alpha|^2 - eta b(phi)^2), sqrt(eta) b(phi)), with a and b those of
     `phase_amplitudes`.
     """
     _check_phase(phi)
     root_eta = math.sqrt(noise.eta)
-    m, _, b_neg = phase_amplitudes(state, phi)
-    a_noisy = np.sqrt(np.maximum(state.abs_alpha_sq - noise.eta * b_neg * b_neg, 0.0))
-    return quadrature_density(state, x, amplitudes=(root_eta * m, a_noisy, root_eta * b_neg))
-
-
-def radon_oracle(state: CatState, x: float, phi: float, tol: float = 1e-10) -> float:
-    """Line integral of `wigner_true` along the direction phi (slow reference path).
-
-    Integrates W(x cos(phi) - t sin(phi), x sin(phi) + t cos(phi)) over t.
-    Used in tests as the independent oracle for `quadrature_density`.
-
-    Raises RuntimeError if the quadrature cannot certify the requested
-    tolerance (the achieved error estimate is included in the message).
-    """
-    from scipy.integrate import quad
-
-    _check_phase(phi)
-    x = float(x)
-    phi = float(phi)
-    cos_phi, sin_phi = math.cos(phi), math.sin(phi)
-
-    def integrand(t: float) -> float:
-        return float(wigner_true(state, x * cos_phi - t * sin_phi, x * sin_phi + t * cos_phi))
-
-    half_span = 9.0 + SQRT2 * math.sqrt(state.abs_alpha_sq)
-    value, abserr = quad(integrand, -half_span, half_span, epsabs=tol * 1e-2, epsrel=1e-12, limit=200)
-    if abserr > tol:
-        raise RuntimeError(f"Radon quadrature reached error {abserr:.3e} > requested {tol:.3e}")
-    return value
+    m, _, b = phase_amplitudes(state, phi)
+    a_noisy = np.sqrt(np.maximum(state.abs_alpha_sq - noise.eta * b * b, 0.0))
+    return quadrature_density(state, x, amplitudes=(root_eta * m, a_noisy, root_eta * b))
 
 
 def witness_phase_fn(state: CatState, q, p):
     """Phase-space function of the interference witness observable.
 
-    O(q,p) = e^{-q^2-p^2} cos(2 sqrt2 (q a2 + p a1)) / (sqrt(pi) (1 + e^{-2|a|^2}))
+    O(q,p) = e^{-q^2-p^2} cos(2 sqrt2 (p a1 - q a2)) / (sqrt(pi) (1 + e^{-2|a|^2}))
 
     Pairing it with a Wigner grid through `WITNESS_PAIRING * sum(O*W) dA`
     returns the witness mean value; on the analytic W this gives exactly 1/2.
@@ -235,7 +209,7 @@ def witness_phase_fn(state: CatState, q, p):
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     a1, a2 = state.alpha1, state.alpha2
-    osc = np.cos(2.0 * SQRT2 * (q * a2 + p * a1))
+    osc = np.cos(2.0 * SQRT2 * (p * a1 - q * a2))
     return np.exp(-q * q - p * p) * osc / (SQRT_PI * (1.0 + state.overlap))
 
 

@@ -30,7 +30,6 @@ from catomo import (
     mean_square_error,
     noisy_quadrature_density,
     quadrature_density,
-    radon_oracle,
     read_batch,
     reconstruct_exact,
     reconstruct_fast,
@@ -42,6 +41,7 @@ from catomo import (
 from catomo import estimator as est
 from catomo.cli import ExperimentConfig, main, save_config
 from conftest import report
+from test_states import radon_oracle
 
 PAPER_SCALE = os.environ.get("CATOMO_PAPER_SCALE") == "1"
 HEADLINE_N = 16_000_000 if PAPER_SCALE else 4_000_000

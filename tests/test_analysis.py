@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from catomo import (
     CatState,
     NoiseModel,
     ReconstructionParams,
+    WITNESS_PAIRING,
     WignerGrid,
     delta_terms,
     error_upper_bound,
@@ -18,17 +20,35 @@ from catomo import (
     mean_square_error,
     reconstruct_fast,
     sweep_beta,
+    wigner_fourier,
     wigner_true,
     witness_mean_from_grid,
     witness_mean_oracle,
     witness_stats,
 )
+from test_estimator import scale_params
 
 # mpmath-frozen bound constants for |alpha|^2 = 4.5
 DELTA2_01 = 1.3415004916535819
 DELTA3_01 = 265.06599862342611
 BOUND_005 = 2.3923514370691162
 BOUND_01 = 26.072371303559524
+
+
+def polar_witness_reference(state, params):
+    """`witness_mean_oracle` by a polar rule: 96 Gauss-Legendre radii up to
+    min(c, |w0| + 16) times 512 periodic trapezoid angles."""
+    w01, w02 = -2.0 * math.sqrt(2.0) * state.alpha2, 2.0 * math.sqrt(2.0) * state.alpha1
+    rho_hi = min(1.0 / params.h, math.hypot(w01, w02) + 16.0)
+    gx, gw = leggauss(96)
+    rho = 0.5 * rho_hi * (gx + 1.0)
+    rho_w = 0.5 * rho_hi * gw * rho
+    theta = np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)
+    w1, w2 = rho[:, None] * np.cos(theta), rho[:, None] * np.sin(theta)
+    shifted = np.exp(-((w1 - w01) ** 2 + (w2 - w02) ** 2) / 4.0) + np.exp(-((w1 + w01) ** 2 + (w2 + w02) ** 2) / 4.0)
+    total = rho_w @ (shifted * wigner_fourier(state, w1, w2)).sum(axis=1) * (2.0 * math.pi / theta.size)
+    f_o_norm = math.sqrt(math.pi) / (2.0 * (1.0 + state.overlap))  # F[O] = f_o_norm * shifted
+    return float(WITNESS_PAIRING * f_o_norm * total / (4.0 * math.pi ** 2))
 
 
 def analytic_grid(state, extent=8.0, size=201, r=None):
@@ -69,7 +89,7 @@ class TestL2Error:
             measure(grid, cat)
 
     def test_quadrature_nodes_built_once(self, cat, monkeypatch):
-        from catomo import estimator
+        from catomo import analysis, estimator
 
         orders = []
 
@@ -77,6 +97,7 @@ class TestL2Error:
             orders.append(n)
             return np.polynomial.legendre.leggauss(n)
 
+        analysis._tail_norm_sq.cache_clear()
         estimator._leggauss.cache_clear()
         monkeypatch.setattr(estimator, "leggauss", counted)
         grid = analytic_grid(cat)
@@ -85,6 +106,8 @@ class TestL2Error:
         finally:
             estimator._leggauss.cache_clear()
         assert orders and len(orders) == len(set(orders))
+        # the tail outside the disk is integrated once per (state, r)
+        assert analysis._tail_norm_sq.cache_info().hits == 1
 
 
 class TestMeanSquareError:
@@ -182,6 +205,17 @@ class TestWitnessMeanOracle:
         # past |w0| + 16 the cutoff keeps all of the witness spectrum
         params = ReconstructionParams(r=6.0, h=1.0 / 30.0)
         assert witness_mean_oracle(cat, params) == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("state, params", [
+        *[pytest.param(CatState(3.0 / math.sqrt(2.0)), scale_params(scale), id=scale)
+          for scale in ("desk", "headline", "paper")],
+        pytest.param(CatState(3.0 / math.sqrt(2.0)), ReconstructionParams(r=6.0, h=1.0 / 30.0), id="high-cutoff"),
+        pytest.param(CatState(0.8, -1.3), ReconstructionParams(r=4.0, h=1.0 / 5.0), id="off-axis"),
+        pytest.param(CatState(0.8, -1.3), ReconstructionParams(r=6.0, h=1.0 / 30.0), id="off-axis-high-cutoff"),
+    ])
+    def test_matches_polar_rule(self, state, params):
+        assert witness_mean_oracle(state, params) == pytest.approx(
+            polar_witness_reference(state, params), abs=1e-12)
 
 
 class TestWitnessStats:

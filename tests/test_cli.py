@@ -50,12 +50,16 @@ def edit_config(tmp_path, old, new):
 
 
 def test_pipeline_loads_no_scipy(tmp_path):
-    # each CLI process starts on numpy alone; scipy serves the oracles and the tests
+    # each CLI process starts on numpy alone, and so do both oracles; scipy serves the tests
     _, path = tiny_config(tmp_path)
-    code = (f"from catomo.cli import main\n"
+    code = (f"import catomo.states, catomo.sampling, catomo.estimator, catomo.analysis, catomo.cli\n"
+            f"from catomo.cli import main\n"
             f"for argv in (['sample'], ['reconstruct', '--exact'], ['analyze', '--exact'],\n"
             f"             ['reconstruct', '--fast'], ['analyze', '--fast'], ['sweep-beta'], ['table1']):\n"
-            f"    assert main(argv + ['--config', {path!r}]) == 0, argv")
+            f"    assert main(argv + ['--config', {path!r}]) == 0, argv\n"
+            f"state, params = catomo.CatState(1.5, 0.5), catomo.ReconstructionParams(r=3.0, h=0.25)\n"
+            f"catomo.estimator_mean_oracle(state, params, [0.0, 1.0], [0.5, -2.0])\n"
+            f"catomo.witness_mean_oracle(state, params)")
     assert loaded_after(code, ["scipy"]) == "[]"
 
 
@@ -568,6 +572,25 @@ class TestSweepAndTable:
         write_file(fpath, good)
         for command in commands:
             assert main([command, "--config", path]) == 0
+
+    @pytest.mark.parametrize("name, key, value, command", [
+        ("witness_stats.json", "sd", "x", "sweep-beta"),
+        ("error_report.json", "delta_numeric", "x", "table1"),
+        ("witness_stats.json", "separated", "yes", "sweep-beta"),
+    ])
+    def test_mistyped_analysis_value_refused(self, tmp_path, capsys, name, key, value, command):
+        # a value of the wrong type is invalid input: exit 2, naming the file and the key
+        cfg, path = tiny_config(tmp_path)
+        for stage in ("sample", "reconstruct", "analyze"):
+            assert main([stage, "--config", path]) == 0
+        fpath = os.path.join(cfg.output_dir, "analysis", "beta_0.1", name)
+        data = json.loads(read_text(fpath))
+        data[key] = value
+        write_file(fpath, json.dumps(data))
+        capsys.readouterr()
+        assert main([command, "--config", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid analysis file {fpath}: key {key!r} holds {value!r}")
 
 
 class TestWorkers:

@@ -14,7 +14,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.fft import next_fast_len
 from scipy.integrate import quad
-from scipy.special import erfcx, factorial, i0, wofz
+from scipy.special import erfcx, factorial, ive, j0, wofz
 
 from catomo import (
     CatState,
@@ -35,6 +35,7 @@ from catomo import (
     reconstruct_fast,
     wigner_fourier,
     wigner_true,
+    witness_mean_oracle,
     write_batch,
     write_grid,
 )
@@ -127,6 +128,51 @@ def fourier_truncation_reference(state, cutoff, q, p, n_rho=16, n_theta=256):
     weighted = wigner_fourier(state, w1, w2) * rho_w[:, None]
     return np.array([np.sum(weighted * np.cos(w1 * qv + w2 * pv))
                      for qv, pv in zip(np.ravel(q), np.ravel(p))])
+
+
+def bessel_mean_reference(state, params, q, p):
+    """The estimator's expectation at points (q, p) by its Bessel form, a 1-D radial integral.
+
+    F[W] is three Gaussians, so the angular integral over the frequency disk
+    is a Bessel function.  With a = (alpha1, alpha2), w0 = 2 sqrt2 (-alpha2, alpha1),
+    kappa = e^{-2|alpha|^2} and v = |w0|^2/4 - |x|^2 + i w0.x,
+
+        E[W](x) = Int_0^c rho e^{-rho^2/4} [e^{-|w0|^2/4} 2 Re I0(rho sqrt(v))
+                  + J0(rho |x + sqrt2 a|) + J0(rho |x - sqrt2 a|)] d rho / (4 pi (1 + kappa)),
+
+    by Gauss-Legendre panels (32 nodes per 0.5) up to min(c, |w0| + 16).  I0
+    comes from `ive`, scaled by e^{-|Re z|} <= e^{-rho |w0| / 2}, which the
+    Gaussians absorb, so no |alpha| or c overflows.
+    """
+    q = np.ravel(np.asarray(q, dtype=float))
+    p = np.ravel(np.asarray(p, dtype=float))
+    m1, m2 = math.sqrt(2.0) * state.alpha1, math.sqrt(2.0) * state.alpha2  # sqrt2 a; w0 = 2 (-m2, m1)
+    v0 = 2.0 * state.abs_alpha_sq  # |w0|^2 / 4
+    rho_hi = min(1.0 / params.h, 2.0 * math.sqrt(v0) + 16.0)
+    n_panels = max(4, int(math.ceil(rho_hi / 0.5)))
+    edges = np.linspace(0.0, rho_hi, n_panels + 1)
+    gl_x, gl_w = leggauss(32)
+    half = 0.5 * np.diff(edges)[:, None]
+    rho = (0.5 * (edges[1:] + edges[:-1])[:, None] + half * gl_x).ravel()
+    rho_w = (half * gl_w).ravel() * rho / (4.0 * math.pi * (1.0 + state.overlap))
+    damp = np.exp(-rho * rho / 4.0)
+    out = np.empty(q.size)
+    for lo in range(0, q.size, 1024):
+        qb, pb = q[lo:lo + 1024, None], p[lo:lo + 1024, None]
+        z = rho * np.sqrt(v0 - qb * qb - pb * pb + 2j * (m1 * pb - m2 * qb))
+        ridge = 2.0 * ive(0, z).real * np.exp(np.abs(z.real) - rho * rho / 4.0 - v0)
+        lobes = j0(rho * np.hypot(qb + m1, pb + m2)) + j0(rho * np.hypot(qb - m1, pb - m2))
+        out[lo:lo + qb.size] = (ridge + lobes * damp) @ rho_w
+    return out
+
+
+# (n, beta, grid_size) of the desk, headline and paper runs, at eta = 0.45
+SCALES = {"desk": (500_000, 0.1, 101), "headline": (4_000_000, 0.1, 201), "paper": (16_000_000, 0.05, 201)}
+
+
+def scale_params(name):
+    n, beta, size = SCALES[name]
+    return ReconstructionParams.for_experiment(n, beta, NoiseModel(0.45), grid_size=size)
 
 
 def loaded_after(code, packages):
@@ -1004,18 +1050,64 @@ class TestMeanOracle:
         assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_large_amplitude_does_not_overflow(self):
-        # At the origin the ridge term is I0(rho |w0| / 2); up to the cutoff
-        # 48 that reaches 774, where an unscaled i0 is inf.
+        # |alpha| = 11.4 and the cutoff 48 ask for 1634 nodes per axis; every
+        # term of the disk rule is bounded, so nothing overflows
         state = CatState(9.0, 7.0)
         params = ReconstructionParams(r=17.0, h=1.0 / 48.0, grid_size=21)
-        w0 = 2.0 * math.sqrt(2.0) * math.hypot(9.0, 7.0)
-        assert np.isinf(i0(48.0 * w0 / 2.0))
         q = np.array([0.0, 1.0, 0.3, -2.0, 0.05])
         p = np.array([0.0, -0.5, 2.0, -1.5, 0.1])
         ours = estimator_mean_oracle(state, params, q, p)
         ref = fourier_truncation_reference(state, 48.0, q, p, n_rho=32, n_theta=1024)
         assert np.all(np.isfinite(ours))
         assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("scale", ["desk", pytest.param("headline", marks=pytest.mark.slow),
+                                       pytest.param("paper", marks=pytest.mark.slow)])
+    def test_matches_bessel_reference_on_grid(self, cat, scale):
+        # every node inside the disk; E[W] is even in q and in p for real
+        # alpha, so the Bessel form on the quadrant q, p >= 0 covers them all
+        params = scale_params(scale)
+        ax = params.axis()
+        mid = ax.size // 2
+        ii, jj = np.nonzero(np.add.outer(ax * ax, ax * ax) <= params.r ** 2)
+        folded, node = np.unique(np.abs(ii - mid) * (mid + 1) + np.abs(jj - mid), return_inverse=True)
+        ref = bessel_mean_reference(cat, params, ax[mid + folded // (mid + 1)], ax[mid + folded % (mid + 1)])[node]
+        ours = estimator_mean_oracle(cat, params, ax[ii], ax[jj])
+        assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("state, params, q, p", [
+        pytest.param(CatState(3.0 / math.sqrt(2.0)),
+                     ReconstructionParams.for_experiment(10_000, 0.1, NoiseModel(0.45), grid_size=201),
+                     [0.0, 3.0, -3.0, 0.0, 0.0, 1.5, 2.0, 0.0, -1.0, 2.5],
+                     [0.0, 0.0, 0.0, 0.556, 1.111, 1.5, 0.0, 2.5, -1.0, 1.0], id="c06-nodes"),
+        pytest.param(CatState(1.0, -0.7), ReconstructionParams(r=4.0, h=1.0 / 5.0, grid_size=21),
+                     [0.0, 1.0, -2.5, 0.3, 1.7, -0.4], [0.0, 0.5, 1.0, -3.0, -1.9, 2.2], id="off-axis"),
+    ])
+    def test_matches_bessel_reference_at_nodes(self, state, params, q, p):
+        ref = bessel_mean_reference(state, params, q, p)
+        ours = estimator_mean_oracle(state, params, q, p)
+        assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("scale", ["desk", "headline", "paper", "high-cutoff"])
+    def test_node_count_meets_bound_at_twice_the_nodes(self, cat, monkeypatch, scale):
+        # the rule bounds its error by 1e-16; rounding adds about an ulp per
+        # node per axis, from numpy's Gauss-Legendre nodes and the sums.  With
+        # half the nodes the mean oracle misses by 7e-5 to 0.1
+        params = (ReconstructionParams(r=6.0, h=1.0 / 30.0) if scale == "high-cutoff"
+                  else scale_params(scale))
+        ax = np.linspace(-params.r, params.r, 21)
+        qq, pp = (a[np.add.outer(ax * ax, ax * ax) <= params.r ** 2] for a in np.meshgrid(ax, ax, indexing="ij"))
+        big_r, n = est._disk_order(cat, params)
+        values = {}
+        half = n // 4 * 2  # even, as the folded rule needs
+        for nodes in (n, 2 * n, half):
+            monkeypatch.setattr(est, "_disk_order", lambda *args, nodes=nodes: (big_r, nodes))
+            values[nodes] = (estimator_mean_oracle(cat, params, qq, pp), witness_mean_oracle(cat, params))
+        tol = 1e-16 + 2 * (2 * n) * np.finfo(float).eps
+        for short, long in ((n, 2 * n), (half, 2 * n)):
+            mean_gap = np.max(np.abs(values[short][0] - values[long][0]))
+            witness_gap = abs(values[short][1] - values[long][1])
+            assert (max(mean_gap, witness_gap) <= tol) == (short == n), (short, mean_gap, witness_gap)
 
     def test_radially_symmetric_for_vacuum(self):
         state = CatState(0.0)

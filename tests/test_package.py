@@ -7,10 +7,10 @@ import catomo
 PUBLIC = {
     # states
     "CatState", "NoiseModel", "WITNESS_PAIRING", "incoherent_witness_mean",
-    "noisy_quadrature_density", "pure_witness_mean", "quadrature_density", "radon_oracle",
-    "wigner_fourier", "wigner_true", "witness_phase_fn",
+    "noisy_quadrature_density", "pure_witness_mean", "quadrature_density", "wigner_fourier",
+    "wigner_true", "witness_phase_fn",
     # sampling
-    "QuadratureBatch", "batch_to_csv", "generate_batch", "read_batch", "write_batch",
+    "QuadratureBatch", "generate_batch", "read_batch", "write_batch",
     # estimator
     "BinnedBatch", "KernelTable", "ReconstructionParams", "WignerGrid", "estimate_at_points",
     "estimator_mean_oracle", "grid_to_csv", "kernel", "mean_grid", "optimal_bandwidth",

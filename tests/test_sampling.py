@@ -19,7 +19,6 @@ from catomo import (
     NoiseModel,
     QuadratureBatch,
     WignerGrid,
-    batch_to_csv,
     generate_batch,
     noisy_quadrature_density,
     quadrature_density,
@@ -123,26 +122,26 @@ class TestIdealQuadrature:
             ratio = quadrature_density(state, xs, phi) / g
             assert ratio.max() <= 3.0 + 1e-12
             # and the sharper per-phase constant actually used is also valid
-            assert ratio.max() <= _envelope_const(state, _reference_along(state, -phi)) + 1e-12
+            assert ratio.max() <= _envelope_const(state, _reference_along(state, phi)) + 1e-12
 
 
 # Reference rejection loop: the density and its amplitudes are evaluated
 # afresh from phi in every round, each amplitude from its own formula:
-# a(phi) = alpha1 cos(phi) + alpha2 sin(phi), b(phi) = alpha2 cos(phi) - alpha1 sin(phi).
+# a(phi) = alpha1 cos(phi) + alpha2 sin(phi), b(phi) = alpha1 sin(phi) - alpha2 cos(phi).
 def _reference_along(state, phi):
     return state.alpha1 * np.cos(phi) + state.alpha2 * np.sin(phi)
 
 
 def _reference_across(state, phi):
-    return state.alpha2 * np.cos(phi) - state.alpha1 * np.sin(phi)
+    return state.alpha1 * np.sin(phi) - state.alpha2 * np.cos(phi)
 
 
 def _reference_quadrature_density(state, x, phi):
-    m = math.sqrt(2.0) * _reference_along(state, phi)
-    a_neg = _reference_along(state, -np.asarray(phi))
-    b_neg = _reference_across(state, -np.asarray(phi))
+    a = _reference_along(state, phi)
+    b = _reference_across(state, phi)
+    m = math.sqrt(2.0) * a
     humps = np.exp(-((x - m) ** 2)) + np.exp(-((x + m) ** 2))
-    ridge = 2.0 * np.exp(-x * x - 2.0 * a_neg * a_neg) * np.cos(2.0 * math.sqrt(2.0) * x * b_neg)
+    ridge = 2.0 * np.exp(-x * x - 2.0 * a * a) * np.cos(2.0 * math.sqrt(2.0) * x * b)
     return (humps + ridge) / (math.sqrt(math.pi) * state.norm_const)
 
 
@@ -151,8 +150,8 @@ def _reference_proposal_density(x, m):
 
 
 def _reference_envelope_const(state, phi):
-    a_neg = _reference_along(state, -np.asarray(phi))
-    suppress = 2.0 * np.exp(-2.0 * a_neg * a_neg)
+    a = _reference_along(state, phi)
+    suppress = 2.0 * np.exp(-2.0 * a * a)
     return 3.0 * np.maximum(1.0, suppress) / (2.0 * (1.0 + state.overlap))
 
 
@@ -574,16 +573,6 @@ class TestBatchIO:
         sha = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("b.qb", "g.wg")}
         assert sha == {"b.qb": "73bbb1f51a05e896f37215320639774266b7eea95b42cf17109ce0b16ddc9787",
                        "g.wg": "9ba9e042e5fb9c047318223fd0ba1299ed6a8c8dd0759d4fe9ff39f86d332234"}
-
-    def test_csv_export(self, cat, noise, tmp_path):
-        b = generate_batch(cat, noise, 10, seed=5)
-        path = str(tmp_path / "batch.csv")
-        batch_to_csv(b, path)
-        lines = read_text(path).strip().split("\n")
-        assert lines[0] == "x,phi"
-        assert len(lines) == 11
-        x0, phi0 = (float(tok) for tok in lines[1].split(","))
-        assert x0 == b.x[0] and phi0 == b.phi[0]
 
     def test_rejects_truncated_file(self, cat, noise, tmp_path):
         b = generate_batch(cat, noise, 100, seed=5)

@@ -20,7 +20,6 @@ from catomo import (
     noisy_quadrature_density,
     pure_witness_mean,
     quadrature_density,
-    radon_oracle,
     wigner_fourier,
     wigner_true,
     witness_phase_fn,
@@ -37,6 +36,28 @@ P_1_07 = 0.051991377248215571
 PETA_1_0 = 0.10125217509171990
 O_AT_0_0 = 0.56411996561331856
 INCOH_REF = 1.2339457598623173e-04
+
+# states with alpha off both axes, where a fringe along the wrong direction shows
+OFF_AXIS = [CatState(1.0, 0.7), CatState(0.8, -1.3), CatState(1.5, -0.25)]
+
+
+def radon_oracle(state: CatState, x: float, phi: float, tol: float = 1e-10) -> float:
+    """Line integral of `wigner_true` along the direction phi, by adaptive quadrature.
+
+    Integrates W(x cos(phi) - t sin(phi), x sin(phi) + t cos(phi)) over t: the
+    reference for `quadrature_density`.  Raises RuntimeError if the quadrature
+    cannot certify the requested tolerance.
+    """
+    cos_phi, sin_phi = math.cos(phi), math.sin(phi)
+
+    def integrand(t: float) -> float:
+        return float(wigner_true(state, x * cos_phi - t * sin_phi, x * sin_phi + t * cos_phi))
+
+    half_span = 9.0 + math.sqrt(2.0 * state.abs_alpha_sq)
+    value, abserr = quad(integrand, -half_span, half_span, epsabs=tol * 1e-2, epsrel=1e-12, limit=200)
+    if abserr > tol:
+        raise RuntimeError(f"Radon quadrature reached error {abserr:.3e} > requested {tol:.3e}")
+    return value
 
 
 class TestCatState:
@@ -85,13 +106,15 @@ class TestWignerTrue:
         assert wigner_true(cat, 3.0, 0.0) == pytest.approx(W_AT_3_0, rel=1e-14)
 
     def test_purity_norm(self, cat):
-        # 2 pi Int W^2 = 1 for a pure state; grid sum is spectrally accurate
+        # 2 pi Int W^2 = 1 for a pure state; grid sum is spectrally accurate.
+        # A fringe that is not perpendicular to the lobe axis gives 0.82 at (1, 0.7)
         ax = np.linspace(-8.0, 8.0, 201)
         qq, pp = np.meshgrid(ax, ax, indexing="ij")
         cell = (ax[1] - ax[0]) ** 2
-        total = 2.0 * math.pi * np.sum(wigner_true(cat, qq, pp) ** 2) * cell
-        assert total <= 1.0 + 1e-6
-        assert total == pytest.approx(1.0, abs=1e-4)
+        for state in [cat] + OFF_AXIS:
+            total = 2.0 * math.pi * np.sum(wigner_true(state, qq, pp) ** 2) * cell
+            assert total <= 1.0 + 1e-6
+            assert total == pytest.approx(1.0, abs=1e-4)
 
 
 class TestWignerFourier:
@@ -241,11 +264,11 @@ class TestPhaseFunctions:
         for _ in range(100):
             state = CatState(rng.uniform(-4, 4), rng.uniform(-4, 4))
             phi = rng.uniform(-2 * math.pi, 2 * math.pi)
-            _, a_neg, b_neg = phase_amplitudes(state, phi)
-            assert a_neg ** 2 + b_neg ** 2 == pytest.approx(state.abs_alpha_sq, rel=1e-12, abs=1e-12)
-            # the first amplitude is sqrt2 a(phi), the second a(-phi)
-            m_neg = phase_amplitudes(state, -phi)[0]
-            assert m_neg / math.sqrt(2.0) == pytest.approx(a_neg, rel=1e-15, abs=1e-15)
+            m, a, b = phase_amplitudes(state, phi)
+            assert a ** 2 + b ** 2 == pytest.approx(state.abs_alpha_sq, rel=1e-12, abs=1e-12)
+            # the first amplitude is sqrt2 a(phi), a the projection of alpha on (cos, sin)(phi)
+            assert m == math.sqrt(2.0) * a
+            assert a == pytest.approx(state.alpha1 * math.cos(phi) + state.alpha2 * math.sin(phi), abs=1e-14)
 
 
 class TestWitness:
@@ -262,9 +285,10 @@ class TestWitness:
         ax = np.linspace(-8.0, 8.0, 321)
         qq, pp = np.meshgrid(ax, ax, indexing="ij")
         cell = (ax[1] - ax[0]) ** 2
-        raw = np.sum(witness_phase_fn(cat, qq, pp) * wigner_true(cat, qq, pp)) * cell
-        assert raw == pytest.approx(1.0 / (4.0 * math.sqrt(math.pi)), abs=1e-10)
-        assert WITNESS_PAIRING * raw == pytest.approx(0.5, abs=1e-9)
+        for state in [cat] + OFF_AXIS:
+            raw = np.sum(witness_phase_fn(state, qq, pp) * wigner_true(state, qq, pp)) * cell
+            assert raw == pytest.approx(1.0 / (4.0 * math.sqrt(math.pi)), abs=1e-10)
+            assert WITNESS_PAIRING * raw == pytest.approx(0.5, abs=1e-9)
 
     def test_incoherent_mean(self, cat):
         assert incoherent_witness_mean(CatState(0.0)) == pytest.approx(0.5, rel=1e-15)
