@@ -11,10 +11,10 @@ Configuration is a diff-able `key = value` INI file with one section per
 stage; an unknown section or key is refused with its `file:line`.  Every
 output embeds the SHA-256 of its inputs, identical configs reproduce outputs
 byte for byte, and mixed-provenance inputs are refused.
-Exit codes: 0 success, 2 configuration/validation (including mismatched
-provenance and batch or grid files that fail validation, such as truncated
-files, headers without a required key or non-finite values), 3 I/O,
-4 numerical.
+Exit codes: 0 success, 2 refused input (a config value or flag, a batch,
+grid or analysis file that breaks the rules of `sampling._FIELDS` or its own
+framing, such as a truncated file, a header without a required key or a
+non-finite value, and mismatched provenance), 3 I/O, 4 numerical.
 """
 
 from __future__ import annotations
@@ -41,16 +41,17 @@ from .analysis import (
     witness_stats,
 )
 from .estimator import (
+    _ROUTE,
     BinnedBatch,
     ReconstructionParams,
     mean_grid,
-    optimal_bandwidth,
     read_grid,
     reconstruct_exact,
     reconstruct_fast,
     write_grid,
 )
-from .sampling import _atomic_bytes, _batch_header, _batch_writer, _BatchFile, generate_batch
+from .sampling import (ConfigError, _atomic_bytes, _batch_header, _batch_writer, _BatchFile, _check_fields,
+                       _json_fields, generate_batch)
 from .states import CatState, NoiseModel
 
 EXIT_OK = 0
@@ -62,10 +63,6 @@ PRESETS = {
     "desk": {"n": 500_000, "replicates": 5, "grid_size": 101},
     "paper": {"n": 16_000_000, "replicates": 10, "grid_size": 201},
 }
-
-
-class ConfigError(Exception):
-    """Invalid configuration or provenance; message names the offending field."""
 
 
 @dataclass(frozen=True)
@@ -106,32 +103,17 @@ _DEFAULTS = asdict(ExperimentConfig())
 
 
 def _validate(cfg: ExperimentConfig, where) -> ExperimentConfig:
-    """`cfg` if every value is in range, else a ConfigError naming the key and `where(key)`."""
-    def bad(key, msg):
-        raise ConfigError(f"{_SECTION[key]}.{key} ({where(key)}): {msg}")
+    """`cfg` if it keeps `_FIELDS` and the rules below, else a ConfigError naming the key and `where(key)`."""
+    def locate(key):
+        return f"{_SECTION[key]}.{key} ({where(key)})"
 
-    for key in ("alpha1", "alpha2"):
-        if not math.isfinite(getattr(cfg, key)):
-            bad(key, "amplitude must be finite")
-    if not (0.0 < cfg.eta <= 1.0):
-        bad("eta", f"efficiency must lie in (0, 1], got {cfg.eta}")
+    _check_fields(asdict(cfg), locate, _SECTION)
+    # beyond what a file may hold: the bandwidth rule's r = sqrt(ln n / (beta + 2 gamma))
+    # is positive only from n = 2, and only an odd size >= 3 has a node at the origin
     if cfg.n < 2:
-        bad("n", f"need at least 2 samples for the bandwidth rule, got {cfg.n}")
-    if cfg.replicates < 1:
-        bad("replicates", "need at least one replicate")
-    if cfg.seed < 0:
-        bad("seed", f"seed must be a non-negative integer, got {cfg.seed}")
-    if not cfg.betas:
-        bad("betas", "need at least one beta")
-    for beta in cfg.betas:
-        if not (0.0 < beta < 0.25):
-            bad("betas", f"beta must lie in (0, 1/4), got {beta}")
+        raise ConfigError(f"{locate('n')}: need at least 2 samples for the bandwidth rule, got {cfg.n}")
     if cfg.grid_size < 3 or cfg.grid_size % 2 == 0:
-        bad("grid_size", "grid size must be an odd integer >= 3")
-    if cfg.path not in ("fast", "exact"):
-        bad("path", f"path must be 'fast' or 'exact', got {cfg.path!r}")
-    if cfg.workers < 1:
-        bad("workers", "workers must be >= 1")
+        raise ConfigError(f"{locate('grid_size')}: grid size must be an odd integer >= 3, got {cfg.grid_size}")
     return cfg
 
 
@@ -163,10 +145,14 @@ def _format(key: str, value) -> str:
 
 def _parse(key: str, raw: str):
     """The inverse of `_format`: the value of `key` in the type of its ExperimentConfig
-    default, which must be float, int, str or a tuple of floats."""
-    if isinstance(_DEFAULTS[key], tuple):
-        return tuple(float(tok) for tok in raw.replace(",", " ").split())
-    return type(_DEFAULTS[key])(raw)
+    default, which must be float, int, str or a tuple of floats; `raw` itself
+    if it does not parse, for `_validate` to refuse."""
+    try:
+        if isinstance(_DEFAULTS[key], tuple):
+            return tuple(float(tok) for tok in raw.replace(",", " ").split())
+        return type(_DEFAULTS[key])(raw)
+    except ValueError:
+        return raw
 
 
 def _sections_text(cfg: ExperimentConfig, sections) -> str:
@@ -205,11 +191,7 @@ def load_config(path: str) -> ExperimentConfig:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"{section}.{key} ({_line_of(path, section, key)}): unknown key, "
                                   f"expected one of {', '.join(_SCHEMA[section])}")
-            try:
-                values[key] = _parse(key, raw)
-            except ValueError as exc:
-                raise ConfigError(f"{section}.{key} ({_line_of(path, section, key)}): "
-                                  f"cannot parse {raw!r}") from exc
+            values[key] = _parse(key, raw)
     return _validate(ExperimentConfig(**values), lambda key: _line_of(path, _SECTION[key], key))
 
 
@@ -268,14 +250,12 @@ def cmd_sample(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-# The values a batch or grid must share with the config that reads it.
-_PROVENANCE = ("alpha1", "alpha2", "eta", "n", "seed")
-
-
-def _check_provenance(path: str, header: dict, cfg: ExperimentConfig, **extra) -> None:
-    """Refuse a file whose header disagrees with the config on `_PROVENANCE` or on `extra`."""
-    declared = {**{key: getattr(cfg, key) for key in _PROVENANCE}, **extra}
-    held = {key: header.get(key) for key in declared}
+def _check_provenance(path: str, header: dict, cfg: ExperimentConfig, rep: int, **extra) -> None:
+    """Refuse a header that breaks `_FIELDS` or the config's batch header for `rep` and `extra`."""
+    declared = {**_batch_header(cfg.state, cfg.noise, cfg.n, cfg.seed, rep, None), **extra}
+    _check_fields(header, path, declared)
+    del declared["source_sha256"]
+    held = {key: header[key] for key in declared}
     if held != declared:
         raise ConfigError(f"provenance mismatch: {path} holds {held} but the config declares {declared}")
 
@@ -293,12 +273,9 @@ def _reconstruct_one(cfg: ExperimentConfig, rep: int) -> list[str]:
     path = _batch_path(cfg, rep)
     if not os.path.exists(path):
         raise ConfigError(f"missing batch file {path}; run `sample` first")
-    try:
-        batch = _BatchFile(path)
-        _check_provenance(path, batch.header, cfg, replicate=rep)
-        batch.source_sha256 = batch.scan()
-    except ValueError as exc:
-        raise ConfigError(f"invalid batch file: {exc}") from exc
+    batch = _BatchFile(path)
+    _check_provenance(path, batch.header, cfg, rep)
+    batch.source_sha256 = batch.scan()
     members = [ReconstructionParams.for_experiment(cfg.n, beta, cfg.noise, grid_size=cfg.grid_size)
                for beta in cfg.betas]
     fast = cfg.path == "fast"
@@ -316,7 +293,7 @@ def cmd_reconstruct(cfg: ExperimentConfig) -> int:
         os.makedirs(_grid_dir(cfg, beta), exist_ok=True)
     per_replicate = _map_replicates(partial(_reconstruct_one, cfg), cfg)
     for beta, paths in zip(cfg.betas, zip(*per_replicate)):
-        avg = mean_grid([_read_grid_file(p) for p in paths])
+        avg = mean_grid([read_grid(p) for p in paths])
         avg_path = os.path.join(_grid_dir(cfg, beta), "grid_avg.wg")
         write_grid(avg, avg_path)
         for path in paths + (avg_path,):
@@ -324,41 +301,36 @@ def cmd_reconstruct(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _read_grid_file(path: str):
-    try:
-        return read_grid(path)
-    except ValueError as exc:
-        raise ConfigError(f"invalid grid file: {exc}") from exc
-
-
-def _load_replicate_grids(cfg: ExperimentConfig, beta: float, batch_shas: set[str]):
-    gdir = _grid_dir(cfg, beta)
+def _load_replicate_grids(cfg: ExperimentConfig, params: ReconstructionParams, batch_shas: set[str]):
+    gdir = _grid_dir(cfg, params.beta)
     paths = [os.path.join(gdir, f"grid_r{rep:02d}.wg") for rep in range(cfg.replicates)]
     missing = [p for p in paths if not os.path.exists(p)]
     if missing:
         raise ConfigError(
-            f"found {cfg.replicates - len(missing)} grids for beta={beta:g} but the config "
+            f"found {cfg.replicates - len(missing)} grids for beta={params.beta:g} but the config "
             f"declares {cfg.replicates} replicates (first missing: {missing[0]})"
         )
     grids = []
     for rep, path in enumerate(paths):
-        grid = _read_grid_file(path)
-        _check_provenance(path, {**grid.meta, "grid_size": grid.grid_size}, cfg,
-                          beta=beta, grid_size=cfg.grid_size, method=cfg.path, replicate=rep)
-        if batch_shas and grid.meta.get("source_sha256") not in batch_shas:
+        grid = read_grid(path)
+        _check_provenance(path, {**grid.meta, "grid_size": grid.grid_size, "extent": grid.extent, "r": grid.r},
+                          cfg, rep, beta=params.beta, grid_size=cfg.grid_size, method=cfg.path,
+                          kind="replicate", route=_ROUTE[cfg.path],
+                          extent=params.extent, r=params.r, h=params.h)  # the same function, the same bits
+        if batch_shas and grid.meta["source_sha256"] not in batch_shas:
             raise ConfigError(f"provenance mismatch: {path} does not descend from the current batches")
         grids.append((path, grid))
     return grids
 
 
 def _analyze_beta(cfg: ExperimentConfig, beta: float, batch_shas: set[str]) -> dict:
-    grids = _load_replicate_grids(cfg, beta, batch_shas)
+    params = ReconstructionParams.for_experiment(cfg.n, beta, cfg.noise, grid_size=cfg.grid_size)
+    grids = _load_replicate_grids(cfg, params, batch_shas)
     state = cfg.state
     errors = [l2_error(grid, state) for _, grid in grids]
     tv, tt, tb = delta_terms(cfg.n, beta, cfg.eta, state)
     means = [witness_mean_from_grid(grid, state) for _, grid in grids]
     stats = witness_stats(means, state)
-    r, _ = optimal_bandwidth(cfg.n, beta, cfg.noise.gamma)
     # the measured mean square L2 error next to its closed-form bound and that bound's terms
     report = {
         "delta_numeric": mean_square_error(errors),
@@ -369,7 +341,7 @@ def _analyze_beta(cfg: ExperimentConfig, beta: float, batch_shas: set[str]) -> d
         "m": cfg.replicates,
         "params": {
             "alpha1": cfg.alpha1, "alpha2": cfg.alpha2, "eta": cfg.eta,
-            "beta": beta, "n": cfg.n, "r": r, "h": 1.0 / r,
+            "beta": beta, "n": cfg.n, "r": params.r, "h": 1.0 / params.r,
             "grid_size": cfg.grid_size, "path": cfg.path, "seed": cfg.seed,
         },
         "per_replicate_errors": errors,
@@ -386,35 +358,14 @@ def _analyze_beta(cfg: ExperimentConfig, beta: float, batch_shas: set[str]) -> d
     return {"beta": beta, "report": report, "witness": stats}
 
 
-def _read_analysis(path: str, keys: dict) -> dict:
-    """The JSON object `analyze` wrote to `path`; unreadable JSON, another value
-    than an object, or a key missing or not of the type `keys` maps it to (str,
-    bool, or float for a finite number) is refused with a ConfigError naming the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:  # malformed JSON or bytes that are not UTF-8
-            raise ConfigError(f"invalid analysis file {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"invalid analysis file {path}: holds a JSON {type(data).__name__}, not an object")
-    for key, kind in keys.items():
-        if key not in data:
-            raise ConfigError(f"invalid analysis file {path}: no {key!r} key")
-        value = data[key]  # a finite number is an int or float, not a bool, within float range
-        if not (type(value) in (int, float) and abs(value) <= sys.float_info.max if kind is float
-                else type(value) is kind):
-            name = "finite number" if kind is float else kind.__name__
-            raise ConfigError(f"invalid analysis file {path}: key {key!r} holds {value!r}, not a {name}")
-    return data
-
-
 def _analyzed_report(cfg: ExperimentConfig, beta: float) -> dict | None:
     """The error report `analyze` wrote for `beta`, or None if there is none; a report
     written under another config is refused, and with it the witness stats beside it."""
     rpath = os.path.join(_analysis_dir(cfg, beta), "error_report.json")
     if not os.path.exists(rpath):
         return None
-    report = _read_analysis(rpath, {"config_sha256": str, "delta_numeric": float})
+    with open(rpath, "rb") as fh:
+        report = _json_fields(fh.read(), rpath, ("config_sha256", "delta_numeric"))
     if report["config_sha256"] != config_sha(cfg):
         raise ConfigError(f"provenance mismatch: {rpath} was analyzed under another config; "
                           f"run `analyze` with this one first")
@@ -462,7 +413,8 @@ def cmd_sweep_beta(cfg: ExperimentConfig, points: int = 23) -> int:
         av = sd = separated = ""
         if _analyzed_report(cfg, row["beta"]) is not None:
             wpath = os.path.join(_analysis_dir(cfg, row["beta"]), "witness_stats.json")
-            stats = _read_analysis(wpath, {"av": float, "sd": float, "separated": bool})
+            with open(wpath, "rb") as fh:
+                stats = _json_fields(fh.read(), wpath, ("av", "sd", "separated"))
             av = f"{stats['av']:.17g}"
             sd = f"{stats['sd']:.17g}"
             separated = str(stats["separated"]).lower()

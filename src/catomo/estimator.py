@@ -46,13 +46,14 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .sampling import QuadratureBatch, _atomic_bytes, _read_framed, _write_framed
+from .sampling import ConfigError, QuadratureBatch, _atomic_bytes, _frame_head, _read_header
 from .states import CatState, NoiseModel, wigner_fourier
 
 __all__ = [
@@ -74,6 +75,7 @@ __all__ = [
 ]
 
 GRID_MAGIC = b"CATWG1\n"
+_ROUTE = {"exact": "direct", "fast": "binned"}  # the evaluation each path runs, a grid's `route`
 
 # e^{gamma/h^2} beyond this overflows float64; reject rather than return inf.
 _EXP_LIMIT = 700.0
@@ -408,7 +410,7 @@ def _grid_meta(batch: QuadratureBatch, params: ReconstructionParams, method: str
     return {
         "kind": "replicate",
         "method": method,
-        "route": "direct" if method == "exact" else "binned",
+        "route": _ROUTE[method],
         "n": batch.n,
         "seed": batch.seed,
         "replicate": batch.replicate,
@@ -908,16 +910,23 @@ def write_grid(grid: WignerGrid, path: str) -> None:
     """JSON header + row-major little-endian float64 payload, written atomically."""
     header = dict(grid.meta)
     header.update({"grid_size": grid.grid_size, "extent": grid.extent, "r": grid.r})
-    _write_framed(path, GRID_MAGIC, header, [grid.values])
+    _atomic_bytes(path, [_frame_head(GRID_MAGIC, header), np.ascontiguousarray(grid.values, "<f8")])
+
+
+# The meta keys of replicate grids and averages that `read_grid` checks: all but
+# `beta`, null in parameters built without one, and an average's `source_sha256` list.
+_GRID_META = ("kind", "method", "route", "n", "seed", "replicate", "replicates", "alpha1", "alpha2", "eta", "h")
 
 
 def read_grid(path: str) -> WignerGrid:
-    header, payload = _read_framed(path, GRID_MAGIC, "Wigner grid", ("grid_size", "extent", "r"))
-    size = int(header["grid_size"])
-    if payload.size != size * size:
-        raise ValueError(f"{path}: payload/header size mismatch")
+    with open(path, "rb") as fh:
+        header = _read_header(fh, path, GRID_MAGIC, "Wigner grid", ("grid_size", "extent", "r"), _GRID_META)
+        nbytes, size = os.fstat(fh.fileno()).st_size - fh.tell(), header["grid_size"]
+        if nbytes != 8 * size * size:
+            raise ConfigError(f"{path}: payload of {nbytes} bytes, not the {8 * size * size} of {size}^2 values")
+        payload = np.fromfile(fh, dtype="<f8")
     if not np.all(np.isfinite(payload)):
-        raise ValueError(f"{path}: grid holds non-finite values (NaN or inf)")
+        raise ConfigError(f"{path}: grid holds non-finite values (NaN or inf)")
     meta = {k: v for k, v in header.items() if k not in ("schema", "grid_size", "extent", "r")}
     return WignerGrid(payload.reshape(size, size), extent=float(header["extent"]),
                       r=float(header["r"]), meta=meta)

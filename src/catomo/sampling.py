@@ -28,13 +28,13 @@ file while holding two chunks of it.
 Batch files are a small JSON header followed by raw little-endian float64
 (x, phi) pairs, written and read `_IO_PAIRS` pairs at a time: `_BatchFile`
 is the one reader, and `read_batch` gathers its blocks into a batch.
+`_FIELDS` holds the rules of every key catomo reads; refused input raises `ConfigError`.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -80,7 +80,7 @@ _IO_PAIRS = 1 << 15
 _DENSITY_LOCK = threading.Lock()
 
 BATCH_MAGIC = b"CATQB1\n"
-_BATCH_KEYS = ("alpha1", "alpha2", "eta", "n", "seed", "replicate")  # required in a batch header
+_BATCH_KEYS = ("alpha1", "alpha2", "eta", "n", "seed", "replicate", "source_sha256")  # all required
 _MAX_ROUNDS = 10_000  # rejection rounds before `_reject_into` gives up
 
 
@@ -119,13 +119,14 @@ class QuadratureBatch:
             yield self.x[lo:lo + size], self.phi[lo:lo + size]
 
 
-def _check_pairs(x, phi) -> None:
-    """Refuse non-finite values and phases outside [0, pi], naming the column."""
+def _check_pairs(x, phi, path: str | None = None) -> None:
+    """Refuse non-finite values and phases outside [0, pi], naming the column and any file `path`."""
+    where = f"{path}: " if path else ""
     for name, values in (("x", x), ("phi", phi)):
         if not np.all(np.isfinite(values)):
-            raise ValueError(f"{name} holds non-finite values (NaN or inf)")
+            raise ConfigError(f"{where}{name} holds non-finite values (NaN or inf)")
     if phi.size and (phi.min() < 0.0 or phi.max() > np.pi):
-        raise ValueError("phases must lie in [0, pi]")
+        raise ConfigError(f"{where}phases must lie in [0, pi]")
 
 
 def _stream(seed: int, replicate: int, chunk: int) -> np.random.Generator:
@@ -327,13 +328,6 @@ def _frame_head(magic: bytes, header: dict) -> bytes:
     return magic + len(hbytes).to_bytes(4, "little") + hbytes
 
 
-def _write_framed(path: str, magic: bytes, header: dict, payload) -> None:
-    """Write the framed header and then each float64 array of the iterable
-    `payload`, little-endian, atomically."""
-    _atomic_bytes(path, itertools.chain((_frame_head(magic, header),),
-                                        (np.ascontiguousarray(values, "<f8") for values in payload)))
-
-
 class _PairWriter:
     """Appends (x, phi) pairs to an open batch file, interleaved `_IO_PAIRS`
     at a time in one reused buffer; `n` is the count its header declares."""
@@ -371,60 +365,108 @@ def write_batch(batch: QuadratureBatch, path: str) -> None:
         out.write(batch.x, batch.phi)
 
 
-def _read_header(fh, path: str, magic: bytes, kind: str, required: tuple[str, ...]) -> dict:
+class ConfigError(ValueError):
+    """Refused input; the message names the file, config key or flag, and the key."""
+
+
+# The type of each kind of field, as a test of a value read from JSON or from
+# the config.  A number is compared, not converted, so a huge JSON int is refused.
+_KINDS = {
+    "a finite number": lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
+    "a bool": lambda v: type(v) is bool,
+    "a str": lambda v: type(v) is str,
+    "a str or null": lambda v: v is None or type(v) is str,
+    "a non-empty tuple of finite numbers": lambda v: type(v) is tuple and v and all(map(_KINDS["a finite number"], v)),
+}
+
+# Every key of a batch or grid header, an analysis file and the config: (kind,
+# range, test of the range), the range None if any value of the kind will do; a
+# whole number is a finite number held as an int.  An entry states what any file
+# may hold, so every file the writers write reads back; `cli._validate` adds two rules.
+_FIELDS = {
+    "schema": ("a finite number", "1", lambda v: type(v) is int and v == 1),
+    "alpha1": ("a finite number", None, None),
+    "alpha2": ("a finite number", None, None),
+    "eta": ("a finite number", "in (0, 1]", lambda v: 0 < v <= 1),
+    "n": ("a finite number", "a whole number >= 0", lambda v: type(v) is int and v >= 0),
+    "seed": ("a finite number", "a whole number >= 0", lambda v: type(v) is int and v >= 0),
+    "replicate": ("a finite number", "a whole number >= 0", lambda v: type(v) is int and v >= 0),
+    "replicates": ("a finite number", "a whole number >= 1", lambda v: type(v) is int and v >= 1),
+    "source_sha256": ("a str or null", None, None),
+    "grid_size": ("a finite number", "a whole number >= 1", lambda v: type(v) is int and v >= 1),
+    "extent": ("a finite number", "> 0", lambda v: v > 0),
+    "r": ("a finite number", "> 0", lambda v: v > 0),
+    "h": ("a finite number", "> 0", lambda v: v > 0),
+    "beta": ("a finite number", "in (0, 1/4)", lambda v: 0 < v < 0.25),
+    "method": ("a str", "'fast' or 'exact'", lambda v: v in ("fast", "exact")),
+    "route": ("a str", "'direct' or 'binned'", lambda v: v in ("direct", "binned")),
+    "kind": ("a str", "'replicate' or 'average'", lambda v: v in ("replicate", "average")),
+    "betas": ("a non-empty tuple of finite numbers", "each in (0, 1/4)", lambda v: all(0 < b < 0.25 for b in v)),
+    "path": ("a str", "'fast' or 'exact'", lambda v: v in ("fast", "exact")),
+    "output_dir": ("a str", None, None),
+    "workers": ("a finite number", "a whole number >= 1", lambda v: type(v) is int and v >= 1),
+    "config_sha256": ("a str", None, None),
+    "delta_numeric": ("a finite number", ">= 0", lambda v: v >= 0),
+    "av": ("a finite number", None, None),
+    "sd": ("a finite number", ">= 0", lambda v: v >= 0),
+    "separated": ("a bool", None, None),
+}
+
+
+def _check_fields(values: dict, where, required, optional=()) -> None:
+    """Refuse `values` if it lacks a `required` key, or if a `required` or
+    `optional` key it holds breaks its `_FIELDS` entry; other keys pass.  `where`
+    is the file `values` was read from, or a function naming a config key's place."""
+    locate = where if callable(where) else lambda key: f"{where}: key {key!r}"
+    for key in required:
+        if key not in values:
+            raise ConfigError(f"{locate(key)} is missing")
+    for key in (*required, *optional):
+        if key in values:
+            kind, rule, within = _FIELDS[key]
+            value = values[key]
+            if not _KINDS[kind](value):
+                raise ConfigError(f"{locate(key)} holds {value!r}, not {kind}")
+            if within is not None and not within(value):
+                raise ConfigError(f"{locate(key)} holds {value!r}, not {rule}")
+
+
+def _json_fields(raw: bytes, path: str, required, optional=()) -> dict:
+    """The JSON object `raw`, read from `path`, checked by `_check_fields`;
+    bytes that are not UTF-8 JSON, or JSON of another value, are refused too."""
+    try:
+        fields = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: unreadable JSON ({exc})") from exc
+    if not isinstance(fields, dict):
+        raise ConfigError(f"{path}: holds a JSON {type(fields).__name__}, not an object")
+    _check_fields(fields, path, required, optional)
+    return fields
+
+
+def _read_header(fh, path: str, magic: bytes, kind: str, required: tuple[str, ...], optional=()) -> dict:
     """Header dict of the open `magic + length + JSON header + payload` file
     `fh`, which is left at the payload.
 
-    Checks the magic, a header length within the file, `schema == 1`, the
-    `required` header keys, each of which must hold a finite number, a whole
-    one for the counts n, seed, replicate and grid_size, and a payload of
-    whole float64 values; every failure is a ValueError whose message starts
-    with the path.
+    Checks the magic, a header length within the file and the header
+    (`_json_fields`, `schema` required); a failure names the path.
     """
     size = os.fstat(fh.fileno()).st_size
     if fh.read(len(magic)) != magic:
-        raise ValueError(f"{path}: not a {kind} file")
+        raise ConfigError(f"{path}: not a {kind} file")
     hlen = int.from_bytes(fh.read(4), "little")
     if hlen > size - fh.tell():
-        raise ValueError(f"{path}: header length {hlen} exceeds the {size - fh.tell()} bytes left in the file")
-    raw = fh.read(hlen)
-    try:
-        header = json.loads(raw.decode("utf-8"))
-    except ValueError as exc:
-        raise ValueError(f"{path}: unreadable header ({exc})") from exc
-    if not isinstance(header, dict):
-        raise ValueError(f"{path}: header is not a JSON object")
-    if header.get("schema") != 1:
-        raise ValueError(f"{path}: header schema is {header.get('schema')!r}, expected 1")
-    missing = [key for key in required if key not in header]
-    if missing:
-        raise ValueError(f"{path}: header lacks the required key {missing[0]!r}")
-    for key in required:
-        value = header[key]  # compared, not converted, so a huge JSON int is refused here
-        if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-            raise ValueError(f"{path}: header key {key!r} holds {value!r}, not a finite number")
-        if key in ("n", "seed", "replicate", "grid_size") and value != int(value):
-            raise ValueError(f"{path}: header key {key!r} holds {value!r}, not a whole number")
-    nbytes = size - fh.tell()
-    if nbytes % 8:
-        raise ValueError(f"{path}: payload of {nbytes} bytes is not a whole number of float64 values")
-    return header
-
-
-def _read_framed(path: str, magic: bytes, kind: str, required: tuple[str, ...]):
-    """Header dict (`_read_header`) and writable float64 payload of a framed file."""
-    with open(path, "rb") as fh:
-        header = _read_header(fh, path, magic, kind, required)
-        return header, np.fromfile(fh, dtype="<f8")
+        raise ConfigError(f"{path}: header length {hlen} exceeds the {size - fh.tell()} bytes left in the file")
+    return _json_fields(fh.read(hlen), path, ("schema", *required), optional)
 
 
 class _BatchFile:
     """A batch file read block by block, its pairs never held whole.
 
-    Opening it checks the header (`_read_header`), the payload size and the
-    state and noise the header declares.  `scan()` validates every pair as
-    `QuadratureBatch` does, sets `x_abs_max` and returns the file's SHA-256,
-    in one read; `blocks(size)` then yields the pairs again, in file order.
+    Opening it checks the header (`_read_header`) and the payload size.
+    `scan()` validates every pair as `QuadratureBatch` does, sets `x_abs_max`
+    and returns the file's SHA-256, in one read; `blocks(size)` then yields
+    the pairs again, in file order.
     The batch's metadata sits under `QuadratureBatch`'s names, so both
     estimator routes take a scanned file in place of a batch.
     """
@@ -434,17 +476,14 @@ class _BatchFile:
             header = _read_header(fh, path, BATCH_MAGIC, "quadrature batch", _BATCH_KEYS)
             self._start = fh.tell()
             nbytes = os.fstat(fh.fileno()).st_size - self._start
-        n = int(header["n"])
+        n = header["n"]
         if nbytes != 16 * n:
-            raise ValueError(f"{path}: payload holds {nbytes // 16} pairs, header says {n}")
-        try:
-            self.state = CatState(header["alpha1"], header["alpha2"])
-            self.noise = NoiseModel(header["eta"])
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+            raise ConfigError(f"{path}: payload of {nbytes} bytes, not the {16 * n} of {n} pairs")
+        self.state = CatState(header["alpha1"], header["alpha2"])
+        self.noise = NoiseModel(header["eta"])
         self.path, self.header, self.n = path, header, n
-        self.seed, self.replicate = int(header["seed"]), int(header["replicate"])
-        self.source_sha256 = header.get("source_sha256")
+        self.seed, self.replicate = header["seed"], header["replicate"]
+        self.source_sha256 = header["source_sha256"]
         self.x_abs_max = None  # set by `scan`
 
     def blocks(self, size: int, digest=None):
@@ -459,7 +498,7 @@ class _BatchFile:
             for lo in range(0, self.n, size):
                 block = buf[:min(size, self.n - lo)]
                 if fh.readinto(block) != block.nbytes:
-                    raise ValueError(f"{self.path}: file ends before its {self.n} pairs")
+                    raise ConfigError(f"{self.path}: file ends before its {self.n} pairs")
                 if digest is not None:
                     digest.update(block)
                 yield block[:, 0], block[:, 1]
@@ -468,10 +507,7 @@ class _BatchFile:
         """Validate every pair, set `x_abs_max` and return the file's SHA-256, in one read."""
         digest, top = hashlib.sha256(), 0.0
         for x, phi in self.blocks(_IO_PAIRS, digest):
-            try:
-                _check_pairs(x, phi)
-            except ValueError as exc:
-                raise ValueError(f"{self.path}: {exc}") from exc
+            _check_pairs(x, phi, self.path)
             top = max(top, x.max(), -x.min())
         self.x_abs_max = float(top)
         return digest.hexdigest()
@@ -484,8 +520,8 @@ def read_batch(path: str) -> QuadratureBatch:
     pairs = np.empty((source.n, 2))
     for lo, (x, phi) in zip(range(0, source.n, _IO_PAIRS), source.blocks(_IO_PAIRS)):
         pairs[lo:lo + x.size, 0], pairs[lo:lo + x.size, 1] = x, phi
-    try:
+    try:  # the pairs' one check, `QuadratureBatch`'s, with the file named
         return QuadratureBatch(x=pairs[:, 0], phi=pairs[:, 1], state=source.state, noise=source.noise,
                                seed=source.seed, replicate=source.replicate, source_sha256=source.source_sha256)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc

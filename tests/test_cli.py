@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -104,6 +105,7 @@ class TestConfig:
         ("reconstruct", ("betas = 0.1", "betas ="), "reconstruction.betas"),
         ("analyze", ("betas = 0.1", "betas ="), "reconstruction.betas"),
         ("sample", ("n = 2000", "n = 1"), "sampling.n"),
+        ("sample", ("n = 2000", "n = 2e3"), "sampling.n"),  # not an int: refused by its rule, as read
     ])
     def test_invalid_value_names_its_line(self, tmp_path, capsys, command, edit, named):
         path, lineno = edit_config(tmp_path, *edit)
@@ -373,7 +375,7 @@ class TestAnalyze:
         capsys.readouterr()
         assert main(["analyze", "--config", path]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert gpath in err and "size mismatch" in err
+        assert f"{gpath}: payload of 13440 bytes, not the 13448 of 41^2 values" in err
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_grid_refused(self, pipeline, capsys, value):
@@ -426,11 +428,34 @@ class TestAnalyze:
         assert "provenance mismatch" in err and "grid_r00.wg" in err
         assert f"'{name}': {held!r}" in err and f"'{name}': {value!r}" in err
 
+    @pytest.mark.parametrize("key", ["r", "extent", "h"])
+    def test_grid_of_other_geometry_refused(self, pipeline, capsys, key):
+        # the grid's geometry must be the one the config's bandwidth rule gives:
+        # r = 3.0 or a doubled extent would change delta_numeric, and h went unread
+        cfg, path = pipeline
+        gpath = os.path.join(cfg.output_dir, "grids", "beta_0.1", "grid_r01.wg")
+        rewrite_header(gpath, GRID_MAGIC, lambda header: header.update({key: 3.0 if key == "r" else 2 * header[key]}))
+        capsys.readouterr()
+        assert main(["analyze", "--config", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "provenance mismatch" in err and gpath in err and f"'{key}': " in err
+        assert not os.path.exists(os.path.join(cfg.output_dir, "analysis", "beta_0.1", "error_report.json"))
+
+
+DROP = object()  # a header value that stands for the key's removal
+
 
 @pytest.mark.parametrize("command, key, value", [
     ("reconstruct", "n", None), ("reconstruct", "n", [10]), ("reconstruct", "n", 10.5),
     ("reconstruct", "eta", "0.45"), ("reconstruct", "alpha1", "x"),
+    ("reconstruct", "schema", True), ("reconstruct", "source_sha256", [1]),
     ("analyze", "grid_size", None), ("analyze", "extent", None),
+    # each of these went through `analyze` (exit 0, or a traceback for the
+    # list hash, or a message that named no file for the negative size)
+    ("analyze", "schema", True), ("analyze", "source_sha256", [1]), ("analyze", "grid_size", -21),
+    ("analyze", "extent", 0.0), ("analyze", "extent", -1.0), ("analyze", "extent", 1e308),
+    ("analyze", "r", 0.0), ("analyze", "r", -3.0),
+    *[("analyze", key, value) for key in ("h", "kind", "route") for value in (DROP, "x", [1], True, -1)],
 ])
 def test_header_value_of_wrong_type_refused(tmp_path, capsys, command, key, value):
     cfg, path = tiny_config(tmp_path)
@@ -440,9 +465,11 @@ def test_header_value_of_wrong_type_refused(tmp_path, capsys, command, key, valu
         fpath, magic = os.path.join(cfg.output_dir, "grids", "beta_0.1", "grid_r00.wg"), GRID_MAGIC
     else:
         fpath, magic = os.path.join(cfg.output_dir, "batches", "batch_r00.qb"), BATCH_MAGIC
-    rewrite_header(fpath, magic, lambda header: header.update({key: value}))
+    rewrite_header(fpath, magic, lambda header: header.pop(key) if value is DROP else header.update({key: value}))
     capsys.readouterr()
-    assert main([command, "--config", path]) == EXIT_CONFIG
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # extent 1e308 made numpy warn of an overflow
+        assert main([command, "--config", path]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert fpath in err and repr(key) in err
 
@@ -568,7 +595,7 @@ class TestSweepAndTable:
                 capsys.readouterr()
                 assert main([command, "--config", path]) == EXIT_CONFIG
                 err = capsys.readouterr().err
-                assert err.startswith(f"error: invalid analysis file {fpath}: ") and reason in err
+                assert err.startswith(f"error: {fpath}: ") and reason in err
         write_file(fpath, good)
         for command in commands:
             assert main([command, "--config", path]) == 0
@@ -590,7 +617,7 @@ class TestSweepAndTable:
         capsys.readouterr()
         assert main([command, "--config", path]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith(f"error: invalid analysis file {fpath}: key {key!r} holds {value!r}")
+        assert err.startswith(f"error: {fpath}: key {key!r} holds {value!r}")
 
 
 class TestWorkers:

@@ -1190,7 +1190,7 @@ class TestGridOps:
         write_grid(reconstruct_exact(generate_batch(cat, noise, 50, seed=15), small_params(50, grid_size=11)),
                    path)
         rewrite_header(path, est.GRID_MAGIC, lambda header: header.pop(key))
-        with pytest.raises(ValueError, match=re.escape(f"{path}: header lacks the required key '{key}'")):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: key '{key}' is missing")):
             read_grid(path)
 
     @pytest.mark.parametrize("key, value, kind", [
@@ -1202,7 +1202,7 @@ class TestGridOps:
         write_grid(reconstruct_exact(generate_batch(cat, noise, 50, seed=15), small_params(50, grid_size=11)),
                    path)
         rewrite_header(path, est.GRID_MAGIC, lambda header: header.update({key: value}))
-        with pytest.raises(ValueError, match=re.escape(f"{path}: header key '{key}' holds") + f".*not a {kind} number"):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: key '{key}' holds") + f".*not a {kind} number"):
             read_grid(path)
 
     def test_rejects_other_schema(self, cat, noise, tmp_path):
@@ -1210,7 +1210,7 @@ class TestGridOps:
         write_grid(reconstruct_exact(generate_batch(cat, noise, 50, seed=15), small_params(50, grid_size=11)),
                    path)
         rewrite_header(path, est.GRID_MAGIC, lambda header: header.update(schema=2))
-        with pytest.raises(ValueError, match=re.escape(f"{path}: header schema is 2, expected 1")):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: key 'schema' holds 2, not 1")):
             read_grid(path)
 
     def test_grid_csv(self, cat, noise, tmp_path):

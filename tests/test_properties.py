@@ -1,10 +1,11 @@
 """Property tests: the kernel and its table on random (gamma, h, t), the mean
 oracle on random states and cutoffs, the estimator's linearity across merged
 batches, the batch, grid and config file round trips, and truncated or
-corrupt batch and grid files."""
+corrupt batch, grid and analysis files, read alone and by each CLI stage."""
 
 import contextlib
 import io
+import json
 import math
 import os
 import warnings
@@ -39,6 +40,7 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from test_cli import tiny_config  # noqa: E402
+from test_sampling import read_bytes, write_file  # noqa: E402
 from test_estimator import fourier_truncation_reference, kernel_quad_oracle  # noqa: E402
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -234,30 +236,108 @@ def test_corrupt_framing_names_itself(workdir, data, kind):
         assert "exceeds" in str(err.value)
 
 
+# Each file a stage reads, and the keys of it that the stage reads.  Some
+# mutations no stage can see, so none is drawn: a payload value of a batch or
+# grid changed to another finite one (a batch phase within [0, pi]), as a
+# flipped payload byte mostly does, a batch header's `source_sha256` changed to
+# another str or to null, as `reconstruct` replaces it with the file's hash,
+# and any change to a key of an analysis file that no stage reads.
+STAGE_FILES = {
+    "batch": ("batches/batch_r00.qb", BATCH_MAGIC,
+              ("schema", "alpha1", "alpha2", "eta", "n", "seed", "replicate", "source_sha256")),
+    "grid": ("grids/beta_0.1/grid_r00.wg", GRID_MAGIC,
+             ("schema", "grid_size", "extent", "r", "kind", "method", "route", "n", "seed", "replicate",
+              "alpha1", "alpha2", "eta", "beta", "h", "source_sha256")),
+    "error_report": ("analysis/beta_0.1/error_report.json", None, ("config_sha256", "delta_numeric")),
+    "witness_stats": ("analysis/beta_0.1/witness_stats.json", None, ("av", "sd", "separated")),
+}
+NON_FINITE = [math.nan, math.inf, -math.inf]
+# values of the right type out of each key's range, or not finite
+BAD_VALUES = {
+    "schema": [0, 2, -1, 1.0], "alpha1": NON_FINITE, "alpha2": NON_FINITE,
+    "eta": [0.0, -0.45, 1.5, *NON_FINITE], "n": [-2000, 2000.5, *NON_FINITE],
+    "seed": [-11, 11.5, *NON_FINITE], "replicate": [-1, 0.5, *NON_FINITE],
+    "grid_size": [0, -41, 41.5, *NON_FINITE], "extent": [0.0, -2.0, *NON_FINITE],
+    "r": [0.0, -2.0, *NON_FINITE], "h": [0.0, -0.5, *NON_FINITE], "beta": [0.0, 0.25, -0.1, *NON_FINITE],
+    "kind": ["", "averages"], "method": ["", "exactly"], "route": ["", "binned "], "source_sha256": [],
+    "config_sha256": [], "delta_numeric": [-0.5, *NON_FINITE], "av": NON_FINITE,
+    "sd": [-0.5, *NON_FINITE], "separated": [],
+}
+
+
+def json_type(value) -> str:
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
 @pytest.fixture(scope="module")
-def sampled(tmp_path_factory):
-    """A tiny config whose batches are written, and the bytes of its first batch."""
+def analyzed(tmp_path_factory):
+    """A tiny config run through `analyze`, and the path and bytes of each file of `STAGE_FILES`."""
     cfg, path = tiny_config(tmp_path_factory.mktemp("cli"))
-    assert main(["sample", "--config", path]) == EXIT_OK
-    batch = os.path.join(cfg.output_dir, "batches", "batch_r00.qb")
-    with open(batch, "rb") as fh:
-        return path, batch, fh.read()
+    for stage in ("sample", "reconstruct", "analyze"):
+        assert main([stage, "--config", path]) == EXIT_OK
+    files = {name: os.path.join(cfg.output_dir, rel) for name, (rel, _, _) in STAGE_FILES.items()}
+    return path, {name: (fpath, read_bytes(fpath)) for name, fpath in files.items()}
 
 
-@settings(PROPERTY, max_examples=15)
+def mutated_file(name: str, raw: bytes, data) -> bytes:
+    """The file `name` of `STAGE_FILES`, whose bytes are `raw`, truncated at
+    any byte, with a byte of its framing (any byte, for JSON) flipped, with
+    one of its keys dropped, given a value of another JSON type, or given a
+    value out of its range or not finite (`BAD_VALUES`), or with a payload
+    value not finite (or, for a batch phase, outside [0, pi])."""
+    _, magic, keys = STAGE_FILES[name]
+    mutations = ["truncate", "flip", "drop", "retype", "value"] + (["payload"] if magic else [])
+    mutation = data.draw(st.sampled_from(mutations))
+    if mutation == "truncate":
+        return raw[:data.draw(st.integers(0, len(raw) - 1))]
+    if mutation == "flip" and magic is not None:
+        return flip_framing_byte(raw, magic, data)
+    if mutation == "flip":  # a set high bit makes the ASCII JSON text invalid UTF-8
+        pos = data.draw(st.integers(0, len(raw) - 1))
+        return raw[:pos] + bytes([raw[pos] ^ 0x80]) + raw[pos + 1:]
+    start = 0 if magic is None else len(magic) + 4
+    end = len(raw) if magic is None else start + int.from_bytes(raw[len(magic):start], "little")
+    if mutation == "payload":  # batch pairs are (x, phi), so an odd value is a phase
+        index = data.draw(st.integers(0, (len(raw) - end) // 8 - 1))
+        phase = name == "batch" and index % 2
+        value = data.draw(st.sampled_from(NON_FINITE + ([-0.5, 4.0] if phase else [])))
+        pos = end + 8 * index
+        return raw[:pos] + np.array(value, "<f8").tobytes() + raw[pos + 8:]
+    fields = json.loads(raw[start:end])
+    if mutation == "value":
+        keys = [key for key in keys if BAD_VALUES[key]]
+    key = data.draw(st.sampled_from(keys))
+    if mutation == "drop":
+        del fields[key]
+    elif mutation == "retype":
+        others = [v for v in (None, True, "x", 0.5, [1], {"k": 1}) if json_type(v) != json_type(fields[key])]
+        if name == "batch" and key == "source_sha256":
+            others.remove(None)
+        fields[key] = data.draw(st.sampled_from(others))
+    else:
+        fields[key] = data.draw(st.sampled_from(BAD_VALUES[key]))
+    text = json.dumps(fields).encode("utf-8")
+    return text if magic is None else magic + len(text).to_bytes(4, "little") + text + raw[end:]
+
+
+@settings(PROPERTY, max_examples=100)
 @given(data=st.data())
-def test_reconstruct_refuses_corrupt_batch(sampled, data):
-    path, batch, raw = sampled
-    with open(batch, "wb") as fh:
-        fh.write(flip_framing_byte(raw, BATCH_MAGIC, data))
+@pytest.mark.parametrize("name, stage", [("batch", "reconstruct"), ("grid", "analyze"),
+                                         ("error_report", "table1"), ("error_report", "sweep-beta"),
+                                         ("witness_stats", "sweep-beta")])
+def test_stage_refuses_corrupt_file(analyzed, name, stage, data):
+    # every mutation is refused with exit 2 and a message naming the file;
+    # an exception other than a refusal escapes `main` and fails the test
+    path, files = analyzed
+    fpath, raw = files[name]
+    write_file(fpath, mutated_file(name, raw, data))
     err = io.StringIO()
     try:
         with contextlib.redirect_stderr(err):
-            assert main(["reconstruct", "--config", path]) == EXIT_CONFIG
+            assert main([stage, "--config", path]) == EXIT_CONFIG
     finally:
-        with open(batch, "wb") as fh:
-            fh.write(raw)
-    assert f"invalid batch file: {batch}" in err.getvalue()
+        write_file(fpath, raw)
+    assert err.getvalue().startswith("error: ") and fpath in err.getvalue()
 
 
 configs = st.builds(
