@@ -18,9 +18,11 @@ and lets two threads sample two chunks at once.  `_sample_chunks` is the
 one producer: it yields the chunks of a batch in order, sampled on a pool
 of two threads (a batch of one chunk on the calling thread), each chunk in
 one of two slots, a round workspace and a chunk buffer that the calling
-thread allocates and reuses.  The first rejection round proposes into the
-chunk itself, later ones into the workspace, and each is evaluated in
-2^15-sample blocks, the phase trigonometry redone per block from phi.
+thread allocates and reuses.  Each rejection round draws from the stream
+and is evaluated in 2^15-sample blocks, in the stream order of whole-round
+calls, the phase trigonometry redone per block from phi: the first round
+proposes into the chunk itself, later ones through the workspace's block
+buffer, which then takes each block's uniforms and the detection noise.
 `generate_batch` samples the chunks into a whole batch, or hands each to a
 batch writer as soon as it is done, so the `sample` stage writes a batch
 file while holding two chunks of it.
@@ -154,9 +156,10 @@ def _envelope_const(state: CatState, a):
 
 
 def _workspace(size: int):
-    """Round arrays for `size` samples: uniforms and active indices, int32 as
-    a chunk holds far fewer than 2^31 samples."""
-    return np.empty(size), np.empty(size, dtype=np.int32)
+    """Round arrays for `size` samples: a block buffer, the active indices,
+    int32 as a chunk holds far fewer than 2^31 samples, and the int8
+    components; 5 bytes per sample beside the block."""
+    return np.empty(min(size, _BLOCK)), np.empty(size, dtype=np.int32), np.empty(size, dtype=np.int8)
 
 
 def _reject_into(state: CatState, phi, out, rng: np.random.Generator, work) -> None:
@@ -164,35 +167,39 @@ def _reject_into(state: CatState, phi, out, rng: np.random.Generator, work) -> N
 
     Rejection sampling; the proposal envelope is valid by construction, so the
     round cap only guards against implementation regressions.  A round draws,
-    for its k active samples in order, k proposal components, k normals
-    and k uniforms (into `u` of `work = _workspace(>= phi.size)`).  Round 1
-    covers every sample and draws its normals straight into `out`, which must
-    be contiguous; a later round stages them in `u` and scatters them to its
-    active positions.  Evaluated block by block, the proposals stay in or go
-    back to `out`, so the accepted ones are final, and the rejected positions
-    are compacted forward in `active`, keeping their order for the next round.
+    for its k active samples in order, k proposal components, k normals and
+    k uniforms, each `_BLOCK` at a time, which a Philox stream fills with the
+    bits of one call of k.  With `work = _workspace(>= phi.size)`, the
+    components go into `comp` as int8.  Round 1 covers every sample and draws
+    its normals straight into `out`, which must be contiguous; a later round
+    draws them into `block` and scatters them to its active positions.  Then each block draws its
+    uniforms into `block` and is evaluated: the proposals stay in or go back
+    to `out`, so the accepted ones are final, and the rejected positions are
+    compacted forward in `active`, keeping their order for the next round.
     """
-    u, active = work
+    block, active, comp = work
     k = phi.size
     for rnd in range(_MAX_ROUNDS):
         if k == 0:
             return
-        comp = rng.integers(0, 3, size=k).astype(np.int8)  # held as 1 byte, not 8, during the blocks
-        prop = rng.standard_normal(out=u[:k] if rnd else out)
-        prop *= INV_SQRT2  # the bits of rng.normal(0.0, INV_SQRT2, size=k)
-        if rnd:
-            out[active[:k]] = prop
-        rng.random(out=u[:k])
+        bounds = [(lo, min(lo + _BLOCK, k)) for lo in range(0, k, _BLOCK)]
+        for lo, hi in bounds:
+            comp[lo:hi] = rng.integers(0, 3, size=hi - lo)
+        for lo, hi in bounds:
+            prop = rng.standard_normal(out=block[:hi - lo] if rnd else out[lo:hi])
+            prop *= INV_SQRT2  # the bits of rng.normal(0.0, INV_SQRT2, size=k)
+            if rnd:
+                out[active[lo:hi]] = prop
         kept = 0
-        for lo in range(0, k, _BLOCK):
-            hi = min(lo + _BLOCK, k)
+        for lo, hi in bounds:
             idx = active[lo:hi] if rnd else slice(lo, hi)
             m, a, b = phase_amplitudes(state, phi[idx])
             x, c = out[idx], comp[lo:hi]  # a view of `out` in round 1, a copy later
             x += np.where(c == 0, m, np.where(c == 1, -m, 0.0))
             with _DENSITY_LOCK:
                 target = quadrature_density(state, x, amplitudes=(m, a, b))
-            accept = u[lo:hi] * (_envelope_const(state, a) * _proposal_density(x, m)) <= target
+            u = rng.random(out=block[:hi - lo])
+            accept = u * (_envelope_const(state, a) * _proposal_density(x, m)) <= target
             if rnd:
                 out[idx] = x
             rest = idx[~accept] if rnd else np.flatnonzero(~accept) + lo
@@ -206,17 +213,19 @@ def _sample_chunk(state: CatState, noise: NoiseModel, rng: np.random.Generator, 
     """Fill the chunk views `phi` and `x` from `rng`: phases, ideal values, then noise.
 
     Draws phi uniform on [0, pi], ideal values by `_reject_into`, then the
-    measured values sqrt(eta) x + sqrt((1 - eta) / 2) y, y unit normal, into
-    the given arrays and `work` (y into its uniforms), so that of chunk size
-    it allocates only each round's components: drawn as int64, held as int8.
+    measured values sqrt(eta) x + sqrt((1 - eta) / 2) y, y unit normal, drawn
+    and added `_BLOCK` at a time in the block buffer of `work`, so that it
+    allocates nothing of chunk size.
     """
     rng.random(out=phi)
     phi *= np.pi  # the bits of rng.uniform(0.0, np.pi, phi.size)
     _reject_into(state, phi, x, rng, work)
-    y = rng.standard_normal(out=work[0][:x.size])
-    x *= np.sqrt(noise.eta)
-    y *= np.sqrt((1.0 - noise.eta) / 2.0)
-    x += y
+    for lo in range(0, x.size, _BLOCK):
+        y = rng.standard_normal(out=work[0][:min(_BLOCK, x.size - lo)])
+        part = x[lo:lo + y.size]
+        part *= np.sqrt(noise.eta)
+        y *= np.sqrt((1.0 - noise.eta) / 2.0)
+        part += y
 
 
 def _sample_chunks(state: CatState, noise: NoiseModel, n: int, seed: int, replicate: int, dest=None):

@@ -651,20 +651,22 @@ class TestWorkers:
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from Linux's /proc")
 def test_stage_peaks_at_paper_n(tmp_path):
     # at the paper's n = 1.6e7 (a 256 MB batch file) no stage holds the
-    # batch: in fresh interpreters `sample` peaked at 112 MB, `reconstruct`
+    # batch: in fresh interpreters `sample` peaked at 86 MB, `reconstruct`
     # (both betas, 201^2) at 88 MB and `reconstruct --exact` (one beta, 3^2)
     # at 40 MB on a 2-core Xeon, against 375, 385 and 666 MB when each held
-    # it whole; `sample` peaked at 140-143 MB with a proposal buffer in each
-    # sampler slot, and `reconstruct` at 132 MB with linear phase spreading
-    # on twice the phase bins.  Each stage reports VmHWM, the peak RSS of its own
-    # image: its ru_maxrss would also count the pytest process it was
-    # started from, several hundred MB after the acceptance tests
+    # it whole; `sample` peaked at 112-113 MB with chunk-sized uniforms and
+    # each round's components drawn whole as int64 in each sampler slot, at
+    # 140-143 MB with a proposal buffer there as well, and `reconstruct` at
+    # 132 MB with linear phase spreading on twice the phase bins.  Each stage
+    # reports VmHWM, the peak RSS of its own image: its ru_maxrss would also
+    # count the pytest process it was started from, several hundred MB after
+    # the acceptance tests
     cfg, path = tiny_config(tmp_path, n=16_000_000, replicates=1, betas=(0.05, 0.1), grid_size=201)
     exact_path = str(tmp_path / "exact.ini")  # same batches, direct sum at the 5 nodes of a 3^2 grid
     save_config(replace(cfg, betas=(0.1,), grid_size=3, path="exact"), exact_path)
     src = os.path.dirname(os.path.dirname(est.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    for argv, limit_mb in ((["sample", "--config", path], 145), (["reconstruct", "--config", path], 112),
+    for argv, limit_mb in ((["sample", "--config", path], 105), (["reconstruct", "--config", path], 112),
                            (["reconstruct", "--config", exact_path], 256)):
         code = (f"from catomo.cli import main\n"
                 f"assert main({argv!r}) == 0\n"

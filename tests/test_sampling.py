@@ -30,6 +30,7 @@ from catomo import sampling
 from catomo.sampling import (
     BATCH_MAGIC,
     CHUNK_SIZE,
+    _BLOCK,
     _batch_header,
     _batch_writer,
     _BatchFile,
@@ -77,6 +78,25 @@ class TestPhase:
     def test_first_draw_reproducible(self, cat, noise):
         draws = [generate_batch(cat, noise, 1, seed=42).phi[0] for _ in range(3)]
         assert draws[0] == draws[1] == draws[2] == _stream(42, 0, 0).uniform(0.0, math.pi)
+
+
+def test_pieces_give_bits_of_one_call():
+    # `_reject_into` and `_sample_chunk` draw each round's components,
+    # normals and uniforms and the noise `_BLOCK` at a time; a Philox stream
+    # fills each element from its bit generator alone, so sequential pieces,
+    # of sizes that do not divide the total, give the bits of one whole call
+    sizes = [1, 7, _BLOCK, 4097]
+    cuts, total = np.cumsum(sizes)[:-1], sum(sizes)
+    pieces, whole = _stream(5, 1, 2), _stream(5, 1, 2)
+    comp = np.concatenate([pieces.integers(0, 3, size=size) for size in sizes])
+    normals, uniforms = np.empty(total), np.empty(total)
+    for part in np.split(normals, cuts):
+        pieces.standard_normal(out=part)
+    for part in np.split(uniforms, cuts):
+        pieces.random(out=part)
+    assert comp.tobytes() == whole.integers(0, 3, size=total).tobytes()
+    assert normals.tobytes() == whole.standard_normal(total).tobytes()
+    assert uniforms.tobytes() == whole.random(total).tobytes()
 
 
 def ideal_draws(state, phi, rng):
@@ -224,19 +244,21 @@ class TestMatchesReferenceLoop:
         assert got.phi.tobytes() == phi.tobytes()
 
     def test_chunk_memory(self, cat, noise):
-        # one chunk on the calling thread peaks at 37.7 MiB: 16 MiB of batch, a
-        # 12 MiB round workspace (uniforms, int32 indices) and a round's
-        # components as drawn, 8 MiB, beside their 1 MiB int8 copy.  Holding
-        # the int64 draws through the blocks took 42.6 MiB, a proposal buffer
-        # in the workspace as well 50.5 MiB, and a loop that allocated its
-        # round arrays per chunk 128 MiB
+        # one chunk on the calling thread peaks at 24.4-25.0 MiB over 12 seeds:
+        # 16 MiB of batch, a 5 MiB round workspace (int32 indices, int8
+        # components) with its 0.25 MiB block buffer, and 3.1-3.8 MiB of one
+        # block's temporaries.  A workspace of uniforms and indices beside each
+        # round's components drawn whole as int64 took 37.7 MiB, holding those
+        # draws through the blocks 42.6 MiB, a proposal buffer in the
+        # workspace as well 50.5 MiB, and a loop that allocated its round
+        # arrays per chunk 128 MiB
         tracemalloc.start()
         try:
             generate_batch(cat, noise, CHUNK_SIZE, seed=7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 41 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        assert peak <= 28 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestChunkPool:
@@ -289,20 +311,20 @@ class TestChunkPool:
         assert threading.active_count() == before
 
     def test_two_chunk_memory(self, cat, noise):
-        # 73.0-74.0 MiB at seed 7, 66.0-74.0 MiB over 12 seeds: 32 MiB of
-        # batch, two 12 MiB round workspaces allocated by the caller, and each
-        # thread's 9 MiB of components as drawn and held, or 6 MiB of held
-        # components and block temporaries.  Holding the int64 draws took
-        # 79.3-82.1 MiB, a proposal buffer in each workspace as well 95.4 MiB
-        # at seed 7, and sampling the chunks one after the other with
-        # per-chunk round arrays 144 MiB
+        # 47.9-48.4 MiB over 12 seeds: 32 MiB of batch, two 5.25 MiB round
+        # workspaces allocated by the caller, and 5.4-5.9 MiB of the two
+        # threads' block temporaries.  Round workspaces of uniforms and
+        # indices with each round's components drawn whole as int64 took
+        # 66.0-74.0 MiB, holding those draws 79.3-82.1 MiB, a proposal buffer
+        # in each workspace as well 95.4 MiB at seed 7, and sampling the
+        # chunks one after the other with per-chunk round arrays 144 MiB
         tracemalloc.start()
         try:
             generate_batch(cat, noise, 2 * CHUNK_SIZE, seed=7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 78 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        assert peak <= 52 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def stream_to_file(state, noise, n, seed, path, replicate=0):
@@ -329,11 +351,14 @@ class TestStreamedBatch:
         assert read_bytes(str(tmp_path / "streamed.qb")) == read_bytes(str(tmp_path / "whole.qb"))
 
     def test_memory_flat_in_chunks(self, cat, noise, tmp_path, monkeypatch):
-        # two slots of a chunk buffer, a round workspace and round components,
-        # plus one write block: 6.8 MiB at 2^16-sample chunks, 3 or 6 of them,
-        # when the two pool threads take turns.  Sampling at once, they add up
-        # to 3.3 MiB of block temporaries, as their rounds happen to overlap:
-        # 8.9-10.1 MiB over runs of 6 chunks, too wide for a 1 % bound
+        # two slots of a chunk buffer and a round workspace (block buffer,
+        # int32 indices, int8 components), 1.56 MiB each at 2^16-sample
+        # chunks, one write block and one thread's block temporaries: 6.3 MiB
+        # at 3 or 6 chunks when the two pool threads take turns (6.8 MiB with
+        # chunk-sized uniforms and components drawn whole).  Sampling at once,
+        # they add up to 2.1-2.9 MiB more of block temporaries, as their
+        # rounds happen to overlap: 8.4-9.2 MiB over runs of 6 chunks, too
+        # wide for a 1 % bound
         monkeypatch.setattr(sampling, "CHUNK_SIZE", 1 << 16)
 
         def peak(chunks):
