@@ -8,7 +8,7 @@ Subcommands
     table1      two-row bound/numeric comparison table
 
 Configuration is a diff-able `key = value` INI file with one section per
-stage; an unknown section or key is refused with its `file:line`.  Every
+stage; any line or value it refuses is named by its `file:line`.  Every
 output embeds the SHA-256 of its inputs, identical configs reproduce outputs
 byte for byte, and mixed-provenance inputs are refused.
 Exit codes: 0 success, 2 refused input (a config value or flag, a batch,
@@ -20,11 +20,11 @@ non-finite value, and mismatched provenance), 3 I/O, 4 numerical.
 from __future__ import annotations
 
 import argparse
-import configparser
 import hashlib
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass, replace
 from functools import partial
@@ -100,6 +100,9 @@ _SCHEMA = {
 }
 _SECTION = {key: section for section, keys in _SCHEMA.items() for key in keys}
 _DEFAULTS = asdict(ExperimentConfig())
+# configparser's line forms: a header ends at its last ']', a key at the first '=' or ':'
+_HEADER = re.compile(r"\[(?P<section>.+)\]")
+_OPTION = re.compile(r"(?P<key>[^=:]*)[=:](?P<value>.*)")
 
 
 def _validate(cfg: ExperimentConfig, where) -> ExperimentConfig:
@@ -109,31 +112,15 @@ def _validate(cfg: ExperimentConfig, where) -> ExperimentConfig:
 
     _check_fields(asdict(cfg), locate, _SECTION)
     # beyond what a file may hold: the bandwidth rule's r = sqrt(ln n / (beta + 2 gamma))
-    # is positive only from n = 2, and only an odd size >= 3 has a node at the origin
+    # is positive only from n = 2, the bound's variance term diverges at gamma = 0,
+    # that is at eta = 1, and only an odd size >= 3 has a node at the origin
     if cfg.n < 2:
         raise ConfigError(f"{locate('n')}: need at least 2 samples for the bandwidth rule, got {cfg.n}")
+    if cfg.eta >= 1:
+        raise ConfigError(f"{locate('eta')}: the error bound needs eta < 1, got {cfg.eta}")
     if cfg.grid_size < 3 or cfg.grid_size % 2 == 0:
         raise ConfigError(f"{locate('grid_size')}: grid size must be an odd integer >= 3, got {cfg.grid_size}")
     return cfg
-
-
-def _line_of(path: str, section: str, key: str | None = None) -> str:
-    """Best-effort `file:line` of a config key, or of the section header when key is None."""
-    current = None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.strip()
-                if line.startswith("[") and line.endswith("]"):
-                    current = line[1:-1].strip().lower()
-                    if key is None and current == section.lower():
-                        return f"{path}:{lineno}"
-                elif key and current == section.lower():
-                    if line.split("=", 1)[0].split(":", 1)[0].strip().lower() == key.lower():
-                        return f"{path}:{lineno}"
-    except OSError:
-        pass
-    return path
 
 
 def _format(key: str, value) -> str:
@@ -172,27 +159,38 @@ def save_config(cfg: ExperimentConfig, path: str) -> None:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    """Parse an INI config; a key the file leaves out keeps its ExperimentConfig default."""
-    # no default section, so a [DEFAULT] header is an unknown section like any
-    # other; no interpolation, so a value holding '%' reads back as written
-    parser = configparser.ConfigParser(default_section="", interpolation=None)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
-    except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    """Read an INI config in one pass; a key the file leaves out keeps its ExperimentConfig default.
 
-    values = {}
-    for section in parser.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(f"[{section}] ({_line_of(path, section)}): unknown section, "
-                              f"expected one of {', '.join(_SCHEMA)}")
-        for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"{section}.{key} ({_line_of(path, section, key)}): unknown key, "
-                                  f"expected one of {', '.join(_SCHEMA[section])}")
-            values[key] = _parse(key, raw)
-    return _validate(ExperimentConfig(**values), lambda key: _line_of(path, _SECTION[key], key))
+    The syntax is configparser's default less interpolation and a default section
+    (README, "Command line pipeline"); every refusal names its `file:line`."""
+    raw, lines, headers, section, key = {}, {}, {}, None, None
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, text in enumerate(fh, 1):
+            here, line, indent = f"{path}:{lineno}", text.strip(), len(text) - len(text.lstrip())
+            if line.startswith(("#", ";")) or not (line or key):
+                continue
+            if key and (not line or indent > key_indent):  # a value's next line; blank ones are kept
+                raw[key] += "\n" + line
+                continue
+            header, option = _HEADER.match(line), _OPTION.match(line)
+            if header:
+                section, key = header["section"], None
+                if section not in _SCHEMA:
+                    raise ConfigError(f"[{section}] ({here}): unknown section, expected {', '.join(_SCHEMA)}")
+                if section in headers:
+                    raise ConfigError(f"[{section}] ({here}): section given twice, first at {headers[section]}")
+                headers[section] = here
+            elif section is None or not option:
+                raise ConfigError(f"{here}: neither a [section] header nor a `key = value` line under one")
+            else:
+                key, key_indent = option["key"].strip().lower(), indent
+                if key not in _SCHEMA[section]:
+                    raise ConfigError(f"{section}.{key} ({here}): unknown key, expected {', '.join(_SCHEMA[section])}")
+                if key in lines:
+                    raise ConfigError(f"{section}.{key} ({here}): key given twice, first at {lines[key]}")
+                lines[key], raw[key] = here, option["value"].strip()
+    cfg = ExperimentConfig(**{key: _parse(key, value.rstrip()) for key, value in raw.items()})
+    return _validate(cfg, lambda key: lines.get(key, path))
 
 
 def config_sha(cfg: ExperimentConfig) -> str:

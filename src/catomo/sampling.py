@@ -391,7 +391,7 @@ _KINDS = {
 # Every key of a batch or grid header, an analysis file and the config: (kind,
 # range, test of the range), the range None if any value of the kind will do; a
 # whole number is a finite number held as an int.  An entry states what any file
-# may hold, so every file the writers write reads back; `cli._validate` adds two rules.
+# may hold, so every file the writers write reads back; `cli._validate` adds three rules.
 _FIELDS = {
     "schema": ("a finite number", "1", lambda v: type(v) is int and v == 1),
     "alpha1": ("a finite number", None, None),

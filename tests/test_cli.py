@@ -41,17 +41,21 @@ def tiny_config(tmp_path, **overrides):
     return cfg, path
 
 
-def edit_config(tmp_path, old, new):
-    """A tiny config with `old` replaced by `new`, and the line number of `old`."""
+def edit_config(tmp_path, *edits):
+    """A tiny config with each `old` of the `old, new, old, new, ...` in `edits`
+    replaced by its `new`, and the line number of the first `old`."""
     _, path = tiny_config(tmp_path)
     text = read_text(path)
-    lineno = text[:text.index(old)].count("\n") + 1
-    write_file(path, text.replace(old, new))
+    lineno = text[:text.index(edits[0])].count("\n") + 1
+    for old, new in zip(edits[::2], edits[1::2]):
+        text = text.replace(old, new)
+    write_file(path, text)
     return path, lineno
 
 
 def test_pipeline_loads_no_scipy(tmp_path):
-    # each CLI process starts on numpy alone, and so do both oracles; scipy serves the tests
+    # each CLI process starts on numpy alone, and so do both oracles; scipy serves the
+    # tests, and load_config reads the INI file itself
     _, path = tiny_config(tmp_path)
     code = (f"import catomo.states, catomo.sampling, catomo.estimator, catomo.analysis, catomo.cli\n"
             f"from catomo.cli import main\n"
@@ -61,7 +65,7 @@ def test_pipeline_loads_no_scipy(tmp_path):
             f"state, params = catomo.CatState(1.5, 0.5), catomo.ReconstructionParams(r=3.0, h=0.25)\n"
             f"catomo.estimator_mean_oracle(state, params, [0.0, 1.0], [0.5, -2.0])\n"
             f"catomo.witness_mean_oracle(state, params)")
-    assert loaded_after(code, ["scipy"]) == "[]"
+    assert loaded_after(code, ["scipy", "configparser"]) == "[]"
 
 
 class TestConfig:
@@ -73,6 +77,10 @@ class TestConfig:
         path = tmp_path / "bare.ini"
         path.write_text("[state]\n")
         assert load_config(str(path)) == ExperimentConfig()
+
+    def test_value_continues_on_indented_lines(self, tmp_path):
+        path, _ = edit_config(tmp_path, "betas = 0.1", "betas = 0.05,\n    0.1")
+        assert load_config(path).betas == (0.05, 0.1)
 
     def test_invalid_eta_names_field(self, tmp_path):
         _, path = tiny_config(tmp_path)
@@ -92,6 +100,11 @@ class TestConfig:
         (("replicates = 2", "replicats: 3"), "sampling.replicats"),
         (("[run]", "[runn]"), "[runn]"),
         (("[state]", "[DEFAULT]\nn = 5\n\n[state]"), "[DEFAULT]"),
+        (("[state]", "[ state ]"), "[ state ]"),  # section names are read as written
+        (("replicates = 2", "n = 3"), "sampling.n"),  # named at its second line
+        (("[run]", "[sampling]"), "[sampling]"),  # named at the second header
+        (("[state]\n", ""), "[section] header"),  # a key before any header
+        (("seed = 11", "seed 11"), "`key = value`"),
     ])
     def test_unknown_key_or_section_refused(self, tmp_path, capsys, edit, named):
         path, lineno = edit_config(tmp_path, *edit)
@@ -106,6 +119,8 @@ class TestConfig:
         ("analyze", ("betas = 0.1", "betas ="), "reconstruction.betas"),
         ("sample", ("n = 2000", "n = 1"), "sampling.n"),
         ("sample", ("n = 2000", "n = 2e3"), "sampling.n"),  # not an int: refused by its rule, as read
+        ("sample", ("seed = 11", "seed = -3", "[sampling]", "[sampling] ; the draws"), "sampling.seed"),
+        ("sample", ("eta = 0.45", "eta = 1.0"), "noise.eta"),  # the bound needs eta < 1
     ])
     def test_invalid_value_names_its_line(self, tmp_path, capsys, command, edit, named):
         path, lineno = edit_config(tmp_path, *edit)
